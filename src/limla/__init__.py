@@ -3,29 +3,13 @@
 Two interchangeable engines over one machine model: a literal reference
 interpreter and a linear-time engine that folds frozen tape segments into
 composable description maps.  Plus a machine zoo, a differential harness
-and step-count benchmarks.
+and step-count benchmarks; their helpers live in the submodules.
 """
-from .model import (
-    ACCEPT, COUNTED, LEFT, LEFT_MARKER, LOOP_DETECTED, MAP_LOOP, RANKED,
-    REJECT, RIGHT, RIGHT_MARKER,
-    Automaton, DLimit, ID, LOG2, SQRT, Transition, ValidationReport, Violation,
-    d_of, validate_automaton,
-)
+from .model import Automaton, DLimit, Transition, validate_automaton
 from .fmt import FormatError, parse_machine, serialize_machine
-from .mapping import (
-    LOOP, CompositionResult, DirectedState, EmptySegment, SegmentMap, SizeMismatch,
-    apply, cf, compose_full, departure, describe_segment, dump_segment_map,
-    oracle_compose, transparent_map,
-)
-from .outcome import BudgetExceeded, RunOutcome, write_trace
-from .naive import regular_trace, run_naive
-from .tape import ListTape, init_tape
-from .linear import ScanResult, ShadowMismatch, deletion_scan, regular_trace_linear, run_linear
-from .zoo import (
-    GenParams, build_anbn, build_bouncer, build_even_a_2dfa, build_sweeper,
-    random_automaton,
-)
-from .bench import BenchRow, Degenerate, ScalingFit, fit_scaling
-from .rng import SplitMix64
+from .outcome import BudgetExceeded, RunOutcome
+from .naive import run_naive
+from .linear import run_linear
+from .difftest import compare_run
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ class BenchRow:
     engine: str
     n: int
     steps: int
-    loop_iterations: int
     wall_ns: int
     verdict: str
 
@@ -40,7 +39,7 @@ class ScalingFit:
     points: int
 
 
-CSV_HEADER = ["machine", "engine", "n", "steps", "loop_iterations", "wall_ns", "verdict"]
+CSV_HEADER = ["machine", "engine", "n", "steps", "wall_ns", "verdict"]
 
 GENERATORS = ("anbn", "unary", "random")
 
@@ -76,8 +75,7 @@ def run_bench(aut, machine_id: str, engines, lengths, gen: str, seed: int = 0) -
             t0 = time.perf_counter_ns()
             out = runner(aut, word)
             wall = time.perf_counter_ns() - t0
-            rows.append(BenchRow(machine_id, engine, length, out.steps,
-                                 out.loop_iterations, wall, out.verdict))
+            rows.append(BenchRow(machine_id, engine, length, out.steps, wall, out.verdict))
     rows.sort(key=lambda r: (r.machine, r.engine, r.n))
     return rows
 
@@ -87,8 +85,7 @@ def write_csv(rows, dest) -> None:
         w = csv.writer(dest)
         w.writerow(CSV_HEADER)
         for r in rows:
-            w.writerow([r.machine, r.engine, r.n, r.steps, r.loop_iterations,
-                        r.wall_ns, r.verdict])
+            w.writerow([r.machine, r.engine, r.n, r.steps, r.wall_ns, r.verdict])
     else:
         with open(dest, "w", newline="", encoding="utf-8") as fp:
             write_csv(rows, fp)

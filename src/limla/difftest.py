@@ -31,7 +31,6 @@ class DiffStats:
     """Side-channel checks collected over every compared run."""
 
     runs: int = 0
-    max_loop_iterations: int = 0
     bound_violations: list = field(default_factory=list)  # linear steps over budget
     scan_violations: list = field(default_factory=list)   # more scans than cells
     edge_violations: list = field(default_factory=list)   # composition walk too long
@@ -78,10 +77,8 @@ def compare_run(aut, word, *, shadow: bool = True, stats: DiffStats | None = Non
     if stats is not None:
         stats.runs += 1
         n = len(word)
-        if lo.loop_iterations > stats.max_loop_iterations:
-            stats.max_loop_iterations = lo.loop_iterations
-        if lo.loop_iterations > step_budget(aut, n):
-            stats.bound_violations.append((word, lo.loop_iterations))
+        if lo.steps > step_budget(aut, n):
+            stats.bound_violations.append((word, lo.steps))
         if lo.scans > n:
             stats.scan_violations.append((word, lo.scans))
         if lo.compose_edges_max > 8 * aut.compiled.n_states:

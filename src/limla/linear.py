@@ -23,66 +23,46 @@ cells, unlike letters, react to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import (
-    ACCEPT, LOOP_DETECTED, MAP_LOOP, RANKED, REJECT, RIGHT,
-    d_of, word_indices,
-)
-from .mapping import DirectedState, cf_idx, compose_full, describe_indices
-from .outcome import BudgetExceeded, RunOutcome, decode_projection, regular_projection
-from .tape import LETTER, ListTape, SEGMAP
+from .model import ACCEPT, LOOP_DETECTED, MAP_LOOP, RANKED, REJECT, RIGHT, d_of
+from .mapping import cf_idx, compose_full, describe_indices
+from .outcome import BudgetExceeded, RunOutcome
+from .tape import DELETED, LETTER, ListTape, SEGMAP
 
 
 class ShadowMismatch(Exception):
     """A map cell disagrees with the brute-force description of its segment."""
 
 
-@dataclass
-class ScanResult:
-    p: DirectedState
-    rejected: bool
-    merged_left: bool
-    merged_right: bool
-    segment: tuple
-    compose_calls: int
-    edges_max: int
-
-
-def deletion_scan(tape: ListTape, i: int, p: DirectedState, g) -> ScanResult:
-    """Freeze-time coalescing at cell i.
+def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
+    """Freeze-time coalescing at cell i; returns (exit, compose_calls, edges_max).
 
     g is the single-cell map of the letter just written at i and p the
-    directed result of the transition there.  If the left neighbour is a
-    map f, the two segments merge: when p points left the head is about
-    to cross into f's segment, so p is rerouted through the departure
-    table of (f, g), rejecting on LOOP; then g becomes f composed with g
-    and the neighbour is unlinked.  The right neighbour is handled the
-    same way afterwards, with the possibly rerouted p.  On success cell i
-    holds the merged map and both its neighbours are letters or markers.
+    directed result of the transition there, encoded as 2 * state + dir
+    like every segment map entry.  If the left neighbour is a map f, the
+    two segments merge: when p points left the head is about to cross into
+    f's segment, so p is rerouted through the departure table of (f, g);
+    then g becomes f composed with g and the neighbour is unlinked.  The
+    right neighbour is handled the same way afterwards, with the possibly
+    rerouted p.  On success cell i holds the merged map, both its
+    neighbours are letters or markers, and exit is the rerouted p.  A
+    departure that loops stops the scan at once with exit -1, leaving the
+    unmerged neighbour linked.
     """
     kind = tape.kind
     fmap = tape.fmap
-    state, dr = p
-    calls = 0
-    edges = 0
-    merged_left = merged_right = False
+    calls = edges = 0
 
     left = tape.prev[i]
     if kind[left] == SEGMAP:
         comp = compose_full(fmap[left], g)
-        calls += 1
+        calls = 1
         edges = comp.edges
-        if dr == 1:  # heading left, into the merged territory
-            out = comp.dep[2 * state + 1]
-            if out < 0:
-                return ScanResult(DirectedState(state, dr), True, merged_left,
-                                  merged_right, (tape.prev[i] + 1, tape.nxt[i] - 1),
-                                  calls, edges)
-            state, dr = out >> 1, out & 1
+        if (p & 1) != RIGHT:  # heading left, into the merged territory
+            p = comp.dep[p]
+            if p < 0:
+                return p, calls, edges
         g = comp.h
         tape.unlink(left)
-        merged_left = True
 
     right = tape.nxt[i]
     if kind[right] == SEGMAP:
@@ -90,22 +70,17 @@ def deletion_scan(tape: ListTape, i: int, p: DirectedState, g) -> ScanResult:
         calls += 1
         if comp.edges > edges:
             edges = comp.edges
-        if dr == RIGHT:
-            out = comp.dep[2 * state]
-            if out < 0:
-                return ScanResult(DirectedState(state, dr), True, merged_left,
-                                  merged_right, (tape.prev[i] + 1, tape.nxt[i] - 1),
-                                  calls, edges)
-            state, dr = out >> 1, out & 1
+        if (p & 1) == RIGHT:
+            p = comp.dep[p]
+            if p < 0:
+                return p, calls, edges
         g = comp.h
         tape.unlink(right)
-        merged_right = True
 
     kind[i] = SEGMAP
     fmap[i] = g
     tape.sym[i] = -1
-    return ScanResult(DirectedState(state, dr), False, merged_left, merged_right,
-                      (tape.prev[i] + 1, tape.nxt[i] - 1), calls, edges)
+    return p, calls, edges
 
 
 def _shadow_check(c, tape: ListTape, i: int, shadow_letters) -> None:
@@ -138,7 +113,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     prev = tape.prev
     nxt = tape.nxt
 
-    lo = c.n_letters
     width = c.width
     nq = c.n_states
     to_tab, wr_tab, mv_tab = c.to_tab, c.wr_tab, c.mv_tab
@@ -204,17 +178,19 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         last_write = steps + 1
                     was_frozen = (not ranked) and (v - 1 >= d_n)
                     g = cf_idx(c, x)
-                    sc = deletion_scan(tape, pos, DirectedState(ns, mv), g)
-                    scans += 1
-                    compose_calls += sc.compose_calls
-                    if sc.edges_max > edges_max:
-                        edges_max = sc.edges_max
                     if tr is not None:
-                        tr.append((steps + 1, pos, state, s, x, mv, was_frozen,
-                                   1, sc.merged_left, sc.merged_right,
-                                   sc.segment[0], sc.segment[1]))
+                        left, right = prev[pos], nxt[pos]
+                    out, calls, edges = deletion_scan(tape, pos, 2 * ns + mv, g)
+                    scans += 1
+                    compose_calls += calls
+                    if edges > edges_max:
+                        edges_max = edges
+                    if tr is not None:
+                        tr.append((steps + 1, pos, state, s, x, mv, was_frozen, 1,
+                                   kind[left] == DELETED, kind[right] == DELETED,
+                                   prev[pos] + 1, nxt[pos] - 1))
                     steps += 1
-                    if sc.rejected:
+                    if out < 0:
                         verdict, reason = REJECT, MAP_LOOP
                         break
                     if shadow_letters is not None:
@@ -222,7 +198,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         _shadow_check(c, tape, pos, shadow_letters)
                     else:
                         assert kind[prev[pos]] != SEGMAP and kind[nxt[pos]] != SEGMAP
-                    state, dr = sc.p
+                    state = out >> 1
+                    dr = out & 1
             elif k0 == SEGMAP:
                 key = ((pos * nq + state) << 1) | dr
                 if key in stretch:
@@ -265,16 +242,9 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
 
     return RunOutcome(
         verdict=verdict, reason=reason, steps=steps,
-        moves={"letter": letter_moves, "map": map_jumps,
-               "marker": marker_moves, "scan": scans},
+        moves={"letter": letter_moves, "map": map_jumps, "marker": marker_moves},
         visits=visits, writes=writes, cell_writes=cell_writes,
-        loop_iterations=steps, last_write_step=last_write, trace=tr,
+        last_write_step=last_write, trace=tr,
         scans=scans, compose_calls=compose_calls, compose_edges_max=edges_max,
     )
 
-
-def regular_trace_linear(aut, outcome: RunOutcome) -> list:
-    """Token-form projection onto regular moves; equals the reference
-    engine's projection on the same machine and word (up to the point
-    where either loop detector fires, on rejecting runs)."""
-    return decode_projection(aut, regular_projection(aut, outcome))

@@ -44,14 +44,6 @@ class DirectedState(NamedTuple):
     state: int
     dir: int  # RIGHT or LEFT
 
-    @property
-    def canon(self) -> int:
-        return 2 * self.state + self.dir
-
-
-def from_canon(i: int) -> DirectedState:
-    return DirectedState(i >> 1, i & 1)
-
 
 @dataclass(frozen=True)
 class SegmentMap:
@@ -113,7 +105,7 @@ def cf(aut, letter: str) -> SegmentMap:
 @dataclass(frozen=True)
 class CompositionResult:
     h: SegmentMap          # the composed map
-    dep: tuple             # boundary departure table, canon-indexed, -1 = LOOP
+    dep: tuple             # boundary departure table, indexed 2*state+dir, -1 = LOOP
     edges: int             # graph edges traversed; at most 4*|Q| per call
 
 
@@ -208,15 +200,13 @@ def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
     return CompositionResult(SegmentMap(q, tuple(h)), tuple(dep), edges)
 
 
-def departure(dep, s) -> DirectedState | _Loop:
+def departure(r: CompositionResult, s) -> DirectedState | _Loop:
     """Exit of the combined segment after a boundary crossing in directed state s.
 
     (p, RIGHT) asks about the head crossing the internal boundary rightward
     in state p, (p, LEFT) about crossing it leftward.
     """
-    if isinstance(dep, CompositionResult):
-        dep = dep.dep
-    out = dep[2 * s[0] + s[1]]
+    out = r.dep[2 * s[0] + s[1]]
     return LOOP if out < 0 else DirectedState(out >> 1, out & 1)
 
 
@@ -310,7 +300,7 @@ def oracle_compose(f: SegmentMap, g: SegmentMap):
 
 
 def dump_segment_map(f: SegmentMap, state_names) -> list:
-    """Debug dump, one line per entry in canonical order."""
+    """Debug dump, one line per entry, ordered by 2 * state + dir."""
     lines = []
     for ci in range(2 * f.q_count):
         src = f"{state_names[ci >> 1]},{'R' if (ci & 1) == RIGHT else 'L'}"

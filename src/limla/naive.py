@@ -17,7 +17,7 @@ from .model import (
     ACCEPT, LOOP_DETECTED, RANKED, REJECT, RIGHT,
     d_of, word_indices,
 )
-from .outcome import BudgetExceeded, RunOutcome, decode_projection, regular_projection
+from .outcome import BudgetExceeded, RunOutcome
 
 
 def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -> RunOutcome:
@@ -125,14 +125,6 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
         verdict=verdict, reason=reason, steps=steps,
         moves={"R": r_moves, "L": l_moves},
         visits=visits, writes=writes, cell_writes=cell_writes,
-        loop_iterations=steps, last_write_step=last_write, trace=tr,
+        last_write_step=last_write, trace=tr,
     )
 
-
-def regular_trace(aut, outcome: RunOutcome) -> list:
-    """Token-form projection of a recorded run onto its regular moves.
-
-    Regular moves are the ones applied at markers or at still-writable
-    cells; the first record is the initial configuration.
-    """
-    return decode_projection(aut, regular_projection(aut, outcome))

@@ -10,7 +10,7 @@ their read/write index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import ACCEPT, RIGHT
 
@@ -30,7 +30,6 @@ class RunOutcome:
     visits: list                 # per-cell visit counts, index 0..n+1
     writes: int                  # content-changing writes
     cell_writes: list
-    loop_iterations: int
     last_write_step: int = 0
     trace: list | None = None
     scans: int = 0
@@ -60,11 +59,16 @@ def regular_projection(aut, outcome: RunOutcome) -> list:
     return recs
 
 
-def decode_projection(aut, recs) -> list:
-    """Token form of a projection: (state, pos, read, write, move) tuples."""
+def regular_trace(aut, outcome: RunOutcome) -> list:
+    """Token form of the regular projection: (state, pos, read, write, move)
+    tuples, the initial configuration first with None for the step fields.
+
+    Equal for both engines on the same machine and word, up to the point
+    where either loop detector fires on rejecting runs.
+    """
     c = aut.compiled
     out = []
-    for state, pos, rd, wr, mv in recs:
+    for state, pos, rd, wr, mv in regular_projection(aut, outcome):
         if rd < 0:
             out.append((c.state_names[state], pos, None, None, None))
         else:
@@ -98,7 +102,7 @@ def trace_records(aut, outcome: RunOutcome, engine: str):
         yield rec
     yield {
         "verdict": outcome.verdict,
-        "reason": "loop" if outcome.reason is not None else None,
+        "reason": outcome.reason,
         "steps": outcome.steps,
     }
 

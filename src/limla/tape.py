@@ -72,6 +72,3 @@ class ListTape:
             out.append(i)
         return out
 
-
-def init_tape(aut, word) -> ListTape:
-    return ListTape.from_word(aut, word)

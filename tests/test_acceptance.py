@@ -144,7 +144,7 @@ def test_criterion_5_linear_engine_profile(anbn_profile, diff_results):
     fit = fit_scaling(linear)
     assert all(1.6 <= r <= 2.4 for r in ratios), ratios
     for row in linear:
-        assert row.loop_iterations <= step_budget(aut, row.n)
+        assert row.steps <= step_budget(aut, row.n)
     stats = diff_results["stats"]
     assert stats.bound_violations == []
     assert stats.scan_violations == []
@@ -168,7 +168,7 @@ def test_criterion_6_growing_budget_mode(sweeper_runs):
     for n, (no, lo) in runs.items():
         assert no.verdict == lo.verdict == REJECT
         assert no.cell_writes[1:n + 1] == [n] * n, f"n={n}"
-        assert lo.loop_iterations <= step_budget(aut, n)
+        assert lo.steps <= step_budget(aut, n)
     rows = run_bench(aut, "sweeper", ("naive",), (32, 64, 128, 256), "unary")
     fit = fit_scaling(rows)
     assert 1.8 <= fit.slope <= 2.2, fit
@@ -209,7 +209,7 @@ def test_criterion_8_loop_handling():
             assert no.steps - no.last_write_step <= 2 * (n + 2) * nq
             lo = run_linear(aut, word)
             assert lo.verdict == REJECT
-            assert lo.loop_iterations <= step_budget(aut, n)
+            assert lo.steps <= step_budget(aut, n)
             runs += 1
     print(f"\ncriterion 8: PASS  {runs} runs on accept-free machines: both engines "
           "reject, detectors fire within their windows")

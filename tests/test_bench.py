@@ -7,7 +7,7 @@ from limla.zoo import build_anbn, build_sweeper
 
 
 def _rows(pairs, machine="m", engine="naive", verdict="accept"):
-    return [BenchRow(machine, engine, n, s, s, 0, verdict) for n, s in pairs]
+    return [BenchRow(machine, engine, n, s, 0, verdict) for n, s in pairs]
 
 
 def test_fit_exact_quadratic():
@@ -53,7 +53,7 @@ def test_bench_rows_deterministic_steps():
     aut = build_anbn()
     a = run_bench(aut, "anbn", ("naive", "linear"), (8, 16, 32), "anbn")
     b = run_bench(aut, "anbn", ("naive", "linear"), (8, 16, 32), "anbn")
-    strip = lambda rows: [(r.machine, r.engine, r.n, r.steps, r.loop_iterations, r.verdict)
+    strip = lambda rows: [(r.machine, r.engine, r.n, r.steps, r.verdict)
                           for r in rows]
     assert strip(a) == strip(b)
 
@@ -63,7 +63,7 @@ def test_csv_layout():
     rows = run_bench(aut, "anbn", ("naive",), (8, 16, 32), "anbn")
     text = csv_text(rows)
     lines = text.strip().splitlines()
-    assert lines[0] == "machine,engine,n,steps,loop_iterations,wall_ns,verdict"
+    assert lines[0] == "machine,engine,n,steps,wall_ns,verdict"
     assert len(lines) == 4
     assert lines[1].startswith("anbn,naive,8,")
 

@@ -87,11 +87,11 @@ def test_bench_csv_deterministic(tmp_path, capsys):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
-    strip = lambda p: [",".join(col for i, col in enumerate(l.split(",")) if i != 5)
+    strip = lambda p: [",".join(col for i, col in enumerate(l.split(",")) if i != 4)
                        for l in p.read_text().splitlines()]
     assert strip(out1) == strip(out2)
     header = out1.read_text().splitlines()[0]
-    assert header == "machine,engine,n,steps,loop_iterations,wall_ns,verdict"
+    assert header == "machine,engine,n,steps,wall_ns,verdict"
 
 
 def test_bench_incompatible_generator(tmp_path, capsys):

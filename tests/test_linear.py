@@ -4,20 +4,20 @@ import json
 import pytest
 
 from limla.difftest import compare_run, step_budget, words_upto
-from limla.linear import ShadowMismatch, deletion_scan, regular_trace_linear, run_linear
-from limla.mapping import DirectedState, cf, compose_full
+from limla.linear import ShadowMismatch, deletion_scan, run_linear
+from limla.mapping import cf, compose_full
 from limla.model import (
-    ACCEPT, COUNTED, DLimit, LEFT, LOOP_DETECTED, MAP_LOOP, REJECT, RIGHT,
+    ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, REJECT, RIGHT,
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER,
 )
-from limla.naive import regular_trace, run_naive
-from limla.outcome import BudgetExceeded, write_trace
-from limla.tape import DELETED, SEGMAP, init_tape
-from limla.zoo import ZOO, build_anbn, build_bouncer, build_even_a_2dfa
+from limla.naive import run_naive
+from limla.outcome import BudgetExceeded, regular_trace, write_trace
+from limla.tape import DELETED, SEGMAP, ListTape
+from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
 
 def test_init_tape_empty_word():
-    t = init_tape(build_anbn(), "")
+    t = ListTape.from_word(build_anbn(), "")
     assert t.payload(0) == ("marker", "left")
     assert t.payload(1) == ("marker", "right")
     assert t.nxt[0] == 1 and t.prev[1] == 0
@@ -25,17 +25,17 @@ def test_init_tape_empty_word():
 
 
 def test_init_tape_word_layout():
-    t = init_tape(build_anbn(), "ab")
+    t = ListTape.from_word(build_anbn(), "ab")
     assert t.cells() == [0, 1, 2, 3]
     assert t.payload(1) == ("letter", "a", 0)
     assert t.payload(2) == ("letter", "b", 0)
     assert t.payload(3) == ("marker", "right")
     for i, tok in enumerate("aabb", start=1):
-        assert init_tape(build_anbn(), "aabb").payload(i)[1] == tok
+        assert ListTape.from_word(build_anbn(), "aabb").payload(i)[1] == tok
 
 
 def test_unlink_relinks_and_marks_dead():
-    t = init_tape(build_anbn(), "aba")
+    t = ListTape.from_word(build_anbn(), "aba")
     t.unlink(2)
     assert t.nxt[1] == 3 and t.prev[3] == 1
     assert t.kind[2] == DELETED
@@ -68,29 +68,29 @@ def test_map_loop_reason():
 
 def test_deletion_scan_no_neighbours():
     aut = _two_state_walker()
-    t = init_tape(aut, "xxx")
+    t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
-    res = deletion_scan(t, 2, DirectedState(0, RIGHT), g)
-    assert not res.rejected and res.p == DirectedState(0, RIGHT)
-    assert not res.merged_left and not res.merged_right
-    assert res.segment == (2, 2)
+    out, calls, edges = deletion_scan(t, 2, 2 * 0 + RIGHT, g)
+    assert out == 2 * 0 + RIGHT
+    assert (calls, edges) == (0, 0)
+    assert t.kind[1] != DELETED and t.kind[3] != DELETED  # nothing merged
+    assert (t.prev[2] + 1, t.nxt[2] - 1) == (2, 2)
     assert t.payload(2) == ("map", g)
     assert t.payload(1)[0] == "letter" and t.payload(3)[0] == "letter"
 
 
 def test_deletion_scan_left_merge_no_departure_when_heading_right():
     aut = _two_state_walker()
-    t = init_tape(aut, "xxx")
+    t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
     t.kind[1] = SEGMAP
     t.fmap[1] = g
-    res = deletion_scan(t, 2, DirectedState(1, RIGHT), g)
-    assert not res.rejected
-    assert res.merged_left and not res.merged_right
-    assert res.p == DirectedState(1, RIGHT)  # no departure taken
-    assert t.kind[1] == DELETED
+    out, calls, _ = deletion_scan(t, 2, 2 * 1 + RIGHT, g)
+    assert out >= 0 and calls == 1
+    assert t.kind[1] == DELETED and t.kind[3] != DELETED  # merged left only
+    assert out == 2 * 1 + RIGHT  # no departure taken
     assert t.payload(2) == ("map", compose_full(g, g).h)
-    assert res.segment == (1, 2)
+    assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 2)
 
 
 def _right_runner():
@@ -111,7 +111,7 @@ def _right_runner():
 
 def test_deletion_scan_three_way_merge():
     aut = _right_runner()
-    t = init_tape(aut, "xxx")
+    t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
     t.kind[1] = SEGMAP
     t.fmap[1] = g
@@ -119,25 +119,26 @@ def test_deletion_scan_three_way_merge():
     t.fmap[3] = g
     # heading left into the left map: the departure bounces the head back
     # rightward, so the second departure is taken on the merged map too
-    res = deletion_scan(t, 2, DirectedState(0, LEFT), g)
-    assert not res.rejected
-    assert res.merged_left and res.merged_right
-    assert res.p == DirectedState(1, RIGHT)
+    out, calls, _ = deletion_scan(t, 2, 2 * 0 + LEFT, g)
+    assert out >= 0 and calls == 2
+    assert t.kind[1] == DELETED and t.kind[3] == DELETED
+    assert out == 2 * 1 + RIGHT
     want = compose_full(compose_full(g, g).h, g).h
     assert t.payload(2) == ("map", want)
     assert t.cells() == [0, 2, 4]
-    assert res.segment == (1, 3)
+    assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 3)
 
 
 def test_deletion_scan_rejects_on_loop_departure():
     aut = _two_state_walker()
-    t = init_tape(aut, "xx")
+    t = ListTape.from_word(aut, "xx")
     g = cf(aut, "x")
     t.kind[1] = SEGMAP
     t.fmap[1] = g
     # entering leftward in state u: u bounces right, v bounces back left, a cycle
-    res = deletion_scan(t, 2, DirectedState(0, LEFT), g)
-    assert res.rejected
+    out, calls, _ = deletion_scan(t, 2, 2 * 0 + LEFT, g)
+    assert out < 0 and calls == 1
+    assert t.kind[1] == SEGMAP  # the looping neighbour stays linked
 
 
 def test_verdicts_and_projections_match_naive_on_zoo():
@@ -152,14 +153,14 @@ def test_empty_word_projection_is_initial_record_only():
     aut = build_anbn()
     no = run_naive(aut, "", trace=True)
     lo = run_linear(aut, "", trace=True)
-    assert regular_trace(aut, no) == regular_trace_linear(aut, lo) == \
+    assert regular_trace(aut, no) == regular_trace(aut, lo) == \
         [("start", 1, None, None, None)]
 
 
 def test_bouncer_projections_agree_up_to_detection():
     aut = build_bouncer()
     pn = regular_trace(aut, run_naive(aut, "aa", trace=True))
-    pl = regular_trace_linear(aut, run_linear(aut, "aa", trace=True))
+    pl = regular_trace(aut, run_linear(aut, "aa", trace=True))
     m = min(len(pn), len(pl))
     assert pn[:m] == pl[:m]
 
@@ -186,10 +187,9 @@ def test_step_bound_on_zoo_runs():
         aut = build()
         for word in words_upto(aut.input_alphabet, 6):
             out = run_linear(aut, word)
-            assert out.loop_iterations <= step_budget(aut, len(word)), (name, word)
+            assert out.steps <= step_budget(aut, len(word)), (name, word)
             assert out.scans <= len(word)
-            assert out.steps == sum(out.moves.values())
-            assert out.moves["scan"] == out.scans
+            assert out.steps == sum(out.moves.values()) + out.scans
 
 
 def test_no_adjacent_maps_assertion_active():
@@ -205,12 +205,14 @@ def test_budget_exceeded():
         run_linear(build_bouncer(), "aaaa", max_steps=3)
 
 
-def test_linear_trace_jsonl_schema():
-    aut = build_even_a_2dfa()
-    out = run_linear(aut, "ab", trace=True)
+def _jsonl_trace(aut, word) -> list:
     buf = io.StringIO()
-    write_trace(aut, out, "linear", buf)
-    lines = [json.loads(l) for l in buf.getvalue().splitlines()]
+    write_trace(aut, run_linear(aut, word, trace=True), "linear", buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+def test_linear_trace_jsonl_schema():
+    lines = _jsonl_trace(build_even_a_2dfa(), "ab")
     base = {"step", "pos", "state", "read", "write", "move", "frozen", "case"}
     for rec in lines[:-1]:
         assert set(rec) >= base
@@ -220,6 +222,31 @@ def test_linear_trace_jsonl_schema():
             assert rec["read"] == rec["write"] == "[map]"
     assert lines[-1]["verdict"] == "reject"
     assert lines[-1]["reason"] == "loop"
+
+
+def test_linear_trace_reports_map_loop_reason():
+    assert _jsonl_trace(_two_state_walker(), "xx")[-1]["reason"] == "map-loop"
+
+
+# (step, merged_left, merged_right, segment) of every scan record.  The engine
+# derives these from the tape after the scan, so fixed values guard that
+# derivation.  Step 14 is a three-way merge; step 16 is a scan rejected by a
+# looping departure, which leaves its right neighbour unmerged.
+GOLDEN_SCANS = [
+    (5, False, False, [3, 3]), (6, True, False, [3, 4]),
+    (10, False, False, [6, 6]), (11, True, False, [6, 7]),
+    (14, True, True, [3, 7]), (15, False, True, [2, 7]),
+    (16, False, False, [1, 1]),
+]
+
+
+def test_scan_record_values_golden():
+    aut = random_automaton(GenParams(4, 28, COUNTED, DLimit.const(2)))
+    recs = _jsonl_trace(aut, "abaabaaa")
+    scans = [(r["step"], r["merged_left"], r["merged_right"], r["segment"])
+             for r in recs if r.get("case") == "scan"]
+    assert scans == GOLDEN_SCANS
+    assert recs[-1] == {"verdict": "reject", "reason": "map-loop", "steps": 16}
 
 
 def test_counted_zero_budget_cells_freeze_immediately():

@@ -1,0 +1,71 @@
+"""Property tests for the machine format."""
+from hypothesis import given, settings, strategies as st
+
+from limla.fmt import FormatError, parse_machine, serialize_machine
+from limla.model import COUNTED, DLimit, RANKED
+from limla.zoo import GenParams, random_automaton
+
+# A fixed example stream and no example database, so every run of the
+# suite tries the same examples.
+_SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+_LIMITS = st.one_of(
+    st.tuples(st.just(RANKED), st.integers(0, 3).map(DLimit.const)),
+    st.tuples(st.just(COUNTED), st.integers(0, 3).map(DLimit.const)),
+    st.tuples(st.just(COUNTED), st.sampled_from(("log2", "sqrt", "id")).map(DLimit)),
+)
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(limit=_LIMITS, states=st.integers(1, 5), seed=st.integers(0, 2**64 - 1),
+       inputs=st.integers(1, 3), per_rank=st.integers(1, 2))
+def test_serialize_parse_round_trip(limit, states, seed, inputs, per_rank):
+    mode, dlimit = limit
+    m = random_automaton(GenParams(states, seed, mode, dlimit, inputs, per_rank))
+    assert parse_machine(serialize_machine(m)) == m
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(st.text(max_size=200))
+def test_arbitrary_text_raises_only_format_error(text):
+    try:
+        parse_machine(text)
+    except FormatError:
+        pass
+
+
+# Words the parser branches on, mixed with short arbitrary tokens.
+_VOCAB = ("limla", "1", "mode", "ranked", "counted", "d", "log2", "sqrt", "id",
+          "-1", "0", "2", "states", "input", "tape", "start", "accept", "delta",
+          "->", "L", "R", "|>", "<|", "q0", "a", "X:1", "a:x", ":", "#")
+_TOKEN = st.one_of(st.sampled_from(_VOCAB), st.text(min_size=1, max_size=4))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with a few lines after the header dropped, copied or
+    re-tokened, so that most examples reach the checks past the header."""
+    mode, dlimit = draw(_LIMITS)
+    m = random_automaton(GenParams(draw(st.integers(1, 3)), draw(st.integers(0, 2**32)),
+                                   mode, dlimit))
+    lines = [line.split() for line in serialize_machine(m).splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(1, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "copy", "token", "token")))
+        if op == "drop":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(i, list(lines[i]))
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i][j:j + 1] = [draw(_TOKEN)]
+    return "\n".join(" ".join(toks) for toks in lines)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_mutated_documents())
+def test_mutated_documents_raise_only_format_error(text):
+    try:
+        parse_machine(text)
+    except FormatError:
+        pass
