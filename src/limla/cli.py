@@ -11,9 +11,9 @@ import sys
 
 from . import bench as benchmod
 from .difftest import DiffStats, compare_run, random_words, words_upto
-from .fmt import FormatError, parse_machine, serialize_machine
+from .fmt import FormatError, parse_dlimit, parse_machine, serialize_machine
 from .linear import run_linear
-from .model import COUNTED, DLimit, RANKED, validate_automaton
+from .model import COUNTED, RANKED, validate_automaton
 from .naive import run_naive
 from .outcome import BudgetExceeded, write_trace
 from .rng import SplitMix64
@@ -164,8 +164,14 @@ def _dump_reproducer(outdir: str, aut, div) -> None:
 
 
 def cmd_fuzz(args) -> int:
-    if min(args.states, args.machines, args.alphabet_size) < 1 or args.d < 0 or args.maxlen < 0:
+    if min(args.states, args.machines, args.alphabet_size) < 1 or args.maxlen < 0:
         print("error: fuzz parameters must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    mode = RANKED if args.mode == "ranked" else COUNTED
+    try:
+        dlimit = parse_dlimit(args.d, mode)
+    except ValueError as e:
+        print(f"error: --d: {e}", file=sys.stderr)
         return EXIT_USAGE
     master = SplitMix64(args.seed)
     seeds = [master.next_u64() for _ in range(args.machines)]
@@ -174,8 +180,7 @@ def cmd_fuzz(args) -> int:
     for idx, mseed in enumerate(seeds):
         params = GenParams(
             state_count=args.states, seed=mseed,
-            mode=RANKED if args.mode == "ranked" else COUNTED,
-            dlimit=DLimit.const(args.d),
+            mode=mode, dlimit=dlimit,
             input_alphabet_size=args.alphabet_size,
         )
         aut = random_automaton(params)
@@ -232,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fuzz", help="differential fuzzing of the two engines")
     f.add_argument("--states", type=int, default=4)
-    f.add_argument("--d", type=int, default=2)
+    f.add_argument("--d", default="2",
+                   help="rewrite limit: a constant, or log2 | sqrt | id (counted mode)")
     f.add_argument("--mode", choices=("ranked", "counted"), default="ranked")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--machines", type=int, default=200)

@@ -20,12 +20,17 @@ declaration index, so equal machines produce byte-identical documents.
 """
 from __future__ import annotations
 
+import re
+
 from .model import (
     Automaton, DLimit, Transition,
     COUNTED, LEFT_MARKER, RANKED, RESERVED_TOKENS, RIGHT_MARKER, token_error,
 )
 
 _DIRECTIVES = ("mode", "d", "states", "input", "tape", "start", "accept")
+# Numbers in the grammar are ASCII digits only; int() alone would also take
+# "0_2", "+2" and non-ASCII digits such as "٢".
+_NUMBER = re.compile(r"[0-9]+")
 
 
 class FormatError(ValueError):
@@ -45,6 +50,19 @@ def _check_sym_token(tok: str, line: int, what: str) -> None:
     err = token_error(tok)
     if err:
         raise FormatError(f"bad {what} {tok!r}: {err}", line)
+
+
+def parse_dlimit(tok: str, mode: str) -> DLimit:
+    """The d-limit a `d` token names in the given mode; ValueError otherwise."""
+    if tok in ("log2", "sqrt", "id"):
+        if mode == RANKED:
+            raise ValueError("ranked mode requires a constant d")
+        return DLimit(tok)
+    if tok.startswith("-") and _NUMBER.fullmatch(tok[1:]):
+        raise ValueError("d must be >= 0")
+    if not _NUMBER.fullmatch(tok):
+        raise ValueError(f"bad d value {tok!r}")
+    return DLimit.const(int(tok))
 
 
 def parse_machine(text: str) -> Automaton:
@@ -85,18 +103,10 @@ def parse_machine(text: str) -> Automaton:
     no, args = seen["d"]
     if len(args) != 1:
         raise FormatError("d takes exactly one value", no)
-    if args[0] in ("log2", "sqrt", "id"):
-        if mode == RANKED:
-            raise FormatError("ranked mode requires a constant d", no)
-        dlimit = DLimit(args[0])
-    else:
-        try:
-            k = int(args[0])
-        except ValueError:
-            raise FormatError(f"bad d value {args[0]!r}", no) from None
-        if k < 0:
-            raise FormatError("d must be >= 0", no)
-        dlimit = DLimit.const(k)
+    try:
+        dlimit = parse_dlimit(args[0], mode)
+    except ValueError as e:
+        raise FormatError(str(e), no) from None
 
     no, args = seen["states"]
     if not args:
@@ -121,10 +131,9 @@ def parse_machine(text: str) -> Automaton:
         if mode == RANKED:
             base, colon, suffix = tok.rpartition(":")
             if colon:
-                try:
-                    rank = int(suffix)
-                except ValueError:
-                    raise FormatError(f"bad rank suffix in {tok!r}", no) from None
+                if not _NUMBER.fullmatch(suffix):
+                    raise FormatError(f"bad rank suffix in {tok!r}", no)
+                rank = int(suffix)
             else:
                 base = tok
                 if base not in input_alphabet:

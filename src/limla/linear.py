@@ -46,15 +46,18 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     rerouted p.  On success cell i holds the merged map, both its
     neighbours are letters or markers, and exit is the rerouted p.  A
     departure that loops stops the scan at once with exit -1, leaving the
-    unmerged neighbour linked.
+    unmerged neighbour linked.  Compositions go through the tape's
+    memo, so each distinct (f, g) pair is walked once per run; calls
+    counts every composition requested, memo hits included.
     """
     kind = tape.kind
     fmap = tape.fmap
+    memo = tape.memo
     calls = edges = 0
 
     left = tape.prev[i]
     if kind[left] == SEGMAP:
-        comp = compose_full(fmap[left], g)
+        comp = compose_full(fmap[left], g, memo)
         calls = 1
         edges = comp.edges
         if (p & 1) != RIGHT:  # heading left, into the merged territory
@@ -66,7 +69,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
 
     right = tape.nxt[i]
     if kind[right] == SEGMAP:
-        comp = compose_full(g, fmap[right])
+        comp = compose_full(g, fmap[right], memo)
         calls += 1
         if comp.edges > edges:
             edges = comp.edges
@@ -245,6 +248,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
         moves={"letter": letter_moves, "map": map_jumps, "marker": marker_moves},
         visits=visits, writes=writes, cell_writes=cell_writes,
         last_write_step=last_write, trace=tr,
-        scans=scans, compose_calls=compose_calls, compose_edges_max=edges_max,
+        scans=scans, compose_calls=compose_calls, compose_walks=len(tape.memo),
+        compose_edges_max=edges_max,
     )
 

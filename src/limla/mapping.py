@@ -139,8 +139,25 @@ def graph_successors(f: SegmentMap, g: SegmentMap) -> list:
     return nxt
 
 
-def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
+def compose_full(f: SegmentMap, g: SegmentMap, memo: dict | None = None) -> CompositionResult:
     """Compose adjacent segment maps and compute the boundary departure table.
+
+    With a memo dict, keyed on (f.table, g.table), only the first request
+    for a pair walks the glued graph; every later one returns the same
+    CompositionResult.  Maps over one machine form a finite monoid and a
+    run reuses few of them, so the linear engine keeps one memo per run.
+    """
+    if memo is None:
+        return _walk_glued(f, g)
+    key = (f.table, g.table)
+    r = memo.get(key)
+    if r is None:
+        r = memo[key] = _walk_glued(f, g)
+    return r
+
+
+def _walk_glued(f: SegmentMap, g: SegmentMap) -> CompositionResult:
+    """compose_full without a memo: one marked walk over the glued graph.
 
     One walk per origin, marking every internal vertex it visits.  A walk
     ends at an exit vertex, at a dead end (the underlying map looped), on

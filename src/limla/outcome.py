@@ -33,7 +33,8 @@ class RunOutcome:
     last_write_step: int = 0
     trace: list | None = None
     scans: int = 0
-    compose_calls: int = 0
+    compose_calls: int = 0       # compositions requested, memo hits included
+    compose_walks: int = 0       # compositions that walked the glued graph
     compose_edges_max: int = 0
 
     @property
@@ -100,11 +101,14 @@ def trace_records(aut, outcome: RunOutcome, engine: str):
                 rec["merged_right"] = bool(t[9])
                 rec["segment"] = [t[10], t[11]]
         yield rec
-    yield {
+    final = {
         "verdict": outcome.verdict,
         "reason": outcome.reason,
         "steps": outcome.steps,
     }
+    if engine == "linear":
+        final["compose_walks"] = outcome.compose_walks
+    yield final
 
 
 def write_trace(aut, outcome: RunOutcome, engine: str, dest) -> None:

@@ -4,6 +4,10 @@ Cell indices 0..n+1 are fixed for the whole run; index 0 holds the left
 marker, n+1 the right marker, and neither is ever deleted.  Deleting a
 cell only relinks its neighbours; dead cells are never reused, which
 keeps indices stable for traces and shadow bookkeeping at O(n) memory.
+
+The tape also owns the run's composition memo (see mapping.compose_full):
+at most one entry per composition requested, so at most 2n entries of
+O(|Q|) each, freed with the tape when the run ends.
 """
 from __future__ import annotations
 
@@ -16,7 +20,8 @@ DELETED = 3
 
 
 class ListTape:
-    __slots__ = ("n", "kind", "sym", "visits", "fmap", "prev", "nxt", "sym_names")
+    __slots__ = ("n", "kind", "sym", "visits", "fmap", "prev", "nxt", "sym_names",
+                 "memo")
 
     def __init__(self, n, kind, sym, visits, fmap, prev, nxt, sym_names):
         self.n = n
@@ -27,6 +32,7 @@ class ListTape:
         self.prev = prev
         self.nxt = nxt
         self.sym_names = sym_names
+        self.memo = {}
 
     @classmethod
     def from_word(cls, aut, word) -> "ListTape":

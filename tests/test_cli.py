@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from limla.cli import main
 
 MACHINES = pathlib.Path(__file__).resolve().parents[1] / "machines"
@@ -117,6 +119,29 @@ def test_fuzz_counted_mode(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "f")])
     capsys.readouterr()
     assert code == 0
+
+
+def test_fuzz_counted_growing_limits(tmp_path, capsys):
+    for d in ("log2", "sqrt", "id"):
+        code = main(["fuzz", "--states", "3", "--d", d, "--mode", "counted",
+                     "--machines", "3", "--maxlen", "4", "--seed", "5",
+                     "--out-dir", str(tmp_path / "f")])
+        assert code == 0, d
+        assert "0 divergences" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--d", "log2"], "ranked mode requires a constant d"),
+    (["--d", "sqrt", "--mode", "ranked"], "ranked mode requires a constant d"),
+    (["--d", "two", "--mode", "counted"], "bad d value"),
+    (["--d", "0_2"], "bad d value"),
+    (["--d", "-1"], "d must be >= 0"),
+])
+def test_fuzz_bad_d_is_usage_error(tmp_path, capsys, args, message):
+    code = main(["fuzz", "--machines", "1", "--out-dir", str(tmp_path / "f")] + args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
 
 
 def test_fuzz_catches_corrupted_engine(tmp_path, capsys, monkeypatch):

@@ -69,6 +69,19 @@ def test_format_errors(mutation, message):
         parse_machine(mutation(MINIMAL))
 
 
+@pytest.mark.parametrize("old, new", [
+    ("d 1", "d 0_2"), ("d 1", "d +2"), ("d 1", "d \u0662"),  # Arabic-Indic two
+    ("tape a X:1", "tape a X:0_1"),
+])
+def test_numbers_are_ascii_digits_only(old, new):
+    # int() alone would read each of these as a number
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(FormatError, match="bad") as e:
+        parse_machine(text)
+    assert e.value.line == next(no for no, line in enumerate(text.splitlines(), 1)
+                                if line == new)
+
+
 def test_counted_mode_rejects_rank_suffix():
     text = MINIMAL.replace("mode ranked", "mode counted").replace("d 1", "d id")
     with pytest.raises(FormatError, match="no ranks"):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from limla.difftest import compare_run, step_budget, words_upto
+from limla.difftest import compare_run, random_words, step_budget, words_upto
 from limla.linear import ShadowMismatch, deletion_scan, run_linear
 from limla.mapping import cf, compose_full
 from limla.model import (
@@ -200,6 +200,31 @@ def test_no_adjacent_maps_assertion_active():
         run_linear(aut, word, shadow=True)
 
 
+def test_composition_memo_walks_each_pair_once():
+    # even_a makes one scan and one composition per cell, but its maps form a
+    # tiny monoid: the memo walks at most 8 distinct pairs on a 1024-letter word
+    aut = build_even_a_2dfa()
+    word = random_words(aut.input_alphabet, 1, 1024, 1024, 0x5EED)[0]
+    out = run_linear(aut, word)
+    assert out.compose_calls == 1023  # one per merge: hits count as calls
+    assert out.compose_walks <= 8
+    assert out.compose_edges_max <= 8 * len(aut.states)
+
+
+def test_composition_memo_under_shadow():
+    # every memo hit stands in for a walk, so each stored map must still
+    # describe its segment
+    n = 200
+    assert run_linear(build_anbn(), "a" * n + "b" * n, shadow=True).accepted
+    aut = random_automaton(GenParams(5, 11, COUNTED, DLimit("sqrt")))
+    hits = 0
+    for word in random_words(aut.input_alphabet, 20, 1, 64, 11):
+        out = run_linear(aut, word, shadow=True)
+        assert out.compose_walks <= out.compose_calls <= 2 * out.scans
+        hits += out.compose_calls - out.compose_walks
+    assert hits > 0
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         run_linear(build_bouncer(), "aaaa", max_steps=3)
@@ -246,7 +271,8 @@ def test_scan_record_values_golden():
     scans = [(r["step"], r["merged_left"], r["merged_right"], r["segment"])
              for r in recs if r.get("case") == "scan"]
     assert scans == GOLDEN_SCANS
-    assert recs[-1] == {"verdict": "reject", "reason": "map-loop", "steps": 16}
+    assert recs[-1] == {"verdict": "reject", "reason": "map-loop", "steps": 16,
+                        "compose_walks": 5}
 
 
 def test_counted_zero_budget_cells_freeze_immediately():

@@ -119,6 +119,21 @@ def test_compose_matches_oracle_randomized():
         assert r.edges <= 8 * q
 
 
+def test_memo_returns_the_walked_result_once_per_pair():
+    rng = SplitMix64(37)
+    memo = {}
+    for _ in range(500):
+        q = 1 + rng.below(6)
+        f, g = _rand_map(rng, q), _rand_map(rng, q)
+        r = compose_full(f, g, memo)
+        plain = compose_full(f, g)
+        assert r == plain
+        assert (r.h.table, r.dep) == oracle_compose(f, g)
+        # a repeat request, even through equal but distinct maps, is a hit
+        again = compose_full(SegmentMap(q, tuple(f.table)), SegmentMap(q, tuple(g.table)), memo)
+        assert again is r
+
+
 def test_associativity():
     for f in all_q1_maps():
         for g in all_q1_maps():

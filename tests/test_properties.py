@@ -1,7 +1,8 @@
-"""Property tests for the machine format."""
+"""Property tests for the machine format and the composition algebra."""
 from hypothesis import given, settings, strategies as st
 
 from limla.fmt import FormatError, parse_machine, serialize_machine
+from limla.mapping import SegmentMap, compose_full, oracle_compose, transparent_map
 from limla.model import COUNTED, DLimit, RANKED
 from limla.zoo import GenParams, random_automaton
 
@@ -69,3 +70,36 @@ def test_mutated_documents_raise_only_format_error(text):
         parse_machine(text)
     except FormatError:
         pass
+
+
+@st.composite
+def _map_triples(draw):
+    """Three random segment maps over one |Q| in 1..6; -1 entries are LOOP."""
+    q = draw(st.integers(1, 6))
+    entry = st.integers(-1, 2 * q - 1)
+    return tuple(SegmentMap(q, tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
+                 for _ in range(3))
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_map_triples())
+def test_compose_agrees_with_oracle(maps):
+    f, g, _ = maps
+    r = compose_full(f, g)
+    assert (r.h.table, r.dep) == oracle_compose(f, g)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_map_triples())
+def test_compose_is_associative(maps):
+    f, g, h = maps
+    assert compose_full(compose_full(f, g).h, h).h == compose_full(f, compose_full(g, h).h).h
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(_map_triples())
+def test_transparent_map_is_two_sided_identity(maps):
+    f = maps[0]
+    t = transparent_map(f.q_count)
+    assert compose_full(t, f).h == f
+    assert compose_full(f, t).h == f
