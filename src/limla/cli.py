@@ -6,6 +6,7 @@ divergences), 2 usage/format/validation error, 3 step budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -88,7 +89,19 @@ def _parse_word(args, aut) -> tuple | None:
     return toks
 
 
+def _open_output(path: str, option: str, **kwargs):
+    """Open an output file before any work is done, so a bad path costs no run."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as e:
+        print(f"error: {option}: {e}", file=sys.stderr)
+        return None
+
+
 def cmd_run(args) -> int:
+    if args.max_steps is not None and args.max_steps < 0:
+        print("error: --max-steps must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     aut = _load_valid(args.file)
     if aut is None:
         return EXIT_USAGE
@@ -99,13 +112,19 @@ def cmd_run(args) -> int:
     kwargs = {"trace": bool(args.trace), "max_steps": args.max_steps}
     if args.engine == "linear":
         kwargs["shadow"] = args.shadow
-    try:
-        out = runner(aut, word, **kwargs)
-    except BudgetExceeded as e:
-        print(f"budget exceeded after {e.steps} steps", file=sys.stderr)
-        return EXIT_BUDGET
+    trace_fp = None
     if args.trace:
-        write_trace(aut, out, args.engine, args.trace)
+        trace_fp = _open_output(args.trace, "--trace")
+        if trace_fp is None:
+            return EXIT_USAGE
+    with trace_fp or contextlib.nullcontext():
+        try:
+            out = runner(aut, word, **kwargs)
+        except BudgetExceeded as e:
+            print(f"budget exceeded after {e.steps} steps", file=sys.stderr)
+            return EXIT_BUDGET
+        if trace_fp:
+            write_trace(aut, out, args.engine, trace_fp)
     print(out.verdict)
     print(f"steps {out.steps}")
     return EXIT_ACCEPT if out.accepted else EXIT_REJECT
@@ -132,14 +151,23 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"error: bad lengths {args.lengths!r}", file=sys.stderr)
         return EXIT_USAGE
+    if any(n < 0 for n in lengths):
+        print(f"error: --lengths must be >= 0, got {args.lengths!r}", file=sys.stderr)
+        return EXIT_USAGE
     engines = ("naive", "linear") if args.engine == "both" else (args.engine,)
     machine_id = os.path.splitext(os.path.basename(args.file))[0]
-    try:
-        rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    benchmod.write_csv(rows, args.out if args.out else sys.stdout)
+    out_fp = None
+    if args.out:
+        out_fp = _open_output(args.out, "--out", newline="")
+        if out_fp is None:
+            return EXIT_USAGE
+    with out_fp or contextlib.nullcontext():
+        try:
+            rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
+        benchmod.write_csv(rows, out_fp or sys.stdout)
     return EXIT_ACCEPT
 
 

@@ -9,10 +9,11 @@ entry at the right end moving left.  On the output side (p, RIGHT) means
 the head leaves past the segment's right end and (p, LEFT) past its left
 end; LOOP marks entries that never leave.
 
-Composition of maps over adjacent segments is computed by a single marked
-walk over a glued successor graph, so one composition plus the full
-boundary departure table costs O(|Q|).  Every operation here is pure;
-maps are immutable values.
+Composition of maps over adjacent segments is computed by one fused
+marked walk that bounces between the two part tables, following each
+entry to the combined segment's exit with no graph built, so one
+composition plus the full boundary departure table costs O(|Q|).  Every
+operation here is pure; maps are immutable values.
 """
 from __future__ import annotations
 
@@ -102,48 +103,17 @@ def cf(aut, letter: str) -> SegmentMap:
     return cf_idx(aut.compiled, _frozen_letter_index(aut, letter))
 
 
-@dataclass(frozen=True)
-class CompositionResult:
+class CompositionResult(NamedTuple):
     h: SegmentMap          # the composed map
     dep: tuple             # boundary departure table, indexed 2*state+dir, -1 = LOOP
-    edges: int             # graph edges traversed; at most 4*|Q| per call
-
-
-# Vertex blocks of the glued graph, each |Q| wide; vertex id = block * q + state.
-# LINR / RINL are the external entries of the combined segment, BRIGHT / BLEFT
-# the internal boundary crossings, LOUTL / ROUTR the external exits.  Gluing
-# identifies the left part's rightward exits with the right part's rightward
-# entries, and the right part's leftward exits with the left part's leftward
-# entries.
-LINR, RINL, BRIGHT, BLEFT, LOUTL, ROUTR = range(6)
-
-
-def graph_successors(f: SegmentMap, g: SegmentMap) -> list:
-    """Successor array of the glued graph; -1 where the underlying map loops.
-
-    f drives blocks LINR and BLEFT, g drives BRIGHT and RINL.  Exit blocks
-    have no successors, so out-degree is at most one everywhere.
-    """
-    q = f.q_count
-    nxt = [-1] * (6 * q)
-    ft, gt = f.table, g.table
-    for s in range(q):
-        for vert, out in ((LINR * q + s, ft[2 * s]), (BLEFT * q + s, ft[2 * s + 1])):
-            if out >= 0:
-                p = out >> 1
-                nxt[vert] = (BRIGHT * q + p) if (out & 1) == RIGHT else (LOUTL * q + p)
-        for vert, out in ((BRIGHT * q + s, gt[2 * s]), (RINL * q + s, gt[2 * s + 1])):
-            if out >= 0:
-                p = out >> 1
-                nxt[vert] = (ROUTR * q + p) if (out & 1) == RIGHT else (BLEFT * q + p)
-    return nxt
+    edges: int             # walk steps taken, at most one per part entry: <= 4*|Q|
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: dict | None = None) -> CompositionResult:
     """Compose adjacent segment maps and compute the boundary departure table.
 
     With a memo dict, keyed on (f.table, g.table), only the first request
-    for a pair walks the glued graph; every later one returns the same
+    for a pair walks the two tables; every later one returns the same
     CompositionResult.  Maps over one machine form a finite monoid and a
     run reuses few of them, so the linear engine keeps one memo per run.
     """
@@ -157,64 +127,55 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: dict | None = None) -> Comp
 
 
 def _walk_glued(f: SegmentMap, g: SegmentMap) -> CompositionResult:
-    """compose_full without a memo: one marked walk over the glued graph.
+    """compose_full without a memo: one fused marked walk over f's and g's tables.
 
-    One walk per origin, marking every internal vertex it visits.  A walk
-    ends at an exit vertex, at a dead end (the underlying map looped), on
-    its own mark (a cycle), or on another origin's mark, whose resolved
-    outcome it inherits since the paths share their tail.  Marks persist
-    across origins, so every edge is traversed at most once per call.
-    Origins run in pinned order: LINR then RINL ascending for the composed
-    map, then BRIGHT then BLEFT ascending for the departure table.
+    The glued graph is never built.  Its internal vertices are the 4|Q|
+    part entries, numbered f's entries 0..2|Q|-1 then g's from 2|Q|, and
+    each has at most one successor, read straight from its part's table
+    (RIGHT = 0, so an even exit points right): a left-part exit pointing
+    right continues at that right-part entry, a right-part exit pointing
+    left continues at that left-part entry, and every other exit (or
+    LOOP, -1) is the combined segment's own.
+
+    One walk per origin, marking every vertex it visits with the walk's
+    number, which is also the origin's slot in h + dep.  A walk ends at an
+    exit, on its own mark (a cycle, LOOP), or on an earlier walk's mark,
+    whose resolved outcome it inherits since the paths share their tail.
+    Marks persist across origins, so each vertex is stepped from once per
+    call.  Origins run in pinned order: f's rightward and g's leftward
+    entries ascending for the composed map, then g's rightward and f's
+    leftward entries (the boundary crossings) for the departure table.
     """
     if f.q_count != g.q_count:
         raise SizeMismatch(f"cannot compose maps over {f.q_count} and {g.q_count} states")
     q = f.q_count
-    nxt = graph_successors(f, g)
-    exit_lo = LOUTL * q
-    routr_lo = ROUTR * q
-    marks = [-1] * (6 * q)
-    res = [0] * (6 * q)
-    edges = 0
-
-    def walk(origin: int) -> int:
-        nonlocal edges
-        u = origin
-        while True:
-            if u < 0:
-                val = -1
-                break
-            if u >= exit_lo:
-                val = 2 * (u - routr_lo) if u >= routr_lo else 2 * (u - exit_lo) + 1
-                break
-            m = marks[u]
-            if m == origin:
-                val = -1
-                break
-            if m >= 0:
-                val = res[m]
-                break
-            marks[u] = origin
-            u = nxt[u]
-            edges += 1
-        res[origin] = val
-        return val
-
-    h = [0] * (2 * q)
-    for s in range(q):
-        h[2 * s] = walk(LINR * q + s)
-    for s in range(q):
-        h[2 * s + 1] = walk(RINL * q + s)
-    dep = [0] * (2 * q)
-    for s in range(q):
-        u = BRIGHT * q + s
-        m = marks[u]
-        dep[2 * s] = res[m] if m >= 0 else walk(u)
-    for s in range(q):
-        u = BLEFT * q + s
-        m = marks[u]
-        dep[2 * s + 1] = res[m] if m >= 0 else walk(u)
-    return CompositionResult(SegmentMap(q, tuple(h)), tuple(dep), edges)
+    n = 2 * q
+    tab = f.table + g.table
+    marks = [-1] * (2 * n)
+    res = [0] * (2 * n)  # h then dep
+    for lo, hi, shift in ((0, n, 0), (n + 1, 2 * n, -n), (n, 2 * n, 0), (1, n, n)):
+        for u in range(lo, hi, 2):
+            k = u + shift
+            while True:
+                m = marks[u]
+                if m >= 0:
+                    val = -1 if m == k else res[m]
+                    break
+                marks[u] = k
+                out = tab[u]
+                if u < n:  # in f: a rightward exit (even) enters g
+                    if out & 1:
+                        val = out
+                        break
+                    u = n + out
+                elif out & 1 and out > 0:  # in g: a leftward exit enters f
+                    u = out
+                else:
+                    val = out
+                    break
+            res[k] = val
+    return CompositionResult(SegmentMap(q, tuple(res[:n])), tuple(res[n:]),
+                             2 * n - marks.count(-1))
 
 
 def departure(r: CompositionResult, s) -> DirectedState | _Loop:

@@ -82,6 +82,33 @@ def test_run_budget_exit_code(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_run_unwritable_trace_is_usage_error(monkeypatch, capsys):
+    # the destination is checked before the engine runs
+    monkeypatch.setattr("limla.cli.run_linear", lambda *a, **k: pytest.fail("engine ran"))
+    assert main(["run", ANBN, "--input", "ab", "--trace", "/nonexistent/dir/t.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trace:") and "Traceback" not in err
+
+
+def test_run_negative_max_steps_is_usage_error(capsys):
+    assert main(["run", ANBN, "--input", "aabb", "--max-steps", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --max-steps")
+    assert main(["run", ANBN, "--input", "aabb", "--max-steps", "0"]) == 3
+    assert "budget exceeded after 0 steps" in capsys.readouterr().err
+
+
+def test_bench_unwritable_out_is_usage_error(capsys):
+    assert main(["bench", ANBN, "--lengths", "4", "--out", "/nonexistent/x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out:") and captured.out == ""
+
+
+def test_bench_negative_length_is_usage_error(capsys):
+    assert main(["bench", ANBN, "--lengths", "4,-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --lengths") and captured.out == ""
+
+
 def test_bench_csv_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["bench", ANBN, "--gen", "anbn", "--lengths", "8,16,32",

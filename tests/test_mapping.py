@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limla.mapping import (
     LOOP, DirectedState, EmptySegment, SegmentMap, SizeMismatch,
     apply, cf, compose_full, departure, describe_segment, dump_segment_map,
-    graph_successors, oracle_compose, transparent_map,
+    oracle_compose, transparent_map,
 )
 from limla.model import COUNTED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
 from limla.rng import SplitMix64
@@ -170,16 +173,58 @@ def test_size_mismatch():
         oracle_compose(transparent_map(1), transparent_map(2))
 
 
-def test_graph_shape():
-    rng = SplitMix64(61)
-    q = 4
-    f, g = _rand_map(rng, q), _rand_map(rng, q)
-    nxt = graph_successors(f, g)
-    assert len(nxt) == 6 * q
-    # exit blocks have out-degree zero
-    assert all(v == -1 for v in nxt[4 * q:])
-    # every edge target is an internal or exit vertex, never an entry
-    assert all(v == -1 or v >= 2 * q for v in nxt)
+@st.composite
+def _map_pairs(draw):
+    """Two segment maps over |Q| in 1..8, 32 or 64; -1 entries are LOOP."""
+    q = draw(st.one_of(st.integers(1, 8), st.sampled_from((32, 64))))
+    entry = st.integers(-1, 2 * q - 1)
+    return tuple(SegmentMap(q, tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
+                 for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_map_pairs())
+def test_compose_steps_within_4q_and_matches_oracle(maps):
+    f, g = maps
+    r = compose_full(f, g)
+    assert r.edges <= 4 * f.q_count
+    assert (r.h.table, r.dep) == oracle_compose(f, g)
+
+
+def _loopy_map(rng, q):
+    return SegmentMap(q, tuple(-1 if rng.below(4) == 0 else rng.below(2 * q)
+                               for _ in range(2 * q)))
+
+
+# Per |Q|: (sum of edges, digest of every h table and dep table), recorded
+# with the glued-graph walk that the fused kernel replaced.
+_KERNEL_GOLDEN = {
+    1: (1600, "bee8ddd8fe6b4b2c"),
+    2: (3200, "1c0632ff7bf36b87"),
+    3: (4800, "a1613a468d70547d"),
+    6: (9600, "da17a26163d24e22"),
+    8: (12800, "80235e198876f8e0"),
+    32: (51200, "b2606670b7a6f5ed"),
+    64: (102400, "49bc31d88958aea1"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_KERNEL_GOLDEN))
+def test_compose_kernel_golden(q):
+    # a quarter of the entries loop; every round composes a fresh pair and
+    # folds into a running map, which drifts towards long cycles and LOOP
+    rng = SplitMix64(0x601D + q)
+    digest = hashlib.sha256()
+    edges = 0
+    m = _loopy_map(rng, q)
+    for _ in range(200):
+        f, g = _loopy_map(rng, q), _loopy_map(rng, q)
+        for a, b in ((f, g), (m, f)):
+            r = compose_full(a, b)
+            digest.update(repr((r.h.table, r.dep)).encode())
+            edges += r.edges
+        m = compose_full(m, f).h
+    assert (edges, digest.hexdigest()[:16]) == _KERNEL_GOLDEN[q]
 
 
 def test_describe_single_cell_is_cf():

@@ -1,4 +1,5 @@
 """Property tests for the machine format and the composition algebra."""
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from limla.fmt import FormatError, parse_machine, serialize_machine
@@ -70,6 +71,38 @@ def test_mutated_documents_raise_only_format_error(text):
         parse_machine(text)
     except FormatError:
         pass
+
+
+def _bad_tokens(toks):
+    """(index, replacement) pairs that make a valid line fail to parse."""
+    bad = [(0, "x")]  # not a directive (or, on line 1, not the header)
+    key, args = toks[0], toks[1:]
+    if key in ("limla", "mode"):
+        bad.append((1, "x"))
+    elif key == "d":
+        bad.append((1, "\u0662"))  # an Arabic-Indic digit in the numeric slot
+    elif key in ("states", "input") and args:
+        bad.append((len(toks) - 1, "->"))
+    elif key == "tape":
+        bad += [(i, tok.rpartition(":")[0] + ":x") for i, tok in enumerate(toks) if ":" in tok]
+    elif key == "delta":
+        bad += [(3, "=>"), (6, "X")]
+    return bad
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(limit=_LIMITS, states=st.integers(1, 4), seed=st.integers(0, 2**32), data=st.data())
+def test_format_error_carries_the_line_number(limit, states, seed, data):
+    mode, dlimit = limit
+    lines = serialize_machine(random_automaton(GenParams(states, seed, mode, dlimit))).splitlines()
+    k = data.draw(st.integers(1, len(lines)))
+    toks = lines[k - 1].split()
+    i, tok = data.draw(st.sampled_from(_bad_tokens(toks)))
+    toks[i] = tok
+    lines[k - 1] = " ".join(toks)
+    with pytest.raises(FormatError) as err:
+        parse_machine("\n".join(lines))
+    assert err.value.line == k
 
 
 @st.composite
