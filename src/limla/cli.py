@@ -18,7 +18,7 @@ from .model import COUNTED, RANKED, validate_automaton
 from .naive import run_naive
 from .outcome import BudgetExceeded, write_trace
 from .rng import SplitMix64
-from .zoo import GenParams, random_automaton
+from .zoo import INPUT_LETTERS, GenParams, random_automaton
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -102,6 +102,9 @@ def cmd_run(args) -> int:
     if args.max_steps is not None and args.max_steps < 0:
         print("error: --max-steps must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if args.shadow and args.engine != "linear":
+        print("error: --shadow needs --engine linear", file=sys.stderr)
+        return EXIT_USAGE
     aut = _load_valid(args.file)
     if aut is None:
         return EXIT_USAGE
@@ -110,8 +113,8 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     runner = run_naive if args.engine == "naive" else run_linear
     kwargs = {"trace": bool(args.trace), "max_steps": args.max_steps}
-    if args.engine == "linear":
-        kwargs["shadow"] = args.shadow
+    if args.shadow:
+        kwargs["shadow"] = True
     trace_fp = None
     if args.trace:
         trace_fp = _open_output(args.trace, "--trace")
@@ -194,6 +197,10 @@ def _dump_reproducer(outdir: str, aut, div) -> None:
 def cmd_fuzz(args) -> int:
     if min(args.states, args.machines, args.alphabet_size) < 1 or args.maxlen < 0:
         print("error: fuzz parameters must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    if args.alphabet_size > len(INPUT_LETTERS):
+        print(f"error: --alphabet-size: the generator has {len(INPUT_LETTERS)} input letters",
+              file=sys.stderr)
         return EXIT_USAGE
     mode = RANKED if args.mode == "ranked" else COUNTED
     try:

@@ -33,6 +33,14 @@ class ShadowMismatch(Exception):
     """A map cell disagrees with the brute-force description of its segment."""
 
 
+# Cap on a machine's shadow memo, in stored slots: the letters of each key
+# plus the 2|Q| entries of its table.  A key holds at least one letter, so
+# an entry costs at most about 60 bytes of objects per slot, and the memo
+# stays under 0.3 MB per machine whatever the word length.  An entry that
+# would pass the cap empties the memo first.
+SHADOW_MEMO_SLOTS = 1 << 12
+
+
 def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     """Freeze-time coalescing at cell i; returns (exit, compose_calls, edges_max).
 
@@ -47,8 +55,9 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     neighbours are letters or markers, and exit is the rerouted p.  A
     departure that loops stops the scan at once with exit -1, leaving the
     unmerged neighbour linked.  Compositions go through the tape's
-    memo, so each distinct (f, g) pair is walked once per run; calls
-    counts every composition requested, memo hits included.
+    memo, so each distinct (f, g) pair reaches the walk (or the shared
+    walk cache) once per run; calls counts every composition requested,
+    memo hits included.
     """
     kind = tape.kind
     fmap = tape.fmap
@@ -91,8 +100,23 @@ def _shadow_check(c, tape: ListTape, i: int, shadow_letters) -> None:
         raise ShadowMismatch(f"adjacent segment maps around cell {i}")
     lo = tape.prev[i] + 1
     hi = tape.nxt[i] - 1
-    expected = describe_indices(c, shadow_letters[lo - 1:hi])
-    if tuple(expected) != tape.fmap[i].table:
+    table = tape.fmap[i].table
+    seg = tuple(shadow_letters[lo - 1:hi])
+    expected = c.shadow_cache.get(seg)
+    if expected is None:
+        # The description depends on the machine and the letters alone, so
+        # the machine keeps it for later runs; only this walk is reused.
+        # A verified description is stored as the map's own equal table,
+        # which other maps and caches already share, not as a new copy.
+        expected = tuple(describe_indices(c, seg))
+        cost = len(seg) + len(expected)
+        if expected == table and cost <= SHADOW_MEMO_SLOTS:
+            if c.shadow_slots + cost > SHADOW_MEMO_SLOTS:
+                c.shadow_cache.clear()
+                c.shadow_slots = 0
+            c.shadow_cache[seg] = table
+            c.shadow_slots += cost
+    if expected != table:
         raise ShadowMismatch(f"map at cell {i} does not describe cells {lo}..{hi}")
 
 
@@ -103,7 +127,9 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     With shadow=True a parallel letter array mirrors what the reference
     tape would hold, and after every deletion scan the stored map is
     compared against the brute-force description of its segment
-    (ShadowMismatch on any disagreement).  Verdicts always match
+    (ShadowMismatch on any disagreement).  The descriptions are memoized
+    per machine on the letters of the segment (SHADOW_MEMO_SLOTS), but the
+    comparison runs after every scan.  Verdicts always match
     run_naive; steps here count loop iterations.
     """
     c = aut.compiled

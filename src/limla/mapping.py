@@ -18,6 +18,7 @@ operation here is pure; maps are immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .model import LEFT_MARKER, RIGHT_MARKER, RANKED, RIGHT
@@ -106,28 +107,45 @@ def cf(aut, letter: str) -> SegmentMap:
 class CompositionResult(NamedTuple):
     h: SegmentMap          # the composed map
     dep: tuple             # boundary departure table, indexed 2*state+dir, -1 = LOOP
-    edges: int             # walk steps taken, at most one per part entry: <= 4*|Q|
+    edges: int             # walk steps taken: every part entry once, so always 4*|Q|
+
+
+# The process-wide walk cache of compose_full keeps the last
+# COMPOSE_CACHE_SIZE walks over at most SHARED_WALK_MAX_Q states.  Above
+# that size a machine makes so many distinct maps that pairs seldom come
+# back in a later run (machines with |Q| = 32 and 64 shared none across
+# hundreds of runs), while hashing the key adds 2-4 us to every miss.  An
+# entry holds the key's two tables and the result's h and dep, 8*|Q|
+# slots in all, so the cache holds at most 128 * (64*8 + about 500) bytes,
+# about 0.13 MB.
+COMPOSE_CACHE_SIZE = 128
+SHARED_WALK_MAX_Q = 8
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: dict | None = None) -> CompositionResult:
     """Compose adjacent segment maps and compute the boundary departure table.
 
     With a memo dict, keyed on (f.table, g.table), only the first request
-    for a pair walks the two tables; every later one returns the same
+    for a pair reaches the walk; every later one returns the same
     CompositionResult.  Maps over one machine form a finite monoid and a
     run reuses few of them, so the linear engine keeps one memo per run.
+    A memo miss over at most SHARED_WALK_MAX_Q states takes its walk from
+    a process-wide LRU cache keyed on the same pair, which lets runs share
+    walks.  The result depends on the two tables alone, so neither layer
+    can change it, only whether a walk runs.
     """
     if memo is None:
-        return _walk_glued(f, g)
+        return _walk_glued(f.table, g.table)
     key = (f.table, g.table)
     r = memo.get(key)
     if r is None:
-        r = memo[key] = _walk_glued(f, g)
+        walk = _shared_walk if f.q_count <= SHARED_WALK_MAX_Q else _walk_glued
+        r = memo[key] = walk(*key)
     return r
 
 
-def _walk_glued(f: SegmentMap, g: SegmentMap) -> CompositionResult:
-    """compose_full without a memo: one fused marked walk over f's and g's tables.
+def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
+    """The composition of the maps with tables ft and gt, by one fused marked walk.
 
     The glued graph is never built.  Its internal vertices are the 4|Q|
     part entries, numbered f's entries 0..2|Q|-1 then g's from 2|Q|, and
@@ -146,11 +164,10 @@ def _walk_glued(f: SegmentMap, g: SegmentMap) -> CompositionResult:
     entries ascending for the composed map, then g's rightward and f's
     leftward entries (the boundary crossings) for the departure table.
     """
-    if f.q_count != g.q_count:
-        raise SizeMismatch(f"cannot compose maps over {f.q_count} and {g.q_count} states")
-    q = f.q_count
-    n = 2 * q
-    tab = f.table + g.table
+    n = len(ft)
+    if n != len(gt):
+        raise SizeMismatch(f"cannot compose maps over {n // 2} and {len(gt) // 2} states")
+    tab = ft + gt
     marks = [-1] * (2 * n)
     res = [0] * (2 * n)  # h then dep
     for lo, hi, shift in ((0, n, 0), (n + 1, 2 * n, -n), (n, 2 * n, 0), (1, n, n)):
@@ -174,8 +191,11 @@ def _walk_glued(f: SegmentMap, g: SegmentMap) -> CompositionResult:
                     val = out
                     break
             res[k] = val
-    return CompositionResult(SegmentMap(q, tuple(res[:n])), tuple(res[n:]),
+    return CompositionResult(SegmentMap(n // 2, tuple(res[:n])), tuple(res[n:]),
                              2 * n - marks.count(-1))
+
+
+_shared_walk = lru_cache(maxsize=COMPOSE_CACHE_SIZE)(_walk_glued)
 
 
 def departure(r: CompositionResult, s) -> DirectedState | _Loop:

@@ -157,6 +157,8 @@ class CompiledAutomaton:
     mv_tab: list
     ranks: tuple
     cf_cache: dict
+    shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
+    shadow_slots: int = 0    # letters plus table entries held in shadow_cache
 
 
 def _compile(aut: Automaton) -> CompiledAutomaton:
@@ -203,7 +205,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         sym_names=sym_names, sym_index=sym_index,
         input_set=input_set, start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
-        ranks=ranks, cf_cache={},
+        ranks=ranks, cf_cache={}, shadow_cache={},
     )
 
 

@@ -186,7 +186,7 @@ class GenParams:
     tape_per_rank: int = 1
 
 
-_INPUT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+INPUT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def random_automaton(p: GenParams) -> Automaton:
@@ -200,7 +200,7 @@ def random_automaton(p: GenParams) -> Automaton:
     """
     if p.state_count < 1 or p.input_alphabet_size < 1 or p.tape_per_rank < 1:
         raise ValueError("all generator counts must be >= 1")
-    if p.input_alphabet_size > len(_INPUT_LETTERS):
+    if p.input_alphabet_size > len(INPUT_LETTERS):
         raise ValueError("input alphabet too large")
     if p.mode == RANKED and p.dlimit.kind != "const":
         raise ValueError("ranked mode requires a constant d")
@@ -209,7 +209,7 @@ def random_automaton(p: GenParams) -> Automaton:
 
     rng = SplitMix64(p.seed)
     states = tuple(f"q{i}" for i in range(p.state_count))
-    input_syms = tuple(_INPUT_LETTERS[:p.input_alphabet_size])
+    input_syms = tuple(INPUT_LETTERS[:p.input_alphabet_size])
     ranks: dict = {}
     tape = list(input_syms)
     if p.mode == RANKED:

@@ -77,6 +77,13 @@ def test_run_trace_file(tmp_path, capsys):
     assert {"case" in rec for rec in lines[:-1]} == {True}
 
 
+def test_run_shadow_needs_linear_engine(monkeypatch, capsys):
+    monkeypatch.setattr("limla.cli.run_naive", lambda *a, **k: pytest.fail("engine ran"))
+    assert main(["run", ANBN, "--input", "ab", "--engine", "naive", "--shadow"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --shadow") and "--engine linear" in err
+
+
 def test_run_budget_exit_code(capsys):
     assert main(["run", ANBN, "--input", "aabb", "--max-steps", "2"]) == 3
     assert "budget" in capsys.readouterr().err
@@ -169,6 +176,15 @@ def test_fuzz_bad_d_is_usage_error(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+def test_fuzz_alphabet_beyond_generator_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("limla.cli.random_automaton", lambda *a, **k: pytest.fail("machine built"))
+    code = main(["fuzz", "--alphabet-size", "27", "--machines", "1",
+                 "--out-dir", str(tmp_path / "f")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --alphabet-size: ") and "Traceback" not in err
 
 
 def test_fuzz_catches_corrupted_engine(tmp_path, capsys, monkeypatch):

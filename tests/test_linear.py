@@ -4,8 +4,9 @@ import json
 import pytest
 
 from limla.difftest import compare_run, random_words, step_budget, words_upto
-from limla.linear import ShadowMismatch, deletion_scan, run_linear
-from limla.mapping import cf, compose_full
+import limla.linear as linear_mod
+from limla.linear import SHADOW_MEMO_SLOTS, ShadowMismatch, deletion_scan, run_linear
+from limla.mapping import SegmentMap, _shared_walk, cf, compose_full
 from limla.model import (
     ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, REJECT, RIGHT,
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER,
@@ -311,3 +312,87 @@ def test_shadow_mismatch_on_corrupted_map():
             run_linear(aut, "ab", shadow=True)
     finally:
         linear_mod.deletion_scan = real_scan
+
+
+def _outcome_fingerprint(aut, out) -> tuple:
+    buf = io.StringIO()
+    write_trace(aut, out, "linear", buf)
+    return (out.verdict, out.reason, out.steps, out.moves, out.scans, out.compose_calls,
+            out.compose_walks, out.compose_edges_max, buf.getvalue())
+
+
+def test_shared_walk_cache_is_invisible_in_outcomes():
+    # a cold run and the same run after a sweep has warmed the process-wide
+    # walk cache (and the machine's shadow memo) report the same counters and
+    # the same trace
+    params = GenParams(5, 37, COUNTED, DLimit.const(2))
+    word = random_words(("a", "b"), 1, 40, 40, 37)[0]
+    _shared_walk.cache_clear()
+    aut = random_automaton(params)
+    cold = run_linear(aut, word, trace=True, shadow=True)
+    assert cold.accepted and 0 < cold.compose_walks < cold.compose_calls
+
+    warm_aut = random_automaton(params)
+    for w in random_words(warm_aut.input_alphabet, 60, 1, 48, 5):
+        run_linear(warm_aut, w, shadow=True)
+    run_linear(warm_aut, word, shadow=True)
+    before = _shared_walk.cache_info()
+    warm = run_linear(warm_aut, word, trace=True, shadow=True)
+    after = _shared_walk.cache_info()
+    # every walk the run asked for came from the cache
+    assert after.misses == before.misses
+    assert after.hits - before.hits == cold.compose_walks
+    assert _outcome_fingerprint(warm_aut, warm) == _outcome_fingerprint(aut, cold)
+
+
+def test_shadow_memo_does_not_weaken_the_check(monkeypatch):
+    aut = random_automaton(GenParams(4, 31, COUNTED, DLimit.const(2)))
+    words = random_words(aut.input_alphabet, 40, 4, 16, 31)
+    for w in words:
+        run_linear(aut, w, shadow=True)
+    warmed = dict(aut.compiled.shadow_cache)
+    assert warmed
+
+    # a word whose run composes and accepts, and its first composed pair
+    seen = []
+
+    def record(f, g, memo=None):
+        seen.append((f.table, g.table))
+        return compose_full(f, g, memo)
+
+    monkeypatch.setattr(linear_mod, "compose_full", record)
+    for word in words:
+        seen.clear()
+        if run_linear(aut, word, shadow=True).accepted and seen:
+            break
+    else:
+        pytest.fail("no accepted word composes")
+    bad_pair = seen[0]
+
+    def corrupt(f, g, memo=None):
+        r = compose_full(f, g, memo)
+        if (f.table, g.table) != bad_pair:
+            return r
+        table = list(r.h.table)
+        table[0] = -1 if table[0] >= 0 else 0
+        return r._replace(h=SegmentMap(r.h.q_count, tuple(table)))
+
+    monkeypatch.setattr(linear_mod, "compose_full", corrupt)
+    with pytest.raises(ShadowMismatch):
+        run_linear(aut, word, shadow=True)
+    div = compare_run(aut, word, shadow=True)
+    assert div is not None and div.kind == "error"
+    # the memo kept the true descriptions, not the corrupted map
+    assert all(aut.compiled.shadow_cache[k] == v for k, v in warmed.items()
+               if k in aut.compiled.shadow_cache)
+
+
+def test_shadow_memo_stays_within_its_slot_cap():
+    # one long run: no segment repeats, so only the cap bounds the memo
+    aut = build_anbn()
+    n = 2048
+    assert run_linear(aut, "a" * n + "b" * n, shadow=True).accepted
+    c = aut.compiled
+    assert c.shadow_cache
+    assert c.shadow_slots == sum(len(k) + len(v) for k, v in c.shadow_cache.items())
+    assert c.shadow_slots <= SHADOW_MEMO_SLOTS

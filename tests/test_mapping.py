@@ -3,10 +3,12 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limla.difftest import words_upto
+from limla.linear import run_linear
 from limla.mapping import (
-    LOOP, DirectedState, EmptySegment, SegmentMap, SizeMismatch,
-    apply, cf, compose_full, departure, describe_segment, dump_segment_map,
-    oracle_compose, transparent_map,
+    COMPOSE_CACHE_SIZE, LOOP, SHARED_WALK_MAX_Q, DirectedState, EmptySegment, SegmentMap,
+    SizeMismatch, _shared_walk, apply, cf, compose_full, departure, describe_segment,
+    dump_segment_map, oracle_compose, transparent_map,
 )
 from limla.model import COUNTED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
 from limla.rng import SplitMix64
@@ -137,6 +139,27 @@ def test_memo_returns_the_walked_result_once_per_pair():
         assert again is r
 
 
+def test_shared_walk_cache_stays_within_its_cap():
+    _shared_walk.cache_clear()
+    rng = SplitMix64(0xCAC4E)
+    for seed in range(12):
+        aut = random_automaton(GenParams(2 + seed % 5, seed, COUNTED, DLimit.const(2)))
+        for word in words_upto(aut.input_alphabet, 7):
+            run_linear(aut, word)
+            assert _shared_walk.cache_info().currsize <= COMPOSE_CACHE_SIZE
+    for _ in range(400):
+        q = 1 + rng.below(SHARED_WALK_MAX_Q)
+        compose_full(_rand_map(rng, q), _rand_map(rng, q), {})
+    info = _shared_walk.cache_info()
+    assert info.maxsize == COMPOSE_CACHE_SIZE
+    assert info.misses > COMPOSE_CACHE_SIZE  # the sweep did evict
+    assert info.currsize == COMPOSE_CACHE_SIZE
+    # larger maps walk without entering the cache
+    q = SHARED_WALK_MAX_Q + 1
+    compose_full(_rand_map(rng, q), _rand_map(rng, q), {})
+    assert _shared_walk.cache_info() == info
+
+
 def test_associativity():
     for f in all_q1_maps():
         for g in all_q1_maps():
@@ -187,7 +210,7 @@ def _map_pairs(draw):
 def test_compose_steps_within_4q_and_matches_oracle(maps):
     f, g = maps
     r = compose_full(f, g)
-    assert r.edges <= 4 * f.q_count
+    assert r.edges == 4 * f.q_count  # every part entry is stepped from exactly once
     assert (r.h.table, r.dep) == oracle_compose(f, g)
 
 
