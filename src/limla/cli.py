@@ -18,7 +18,7 @@ from .model import COUNTED, RANKED, validate_automaton
 from .naive import run_naive
 from .outcome import BudgetExceeded, write_trace
 from .rng import SplitMix64
-from .zoo import INPUT_LETTERS, GenParams, random_automaton
+from .zoo import INPUT_LETTERS, MAX_TRANSITIONS, GenParams, random_automaton, symbol_count
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -207,6 +207,12 @@ def cmd_fuzz(args) -> int:
         dlimit = parse_dlimit(args.d, mode)
     except ValueError as e:
         print(f"error: --d: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    symbols = symbol_count(GenParams(args.states, 0, mode, dlimit, args.alphabet_size))
+    if args.states * symbols > MAX_TRANSITIONS:
+        option = "--d" if symbols > MAX_TRANSITIONS else "--states"
+        print(f"error: {option}: {args.states} states x {symbols} symbols is over the "
+              f"generator's {MAX_TRANSITIONS} transitions", file=sys.stderr)
         return EXIT_USAGE
     master = SplitMix64(args.seed)
     seeds = [master.next_u64() for _ in range(args.machines)]

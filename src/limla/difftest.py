@@ -34,8 +34,6 @@ class DiffStats:
     bound_violations: list = field(default_factory=list)  # linear steps over budget
     scan_violations: list = field(default_factory=list)   # more scans than cells
     edge_violations: list = field(default_factory=list)   # compose edges over 8*|Q|
-    # A walk steps from each of the 4|Q| part entries exactly once, so edges
-    # is 4|Q| on every call: the bound is structural and cannot flag a slow walk.
 
 
 def words_upto(alphabet, maxlen: int):

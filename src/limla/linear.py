@@ -40,6 +40,12 @@ class ShadowMismatch(Exception):
 # would pass the cap empties the memo first.
 SHADOW_MEMO_SLOTS = 1 << 12
 
+# Cap on a machine's composition memo, in slots: 4|Q| per entry (h and dep;
+# its key tables are maps the memo or cf_cache holds), at most about 70 bytes
+# each.  Checked only when a run ends, emptying a memo past the cap, so a run
+# is never evicted from and between runs the memo stays under 0.1 MB.
+COMPOSE_MEMO_SLOTS = 1 << 10
+
 
 def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     """Freeze-time coalescing at cell i; returns (exit, compose_calls, edges_max).
@@ -54,14 +60,12 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     rerouted p.  On success cell i holds the merged map, both its
     neighbours are letters or markers, and exit is the rerouted p.  A
     departure that loops stops the scan at once with exit -1, leaving the
-    unmerged neighbour linked.  Compositions go through the tape's
-    memo, so each distinct (f, g) pair reaches the walk (or the shared
-    walk cache) once per run; calls counts every composition requested,
-    memo hits included.
+    unmerged neighbour linked.  calls counts every composition requested,
+    hits in the machine's compose_memo included.
     """
     kind = tape.kind
     fmap = tape.fmap
-    memo = tape.memo
+    memo = tape.compiled.compose_memo
     calls = edges = 0
 
     left = tape.prev[i]
@@ -134,6 +138,9 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     """
     c = aut.compiled
     tape = ListTape.from_word(aut, word)
+    memo = c.compose_memo
+    memo.run += 1
+    memo.walks = 0
     n = tape.n
     kind = tape.kind
     sym = tape.sym
@@ -172,7 +179,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     else:
         while True:
             if max_steps is not None and steps >= max_steps:
-                raise BudgetExceeded(steps)
+                break
             k0 = kind[pos]
             if k0 == LETTER:
                 stretch.clear()
@@ -269,12 +276,16 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                 verdict = ACCEPT
                 break
 
+    if 4 * nq * len(memo) > COMPOSE_MEMO_SLOTS:
+        memo.clear()
+    if verdict is None:
+        raise BudgetExceeded(steps)
     return RunOutcome(
         verdict=verdict, reason=reason, steps=steps,
         moves={"letter": letter_moves, "map": map_jumps, "marker": marker_moves},
         visits=visits, writes=writes, cell_writes=cell_writes,
         last_write_step=last_write, trace=tr,
-        scans=scans, compose_calls=compose_calls, compose_walks=len(tape.memo),
+        scans=scans, compose_calls=compose_calls, compose_walks=memo.walks,
         compose_edges_max=edges_max,
     )
 

@@ -12,13 +12,12 @@ end; LOOP marks entries that never leave.
 Composition of maps over adjacent segments is computed by one fused
 marked walk that bounces between the two part tables, following each
 entry to the combined segment's exit with no graph built, so one
-composition plus the full boundary departure table costs O(|Q|).  Every
-operation here is pure; maps are immutable values.
+composition plus the full boundary departure table costs O(|Q|).  Maps are
+immutable values, so a machine can memoize their compositions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .model import LEFT_MARKER, RIGHT_MARKER, RANKED, RIGHT
@@ -107,41 +106,39 @@ def cf(aut, letter: str) -> SegmentMap:
 class CompositionResult(NamedTuple):
     h: SegmentMap          # the composed map
     dep: tuple             # boundary departure table, indexed 2*state+dir, -1 = LOOP
-    edges: int             # walk steps taken: every part entry once, so always 4*|Q|
+    edges: int             # walk loop iterations, in [4|Q|, 8|Q|]
 
 
-# The process-wide walk cache of compose_full keeps the last
-# COMPOSE_CACHE_SIZE walks over at most SHARED_WALK_MAX_Q states.  Above
-# that size a machine makes so many distinct maps that pairs seldom come
-# back in a later run (machines with |Q| = 32 and 64 shared none across
-# hundreds of runs), while hashing the key adds 2-4 us to every miss.  An
-# entry holds the key's two tables and the result's h and dep, 8*|Q|
-# slots in all, so the cache holds at most 128 * (64*8 + about 500) bytes,
-# about 0.13 MB.
-COMPOSE_CACHE_SIZE = 128
-SHARED_WALK_MAX_Q = 8
+class CompositionMemo(dict):
+    """One machine's compositions: (f.table, g.table) -> [result, the last
+    run to request the pair]; walks counts the pairs the current run requested."""
+
+    __slots__ = ("run", "walks")
+
+    def __init__(self):
+        self.run = self.walks = 0
 
 
-def compose_full(f: SegmentMap, g: SegmentMap, memo: dict | None = None) -> CompositionResult:
+def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = None
+                 ) -> CompositionResult:
     """Compose adjacent segment maps and compute the boundary departure table.
 
-    With a memo dict, keyed on (f.table, g.table), only the first request
-    for a pair reaches the walk; every later one returns the same
-    CompositionResult.  Maps over one machine form a finite monoid and a
-    run reuses few of them, so the linear engine keeps one memo per run.
-    A memo miss over at most SHARED_WALK_MAX_Q states takes its walk from
-    a process-wide LRU cache keyed on the same pair, which lets runs share
-    walks.  The result depends on the two tables alone, so neither layer
-    can change it, only whether a walk runs.
+    The result depends on the two tables alone: maps over one machine form
+    a finite monoid.  So with a memo (the machine's compose_memo), only the
+    first request for a pair ever reaches the walk and every later one, in
+    this run or a later one, returns the same CompositionResult.  The memo
+    also counts, in memo.walks, the distinct pairs the current run requested.
     """
     if memo is None:
         return _walk_glued(f.table, g.table)
     key = (f.table, g.table)
-    r = memo.get(key)
-    if r is None:
-        walk = _shared_walk if f.q_count <= SHARED_WALK_MAX_Q else _walk_glued
-        r = memo[key] = walk(*key)
-    return r
+    e = memo.get(key)
+    if e is None:
+        e = memo[key] = [_walk_glued(*key), -1]
+    if e[1] != memo.run:
+        e[1] = memo.run
+        memo.walks += 1
+    return e[0]
 
 
 def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
@@ -159,10 +156,10 @@ def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
     number, which is also the origin's slot in h + dep.  A walk ends at an
     exit, on its own mark (a cycle, LOOP), or on an earlier walk's mark,
     whose resolved outcome it inherits since the paths share their tail.
-    Marks persist across origins, so each vertex is stepped from once per
-    call.  Origins run in pinned order: f's rightward and g's leftward
-    entries ascending for the composed map, then g's rightward and f's
-    leftward entries (the boundary crossings) for the departure table.
+    Marks persist across origins, so edges (one per origin plus one per
+    transition followed) lies in [4|Q|, 8|Q|].  Origins run in pinned order:
+    f's rightward and g's leftward entries ascending for the composed map,
+    then g's rightward and f's leftward entries for the departure table.
     """
     n = len(ft)
     if n != len(gt):
@@ -170,6 +167,7 @@ def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
     tab = ft + gt
     marks = [-1] * (2 * n)
     res = [0] * (2 * n)  # h then dep
+    hops = 0
     for lo, hi, shift in ((0, n, 0), (n + 1, 2 * n, -n), (n, 2 * n, 0), (1, n, n)):
         for u in range(lo, hi, 2):
             k = u + shift
@@ -190,12 +188,10 @@ def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
                 else:
                     val = out
                     break
+                hops += 1
             res[k] = val
     return CompositionResult(SegmentMap(n // 2, tuple(res[:n])), tuple(res[n:]),
-                             2 * n - marks.count(-1))
-
-
-_shared_walk = lru_cache(maxsize=COMPOSE_CACHE_SIZE)(_walk_glued)
+                             2 * n + hops)
 
 
 def departure(r: CompositionResult, s) -> DirectedState | _Loop:

@@ -149,7 +149,7 @@ class CompiledAutomaton:
     state_index: dict
     sym_names: tuple
     sym_index: dict
-    input_set: frozenset
+    input_index: dict        # input token -> symbol index (word_indices)
     start_idx: int
     accepting: list
     to_tab: list
@@ -157,6 +157,7 @@ class CompiledAutomaton:
     mv_tab: list
     ranks: tuple
     cf_cache: dict
+    compose_memo: CompositionMemo    # (f.table, g.table) -> walk (mapping.compose_full)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
     shadow_slots: int = 0    # letters plus table entries held in shadow_cache
 
@@ -198,36 +199,26 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         if s in state_index:
             accepting[state_index[s]] = True
     ranks = tuple(aut.ranks.get(tok, 0) for tok in letters)
-    input_set = frozenset(sym_index[t] for t in aut.input_alphabet if t in sym_index)
+    from .mapping import CompositionMemo
     return CompiledAutomaton(
         n_states=len(states), n_letters=lo, width=width,
         state_names=states, state_index=state_index,
         sym_names=sym_names, sym_index=sym_index,
-        input_set=input_set, start_idx=start, accepting=accepting,
+        input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
+        start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
-        ranks=ranks, cf_cache={}, shadow_cache={},
+        ranks=ranks, cf_cache={}, compose_memo=CompositionMemo(), shadow_cache={},
     )
 
 
-def word_tokens(word) -> list:
-    """Split a word argument into symbol tokens (a str is one token per char)."""
-    if isinstance(word, str):
-        return list(word)
-    return [str(t) for t in word]
-
-
 def word_indices(aut: Automaton, word) -> list:
-    """Symbol indices of a word; rejects tokens outside the input alphabet."""
-    c = aut.compiled
-    idx = c.sym_index
-    allowed = c.input_set
-    out = []
-    for t in word_tokens(word):
-        i = idx.get(t, -1)
-        if i < 0 or i not in allowed:
-            raise ValueError(f"symbol {t!r} is not in the input alphabet")
-        out.append(i)
-    return out
+    """Symbol indices of a word (a str is one token per char); rejects
+    tokens outside the input alphabet."""
+    index = aut.compiled.input_index
+    try:
+        return [index[t] for t in (word if isinstance(word, str) else map(str, word))]
+    except KeyError as e:
+        raise ValueError(f"symbol {e.args[0]!r} is not in the input alphabet") from None
 
 
 @dataclass(frozen=True)

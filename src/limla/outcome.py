@@ -34,7 +34,7 @@ class RunOutcome:
     trace: list | None = None
     scans: int = 0
     compose_calls: int = 0       # compositions requested, memo hits included
-    compose_walks: int = 0       # distinct compositions requested: the run memo's misses
+    compose_walks: int = 0       # distinct (f, g) pairs this run requested, walked or not
     compose_edges_max: int = 0
 
     @property

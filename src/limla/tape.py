@@ -5,9 +5,8 @@ marker, n+1 the right marker, and neither is ever deleted.  Deleting a
 cell only relinks its neighbours; dead cells are never reused, which
 keeps indices stable for traces and shadow bookkeeping at O(n) memory.
 
-The tape also owns the run's composition memo (see mapping.compose_full):
-at most one entry per composition requested, so at most 2n entries of
-O(|Q|) each, freed with the tape when the run ends.
+The tape holds no cache: its deletion scans share the composition memo of
+its compiled machine (see mapping.compose_full).
 """
 from __future__ import annotations
 
@@ -20,35 +19,22 @@ DELETED = 3
 
 
 class ListTape:
-    __slots__ = ("n", "kind", "sym", "visits", "fmap", "prev", "nxt", "sym_names",
-                 "memo")
-
-    def __init__(self, n, kind, sym, visits, fmap, prev, nxt, sym_names):
-        self.n = n
-        self.kind = kind
-        self.sym = sym
-        self.visits = visits
-        self.fmap = fmap
-        self.prev = prev
-        self.nxt = nxt
-        self.sym_names = sym_names
-        self.memo = {}
+    __slots__ = ("n", "kind", "sym", "visits", "fmap", "prev", "nxt", "compiled")
 
     @classmethod
     def from_word(cls, aut, word) -> "ListTape":
         c = aut.compiled
         syms = word_indices(aut, word)
-        n = len(syms)
-        return cls(
-            n=n,
-            kind=[MARKER] + [LETTER] * n + [MARKER],
-            sym=[c.n_letters] + syms + [c.n_letters + 1],
-            visits=[0] * (n + 2),
-            fmap=[None] * (n + 2),
-            prev=list(range(-1, n + 1)),
-            nxt=list(range(1, n + 3)),
-            sym_names=c.sym_names,
-        )
+        t = cls.__new__(cls)
+        t.n = n = len(syms)
+        t.kind = [MARKER] + [LETTER] * n + [MARKER]
+        t.sym = [c.n_letters] + syms + [c.n_letters + 1]
+        t.visits = [0] * (n + 2)
+        t.fmap = [None] * (n + 2)
+        t.prev = list(range(-1, n + 1))
+        t.nxt = list(range(1, n + 3))
+        t.compiled = c
+        return t
 
     def unlink(self, i: int) -> None:
         """Remove interior cell i from the list; its index is never reused."""
@@ -64,7 +50,7 @@ class ListTape:
         if k == MARKER:
             return ("marker", "left" if i == 0 else "right")
         if k == LETTER:
-            return ("letter", self.sym_names[self.sym[i]], self.visits[i])
+            return ("letter", self.compiled.sym_names[self.sym[i]], self.visits[i])
         if k == SEGMAP:
             return ("map", self.fmap[i])
         return ("deleted",)

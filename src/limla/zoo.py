@@ -188,6 +188,16 @@ class GenParams:
 
 INPUT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# Most transitions (one per state and symbol) random_automaton draws: ranked
+# mode adds a tape letter per rank, so d alone could exhaust memory.
+MAX_TRANSITIONS = 1 << 16
+
+
+def symbol_count(p: GenParams) -> int:
+    """Tape letters plus the two markers of the machine p generates."""
+    ranks = p.dlimit.k if p.mode == RANKED else 1
+    return p.input_alphabet_size + ranks * p.tape_per_rank + 2
+
 
 def random_automaton(p: GenParams) -> Automaton:
     """Seed-deterministic machine, valid by construction.
@@ -206,6 +216,8 @@ def random_automaton(p: GenParams) -> Automaton:
         raise ValueError("ranked mode requires a constant d")
     if p.mode not in (RANKED, COUNTED):
         raise ValueError(f"unknown mode {p.mode!r}")
+    if p.state_count * symbol_count(p) > MAX_TRANSITIONS:
+        raise ValueError(f"the machine would have over {MAX_TRANSITIONS} transitions")
 
     rng = SplitMix64(p.seed)
     states = tuple(f"q{i}" for i in range(p.state_count))

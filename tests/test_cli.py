@@ -187,6 +187,36 @@ def test_fuzz_alphabet_beyond_generator_is_usage_error(tmp_path, capsys, monkeyp
     assert err.startswith("error: --alphabet-size: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--states", "2", "--d", "99999999999"], "--d"),
+    (["--states", "1", "--d", "65533"], "--d"),
+    (["--states", "99999999", "--d", "2"], "--states"),
+    (["--states", "16385", "--d", "0"], "--states"),
+    (["--states", "99999", "--mode", "counted", "--d", "sqrt"], "--states"),
+])
+def test_fuzz_oversized_machine_is_usage_error(tmp_path, capsys, monkeypatch, args, option):
+    monkeypatch.setattr("limla.cli.random_automaton", lambda *a, **k: pytest.fail("machine built"))
+    code = main(["fuzz", "--machines", "1", "--maxlen", "2",
+                 "--out-dir", str(tmp_path / "f")] + args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {option}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["--states", "1", "--d", "65532"],
+                                  ["--states", "16384", "--d", "0"]])
+def test_fuzz_machine_at_the_size_limit_is_built(tmp_path, monkeypatch, args):
+    class Built(Exception):
+        pass
+
+    def build(params):
+        raise Built
+
+    monkeypatch.setattr("limla.cli.random_automaton", build)
+    with pytest.raises(Built):
+        main(["fuzz", "--machines", "1", "--out-dir", str(tmp_path / "f")] + args)
+
+
 def test_fuzz_catches_corrupted_engine(tmp_path, capsys, monkeypatch):
     import limla.linear as linear_mod
     real_scan = linear_mod.deletion_scan

@@ -6,7 +6,8 @@ import pytest
 from limla.difftest import compare_run, random_words, step_budget, words_upto
 import limla.linear as linear_mod
 from limla.linear import SHADOW_MEMO_SLOTS, ShadowMismatch, deletion_scan, run_linear
-from limla.mapping import SegmentMap, _shared_walk, cf, compose_full
+import limla.mapping as mapping_mod
+from limla.mapping import SegmentMap, cf, compose_full
 from limla.model import (
     ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, REJECT, RIGHT,
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER,
@@ -321,27 +322,32 @@ def _outcome_fingerprint(aut, out) -> tuple:
             out.compose_walks, out.compose_edges_max, buf.getvalue())
 
 
-def test_shared_walk_cache_is_invisible_in_outcomes():
-    # a cold run and the same run after a sweep has warmed the process-wide
-    # walk cache (and the machine's shadow memo) report the same counters and
-    # the same trace
+def test_compose_memo_is_invisible_in_outcomes(monkeypatch):
+    # a cold run and the same run after a sweep has warmed the machine's
+    # composition memo (and its shadow memo) report the same counters and
+    # the same trace; only the walks are saved
     params = GenParams(5, 37, COUNTED, DLimit.const(2))
     word = random_words(("a", "b"), 1, 40, 40, 37)[0]
-    _shared_walk.cache_clear()
+    walks = []
+
+    def counting_walk(ft, gt):
+        walks.append((ft, gt))
+        return real_walk(ft, gt)
+
+    real_walk = mapping_mod._walk_glued
+    monkeypatch.setattr(mapping_mod, "_walk_glued", counting_walk)
     aut = random_automaton(params)
     cold = run_linear(aut, word, trace=True, shadow=True)
     assert cold.accepted and 0 < cold.compose_walks < cold.compose_calls
+    assert len(walks) == cold.compose_walks
 
     warm_aut = random_automaton(params)
     for w in random_words(warm_aut.input_alphabet, 60, 1, 48, 5):
         run_linear(warm_aut, w, shadow=True)
     run_linear(warm_aut, word, shadow=True)
-    before = _shared_walk.cache_info()
+    walks.clear()
     warm = run_linear(warm_aut, word, trace=True, shadow=True)
-    after = _shared_walk.cache_info()
-    # every walk the run asked for came from the cache
-    assert after.misses == before.misses
-    assert after.hits - before.hits == cold.compose_walks
+    assert walks == []  # every composition the run asked for came from the memo
     assert _outcome_fingerprint(warm_aut, warm) == _outcome_fingerprint(aut, cold)
 
 

@@ -3,12 +3,13 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limla.difftest import words_upto
-from limla.linear import run_linear
+from limla.difftest import random_words, words_upto
+from limla.linear import COMPOSE_MEMO_SLOTS, run_linear
+from limla.outcome import BudgetExceeded
 from limla.mapping import (
-    COMPOSE_CACHE_SIZE, LOOP, SHARED_WALK_MAX_Q, DirectedState, EmptySegment, SegmentMap,
-    SizeMismatch, _shared_walk, apply, cf, compose_full, departure, describe_segment,
-    dump_segment_map, oracle_compose, transparent_map,
+    LOOP, CompositionMemo, DirectedState, EmptySegment, SegmentMap, SizeMismatch,
+    apply, cf, compose_full, departure, describe_segment, dump_segment_map,
+    oracle_compose, transparent_map,
 )
 from limla.model import COUNTED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
 from limla.rng import SplitMix64
@@ -126,10 +127,12 @@ def test_compose_matches_oracle_randomized():
 
 def test_memo_returns_the_walked_result_once_per_pair():
     rng = SplitMix64(37)
-    memo = {}
+    memo = CompositionMemo()
     for _ in range(500):
         q = 1 + rng.below(6)
         f, g = _rand_map(rng, q), _rand_map(rng, q)
+        memo.run += 1
+        memo.walks = 0
         r = compose_full(f, g, memo)
         plain = compose_full(f, g)
         assert r == plain
@@ -137,27 +140,34 @@ def test_memo_returns_the_walked_result_once_per_pair():
         # a repeat request, even through equal but distinct maps, is a hit
         again = compose_full(SegmentMap(q, tuple(f.table)), SegmentMap(q, tuple(g.table)), memo)
         assert again is r
+        assert memo.walks == 1  # one distinct pair requested in this run
 
 
-def test_shared_walk_cache_stays_within_its_cap():
-    _shared_walk.cache_clear()
-    rng = SplitMix64(0xCAC4E)
-    for seed in range(12):
-        aut = random_automaton(GenParams(2 + seed % 5, seed, COUNTED, DLimit.const(2)))
-        for word in words_upto(aut.input_alphabet, 7):
+def test_compose_memo_stays_within_its_cap():
+    # after every run the memo is at most the cap, and only then is it
+    # emptied; large machines pass the cap within a few runs
+    cleared = 0
+    for seed in range(16):
+        q = (2, 3, 5, 32, 64)[seed % 5]
+        aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
+        memo = aut.compiled.compose_memo
+        words = list(words_upto(aut.input_alphabet, 6 if q < 32 else 3))
+        words += random_words(aut.input_alphabet, 8, 20, 64, seed)
+        for word in words:
+            before = len(memo)
             run_linear(aut, word)
-            assert _shared_walk.cache_info().currsize <= COMPOSE_CACHE_SIZE
-    for _ in range(400):
-        q = 1 + rng.below(SHARED_WALK_MAX_Q)
-        compose_full(_rand_map(rng, q), _rand_map(rng, q), {})
-    info = _shared_walk.cache_info()
-    assert info.maxsize == COMPOSE_CACHE_SIZE
-    assert info.misses > COMPOSE_CACHE_SIZE  # the sweep did evict
-    assert info.currsize == COMPOSE_CACHE_SIZE
-    # larger maps walk without entering the cache
-    q = SHARED_WALK_MAX_Q + 1
-    compose_full(_rand_map(rng, q), _rand_map(rng, q), {})
-    assert _shared_walk.cache_info() == info
+            assert 4 * q * len(memo) <= COMPOSE_MEMO_SLOTS
+            cleared += len(memo) < before
+    assert cleared > 0
+    # a run cut short by its step budget ends all the same
+    params = GenParams(64, 29, COUNTED, DLimit.const(2))
+    word = random_words(("a", "b"), 1, 64, 64, 29)[0]
+    full = run_linear(random_automaton(params), word)
+    assert 4 * 64 * full.compose_walks > COMPOSE_MEMO_SLOTS
+    aut = random_automaton(params)
+    with pytest.raises(BudgetExceeded):
+        run_linear(aut, word, max_steps=full.steps - 1)
+    assert 4 * 64 * len(aut.compiled.compose_memo) <= COMPOSE_MEMO_SLOTS
 
 
 def test_associativity():
@@ -210,7 +220,8 @@ def _map_pairs(draw):
 def test_compose_steps_within_4q_and_matches_oracle(maps):
     f, g = maps
     r = compose_full(f, g)
-    assert r.edges == 4 * f.q_count  # every part entry is stepped from exactly once
+    # one step per origin, plus one per transition; kept marks bound those
+    assert 4 * f.q_count <= r.edges <= 8 * f.q_count
     assert (r.h.table, r.dep) == oracle_compose(f, g)
 
 
@@ -219,16 +230,18 @@ def _loopy_map(rng, q):
                                for _ in range(2 * q)))
 
 
-# Per |Q|: (sum of edges, digest of every h table and dep table), recorded
-# with the glued-graph walk that the fused kernel replaced.
+# Per |Q|: (sum of edges, digest of every h table and dep table).  The
+# digests were recorded with the glued-graph walk that the fused kernel
+# replaced; the sums count walk loop iterations, each checked against an
+# independent shared-mark path count.
 _KERNEL_GOLDEN = {
-    1: (1600, "bee8ddd8fe6b4b2c"),
-    2: (3200, "1c0632ff7bf36b87"),
-    3: (4800, "a1613a468d70547d"),
-    6: (9600, "da17a26163d24e22"),
-    8: (12800, "80235e198876f8e0"),
-    32: (51200, "b2606670b7a6f5ed"),
-    64: (102400, "49bc31d88958aea1"),
+    1: (2153, "bee8ddd8fe6b4b2c"),
+    2: (4254, "1c0632ff7bf36b87"),
+    3: (6454, "a1613a468d70547d"),
+    6: (12844, "da17a26163d24e22"),
+    8: (17192, "80235e198876f8e0"),
+    32: (68381, "b2606670b7a6f5ed"),
+    64: (137165, "49bc31d88958aea1"),
 }
 
 

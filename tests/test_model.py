@@ -3,7 +3,7 @@ import pytest
 from limla.model import (
     Automaton, DLimit, ID, LOG2, SQRT, Transition,
     COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
-    d_of, validate_automaton,
+    d_of, validate_automaton, word_indices,
 )
 from limla.zoo import ZOO
 
@@ -154,3 +154,15 @@ def test_description_len_counts_tokens():
     from limla.fmt import serialize_machine
     assert aut.description_len == len(serialize_machine(aut).split())
     assert aut.description_len > 0
+
+
+def test_word_indices_accepts_only_input_tokens():
+    aut = ZOO["anbn"]()
+    c = aut.compiled
+    assert word_indices(aut, "abba") == [c.sym_index[t] for t in "abba"]
+    assert word_indices(aut, ("a", "b")) == word_indices(aut, "ab")
+    # tape letters and markers are symbols but not input
+    for word, bad in (("abc", "c"), (("a", "a1"), "a1"), (("|>",), "|>"), ((1,), "1")):
+        with pytest.raises(ValueError) as e:
+            word_indices(aut, word)
+        assert str(e.value) == f"symbol {bad!r} is not in the input alphabet"

@@ -5,11 +5,11 @@ import pytest
 from limla.difftest import compare_machine, random_words, words_upto
 from limla.fmt import serialize_machine
 from limla.linear import run_linear
-from limla.model import ACCEPT, DLimit, REJECT, validate_automaton
+from limla.model import ACCEPT, COUNTED, DLimit, REJECT, validate_automaton
 from limla.naive import run_naive
 from limla.rng import SplitMix64
 from limla.zoo import (
-    GenParams, ZOO, build_anbn, build_bouncer, build_even_a_2dfa, build_sweeper,
+    MAX_TRANSITIONS, GenParams, ZOO, build_anbn, build_bouncer, build_even_a_2dfa, build_sweeper,
     random_automaton,
 )
 
@@ -117,6 +117,11 @@ def test_gen_params_validation():
         random_automaton(GenParams(state_count=1, seed=1, tape_per_rank=0))
     with pytest.raises(ValueError):
         random_automaton(GenParams(state_count=1, seed=1, dlimit=DLimit("id")))
+    # more transitions than the generator draws: refused before allocating
+    with pytest.raises(ValueError, match="transitions"):
+        random_automaton(GenParams(state_count=2, seed=1, dlimit=DLimit.const(10 ** 11)))
+    with pytest.raises(ValueError, match="transitions"):
+        random_automaton(GenParams(state_count=MAX_TRANSITIONS, seed=1, mode=COUNTED))
 
 
 def test_splitmix64_reference_sequence():
