@@ -14,7 +14,7 @@ from . import bench as benchmod
 from .difftest import DiffStats, compare_run, random_words, words_upto
 from .fmt import FormatError, parse_dlimit, parse_machine, serialize_machine
 from .linear import run_linear
-from .model import COUNTED, RANKED, validate_automaton
+from .model import COUNTED, RANKED, validate_automaton, word_indices
 from .naive import run_naive
 from .outcome import BudgetExceeded, write_trace
 from .rng import SplitMix64
@@ -72,20 +72,18 @@ def _parse_word(args, aut) -> tuple | None:
     if args.input is not None and args.input_tokens is not None:
         print("error: give either --input or --input-tokens, not both", file=sys.stderr)
         return None
-    if args.input_tokens is not None:
-        toks = tuple(t for t in args.input_tokens.split(",") if t)
-    elif args.input is not None:
-        if "," in args.input:
-            toks = tuple(t for t in args.input.split(",") if t)
-        else:
-            toks = tuple(args.input)
-    else:
+    text = args.input if args.input_tokens is None else args.input_tokens
+    if text is None:
         toks = ()
-    allowed = set(aut.input_alphabet)
-    for t in toks:
-        if t not in allowed:
-            print(f"error: symbol {t!r} is not in the input alphabet", file=sys.stderr)
-            return None
+    elif args.input_tokens is not None or "," in text:
+        toks = tuple(t for t in text.split(",") if t)
+    else:
+        toks = tuple(text)
+    try:
+        word_indices(aut, toks)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None
     return toks
 
 
@@ -180,18 +178,17 @@ def _dump_reproducer(outdir: str, aut, div) -> None:
         fp.write(serialize_machine(aut))
     with open(os.path.join(outdir, "word.txt"), "w", encoding="utf-8") as fp:
         fp.write(",".join(div.word) + "\n")
-    if div.naive is not None and div.naive.trace is not None:
-        write_trace(aut, div.naive, "naive", os.path.join(outdir, "naive.trace.jsonl"))
-    if div.linear is not None and div.linear.trace is not None:
-        write_trace(aut, div.linear, "linear", os.path.join(outdir, "linear.trace.jsonl"))
+    runs = (("naive", div.naive), ("linear", div.linear))
+    for engine, out in runs:
+        if out is not None and out.trace is not None:
+            write_trace(aut, out, engine, os.path.join(outdir, f"{engine}.trace.jsonl"))
     with open(os.path.join(outdir, "diff.txt"), "w", encoding="utf-8") as fp:
         fp.write(f"kind: {div.kind}\n")
         fp.write(f"word: {','.join(div.word)}\n")
         fp.write(f"detail: {div.detail}\n")
-        if div.naive is not None:
-            fp.write(f"naive verdict: {div.naive.verdict} steps: {div.naive.steps}\n")
-        if div.linear is not None:
-            fp.write(f"linear verdict: {div.linear.verdict} steps: {div.linear.steps}\n")
+        for engine, out in runs:
+            if out is not None:
+                fp.write(f"{engine} verdict: {out.verdict} steps: {out.steps}\n")
 
 
 def cmd_fuzz(args) -> int:

@@ -78,9 +78,8 @@ def cf_idx(c, s: int) -> SegmentMap:
         to_tab, mv_tab = c.to_tab, c.mv_tab
         for q in range(c.n_states):
             k = q * w + s
-            out = 2 * to_tab[k] + mv_tab[k]
-            tab[2 * q] = out      # one step always leaves a one-cell segment,
-            tab[2 * q + 1] = out  # so the entry side is irrelevant
+            # one step always leaves a one-cell segment: the entry side is irrelevant
+            tab[2 * q] = tab[2 * q + 1] = 2 * to_tab[k] + mv_tab[k]
         m = SegmentMap(c.n_states, tuple(tab))
         c.cf_cache[s] = m
     return m
@@ -110,13 +109,18 @@ class CompositionResult(NamedTuple):
 
 
 class CompositionMemo(dict):
-    """One machine's compositions: (f.table, g.table) -> [result, the last
-    run to request the pair]; walks counts the pairs the current run requested."""
+    """One machine's compositions: f.table -> {g.table: [result, the last run
+    to request the pair]}; pairs counts the pairs held and walks the pairs
+    the current run requested."""
 
-    __slots__ = ("run", "walks")
+    __slots__ = ("run", "walks", "pairs")
 
     def __init__(self):
-        self.run = self.walks = 0
+        self.run = self.walks = self.pairs = 0
+
+    def clear(self):
+        super().clear()
+        self.pairs = 0
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = None
@@ -131,10 +135,14 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = No
     """
     if memo is None:
         return _walk_glued(f.table, g.table)
-    key = (f.table, g.table)
-    e = memo.get(key)
+    ft, gt = f.table, g.table
+    row = memo.get(ft)
+    if row is None:
+        row = memo[ft] = {}
+    e = row.get(gt)
     if e is None:
-        e = memo[key] = [_walk_glued(*key), -1]
+        e = row[gt] = [_walk_glued(ft, gt), -1]
+        memo.pairs += 1
     if e[1] != memo.run:
         e[1] = memo.run
         memo.walks += 1

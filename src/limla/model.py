@@ -157,7 +157,7 @@ class CompiledAutomaton:
     mv_tab: list
     ranks: tuple
     cf_cache: dict
-    compose_memo: CompositionMemo    # (f.table, g.table) -> walk (mapping.compose_full)
+    compose_memo: CompositionMemo    # f.table -> {g.table: walk} (mapping.compose_full)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
     shadow_slots: int = 0    # letters plus table entries held in shadow_cache
 
@@ -213,10 +213,15 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
 
 def word_indices(aut: Automaton, word) -> list:
     """Symbol indices of a word (a str is one token per char); rejects
-    tokens outside the input alphabet."""
+    tokens outside the input alphabet.  Tokens are looked up as given and,
+    only if one misses, all again as str()."""
     index = aut.compiled.input_index
+    word = word if isinstance(word, (str, tuple, list)) else tuple(word)
     try:
-        return [index[t] for t in (word if isinstance(word, str) else map(str, word))]
+        try:
+            return [index[t] for t in word]
+        except (KeyError, TypeError):
+            return [index[t] for t in map(str, word)]
     except KeyError as e:
         raise ValueError(f"symbol {e.args[0]!r} is not in the input alphabet") from None
 

@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 from limla.cli import main
+from limla.fmt import parse_machine
+from limla.model import word_indices
 
 MACHINES = pathlib.Path(__file__).resolve().parents[1] / "machines"
 ANBN = str(MACHINES / "anbn.limla")
@@ -59,6 +61,17 @@ def test_run_engines_agree_on_verdict(capsys):
 def test_run_symbol_outside_alphabet(capsys):
     assert main(["run", ANBN, "--input", "abc"]) == 2
     assert "not in the input alphabet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokens, bad", [("a,zz,b", "zz"), ("a,A", "A"), ("b,<|", "<|")])
+def test_run_rejects_what_word_indices_rejects(capsys, tokens, bad):
+    # one rule and one message: a tape-only letter or a marker is no input token
+    aut = parse_machine(pathlib.Path(ANBN).read_text())
+    with pytest.raises(ValueError) as e:
+        word_indices(aut, tuple(tokens.split(",")))
+    assert str(e.value) == f"symbol {bad!r} is not in the input alphabet"
+    assert main(["run", ANBN, "--input-tokens", tokens]) == 2
+    assert capsys.readouterr().err == f"error: {e.value}\n"
 
 
 def test_run_input_tokens_form(capsys):

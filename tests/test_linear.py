@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -9,11 +10,12 @@ from limla.linear import SHADOW_MEMO_SLOTS, ShadowMismatch, deletion_scan, run_l
 import limla.mapping as mapping_mod
 from limla.mapping import SegmentMap, cf, compose_full
 from limla.model import (
-    ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, REJECT, RIGHT,
+    ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, RANKED, REJECT, RIGHT,
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER,
 )
 from limla.naive import run_naive
 from limla.outcome import BudgetExceeded, regular_trace, write_trace
+from limla.rng import SplitMix64
 from limla.tape import DELETED, SEGMAP, ListTape
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
@@ -402,3 +404,90 @@ def test_shadow_memo_stays_within_its_slot_cap():
     assert c.shadow_cache
     assert c.shadow_slots == sum(len(k) + len(v) for k, v in c.shadow_cache.items())
     assert c.shadow_slots <= SHADOW_MEMO_SLOTS
+
+
+def _seam_calls(monkeypatch, aut, word):
+    """Run untraced, counting the calls made through the module names
+    linear.deletion_scan and linear.compose_full, as any wrapper installed
+    on them (a tracer, a test) would see them."""
+    calls = {"scan": 0, "compose": 0}
+    real_scan, real_compose = linear_mod.deletion_scan, linear_mod.compose_full
+
+    def scan(*args):
+        calls["scan"] += 1
+        return real_scan(*args)
+
+    def compose(*args):
+        calls["compose"] += 1
+        return real_compose(*args)
+
+    monkeypatch.setattr(linear_mod, "deletion_scan", scan)
+    monkeypatch.setattr(linear_mod, "compose_full", compose)
+    out = run_linear(aut, word)
+    monkeypatch.undo()
+    return out, calls
+
+
+@pytest.mark.parametrize("case", ["even_a", "anbn", "log2", "sqrt", "id"])
+def test_every_scan_and_merge_goes_through_its_module_name(monkeypatch, case):
+    # the sweep may skip the main loop, never the seams: one deletion_scan
+    # call per scan and one compose_full call per merge, memo hits included
+    if case == "even_a":
+        aut = build_even_a_2dfa()
+        word = random_words(aut.input_alphabet, 1, 1024, 1024, 0x5EED)[0]
+    elif case == "anbn":
+        aut, word = build_anbn(), "a" * 128 + "b" * 128
+    else:
+        seed = {"log2": 2, "sqrt": 37, "id": 56}[case]
+        aut = random_automaton(GenParams(4, seed, COUNTED, DLimit(case)))
+        word = random_words(aut.input_alphabet, 1, 64, 64, seed)[0]
+    out, calls = _seam_calls(monkeypatch, aut, word)
+    assert out.scans >= 20 and out.compose_calls >= 20
+    assert calls == {"scan": out.scans, "compose": out.compose_calls}
+
+
+_D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
+             + [(COUNTED, DLimit.const(k)) for k in (0, 1, 2, 4)]
+             + [(COUNTED, DLimit(k)) for k in ("log2", "sqrt", "id")])
+
+
+def _outcome_or_budget(aut, word, k, trace):
+    try:
+        return dataclasses.replace(run_linear(aut, word, trace=trace, max_steps=k), trace=None)
+    except BudgetExceeded as e:
+        return e.steps
+
+
+def _assert_sweep_matches_general_path(aut, words, budget_words):
+    # a traced run always takes the general path; an untraced one sweeps
+    for word in words:
+        general = run_linear(aut, word, trace=True)
+        assert run_linear(aut, word) == dataclasses.replace(general, trace=None), word
+    for word in budget_words:
+        full = _outcome_or_budget(aut, word, None, False)
+        for k in range(full.steps + 1):
+            # BudgetExceeded(k), or the whole run if it ends within k steps
+            got = _outcome_or_budget(aut, word, k, True)
+            assert got == k or (k == full.steps and got == full), (word, k)
+            assert _outcome_or_budget(aut, word, k, False) == got, (word, k)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_sweep_matches_general_path_on_zoo(name):
+    aut = ZOO[name]()
+    words = list(words_upto(aut.input_alphabet, 6))
+    words += random_words(aut.input_alphabet, 4, 200, 600, 17)
+    budget_words = random_words(aut.input_alphabet, 3, 6, 24, 19)
+    _assert_sweep_matches_general_path(aut, words, budget_words)
+
+
+@pytest.mark.parametrize("mode, dlimit", _D_LIMITS,
+                         ids=[f"{m}-{d.token()}" for m, d in _D_LIMITS])
+def test_sweep_matches_general_path_on_random_machines(mode, dlimit):
+    rng = SplitMix64(0x5EE9)
+    for q in (1, 2, 3, 4, 6):
+        aut = random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
+        words = list(words_upto(aut.input_alphabet, 4))
+        words += random_words(aut.input_alphabet, 6, 8, 96, rng.next_u64())
+        budget_words = random_words(aut.input_alphabet, 3, 6, 20, rng.next_u64())
+        _assert_sweep_matches_general_path(aut, words, budget_words)
