@@ -47,8 +47,6 @@ GENERATORS = ("anbn", "unary", "random")
 def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
     """Deterministic benchmark word of the given total length."""
     alphabet = aut.input_alphabet
-    if kind in ("unary", "random") and not alphabet:
-        raise ValueError(f"{kind} generator needs a non-empty input alphabet")
     if kind == "anbn":
         if "a" not in alphabet or "b" not in alphabet:
             raise ValueError("anbn generator needs 'a' and 'b' in the input alphabet")
@@ -57,8 +55,12 @@ def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
         half = length // 2
         return ("a",) * half + ("b",) * half
     if kind == "unary":
+        if not alphabet:
+            raise ValueError("unary generator needs a non-empty input alphabet")
         return (alphabet[0],) * length
     if kind == "random":
+        if not alphabet:
+            raise ValueError("random generator needs a non-empty input alphabet")
         rng = SplitMix64(seed + length)
         return tuple(alphabet[rng.below(len(alphabet))] for _ in range(length))
     raise ValueError(f"unknown generator {kind!r}")

@@ -72,13 +72,15 @@ def _parse_word(args, aut) -> tuple | None:
     if args.input is not None and args.input_tokens is not None:
         print("error: give either --input or --input-tokens, not both", file=sys.stderr)
         return None
-    text = args.input if args.input_tokens is None else args.input_tokens
-    if text is None:
-        toks = ()
-    elif args.input_tokens is not None or "," in text:
-        toks = tuple(t for t in text.split(",") if t)
+    if args.input_tokens is not None:
+        toks = tuple(t for t in args.input_tokens.split(",") if t)
+    elif args.input is not None:
+        if "," in args.input:
+            toks = tuple(t for t in args.input.split(",") if t)
+        else:
+            toks = tuple(args.input)
     else:
-        toks = tuple(text)
+        toks = ()
     try:
         word_indices(aut, toks)
     except ValueError as e:
@@ -178,17 +180,18 @@ def _dump_reproducer(outdir: str, aut, div) -> None:
         fp.write(serialize_machine(aut))
     with open(os.path.join(outdir, "word.txt"), "w", encoding="utf-8") as fp:
         fp.write(",".join(div.word) + "\n")
-    runs = (("naive", div.naive), ("linear", div.linear))
-    for engine, out in runs:
-        if out is not None and out.trace is not None:
-            write_trace(aut, out, engine, os.path.join(outdir, f"{engine}.trace.jsonl"))
+    if div.naive is not None and div.naive.trace is not None:
+        write_trace(aut, div.naive, "naive", os.path.join(outdir, "naive.trace.jsonl"))
+    if div.linear is not None and div.linear.trace is not None:
+        write_trace(aut, div.linear, "linear", os.path.join(outdir, "linear.trace.jsonl"))
     with open(os.path.join(outdir, "diff.txt"), "w", encoding="utf-8") as fp:
         fp.write(f"kind: {div.kind}\n")
         fp.write(f"word: {','.join(div.word)}\n")
         fp.write(f"detail: {div.detail}\n")
-        for engine, out in runs:
-            if out is not None:
-                fp.write(f"{engine} verdict: {out.verdict} steps: {out.steps}\n")
+        if div.naive is not None:
+            fp.write(f"naive verdict: {div.naive.verdict} steps: {div.naive.steps}\n")
+        if div.linear is not None:
+            fp.write(f"linear verdict: {div.linear.verdict} steps: {div.linear.steps}\n")
 
 
 def cmd_fuzz(args) -> int:

@@ -40,10 +40,10 @@ class ShadowMismatch(Exception):
 # would pass the cap empties the memo first.
 SHADOW_MEMO_SLOTS = 1 << 12
 
-# Cap on a machine's composition memo, in slots: 4|Q| per stored pair (h and
-# dep; its key tables are maps the memo or cf_cache holds).  Checked only when
-# a run ends, emptying a memo past the cap, so a run is never evicted from and
-# between runs the memo stays under 0.1 MB (at most 66 KB measured, |Q| = 2).
+# Cap on a machine's composition memo, in slots: 4|Q| per entry (h and dep;
+# its key tables are maps the memo or cf_cache holds), at most about 70 bytes
+# each.  Checked only when a run ends, emptying a memo past the cap, so a run
+# is never evicted from and between runs the memo stays under 0.1 MB.
 COMPOSE_MEMO_SLOTS = 1 << 10
 
 
@@ -65,12 +65,10 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     """
     kind = tape.kind
     fmap = tape.fmap
-    prev = tape.prev
-    nxt = tape.nxt
     memo = tape.compiled.compose_memo
     calls = edges = 0
 
-    left = prev[i]
+    left = tape.prev[i]
     if kind[left] == SEGMAP:
         comp = compose_full(fmap[left], g, memo)
         calls = 1
@@ -80,11 +78,9 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
             if p < 0:
                 return p, calls, edges
         g = comp.h
-        kind[left], fmap[left] = DELETED, None  # ListTape.unlink, in place
-        prev[i] = left = prev[left]
-        nxt[left] = i
+        tape.unlink(left)
 
-    right = nxt[i]
+    right = tape.nxt[i]
     if kind[right] == SEGMAP:
         comp = compose_full(g, fmap[right], memo)
         calls += 1
@@ -95,9 +91,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
             if p < 0:
                 return p, calls, edges
         g = comp.h
-        kind[right], fmap[right] = DELETED, None
-        nxt[i] = right = nxt[right]
-        prev[right] = i
+        tape.unlink(right)
 
     kind[i] = SEGMAP
     fmap[i] = g
@@ -137,16 +131,17 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     With shadow=True a parallel letter array mirrors what the reference
     tape would hold, and after every deletion scan the stored map is
     compared against the brute-force description of its segment
-    (ShadowMismatch on any disagreement; descriptions are memoized per
-    machine, SHADOW_MEMO_SLOTS).  Verdicts always match run_naive; steps
-    count letter moves, scans, map jumps and marker moves.
+    (ShadowMismatch on any disagreement).  The descriptions are memoized
+    per machine on the letters of the segment (SHADOW_MEMO_SLOTS), but the
+    comparison runs after every scan.  Verdicts always match
+    run_naive; steps count letter moves, scans, map jumps and marker moves.
 
-    With trace and shadow off, a scan that exits right onto a letter goes
-    straight on to it, without a round of the main loop: the sweep goes on
-    while each visit freezes its cell and stops after any other visit, at a
-    leftward or looping exit, or at max_steps.  Each scan is still one call
-    to deletion_scan and each merge one call to compose_full, both looked
-    up by name at call time, so wrappers installed on them see every call.
+    A scan that exits right onto a letter goes straight on to it, without a
+    round of the main loop: the sweep goes on while each visit freezes its
+    cell and stops after any other visit, at a leftward or looping exit, or
+    at max_steps.  Each scan is still one call to deletion_scan and each
+    merge one call to compose_full, both looked up by name at call time, so
+    wrappers installed on them see every call.
     """
     c = aut.compiled
     tape = ListTape.from_word(aut, word)
@@ -154,8 +149,12 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     memo.run += 1
     memo.walks = 0
     n = tape.n
-    kind, sym, visits = tape.kind, tape.sym, tape.visits
-    fmap, prev, nxt = tape.fmap, tape.prev, tape.nxt
+    kind = tape.kind
+    sym = tape.sym
+    visits = tape.visits
+    fmap = tape.fmap
+    prev = tape.prev
+    nxt = tape.nxt
 
     width = c.width
     nq = c.n_states
@@ -172,13 +171,16 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     pos = 1
     steps = 0
     letter_moves = map_jumps = scans = marker_moves = 0
-    writes = last_write = compose_calls = edges_max = 0
+    writes = 0
+    last_write = 0
     cell_writes = [0] * (n + 2)
+    compose_calls = 0
+    edges_max = 0
     stretch = set()
     tr = [] if trace else None
     shadow_letters = list(sym[1:n + 1]) if shadow else None
-    sweep = not (trace or shadow)
-    verdict = reason = None
+    verdict = None
+    reason = None
 
     if pos == n + 1 and accepting[state]:
         verdict = ACCEPT
@@ -197,7 +199,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     mv = mv_tab[k]
                     v = visits[pos] + 1
                     visits[pos] = v
-                    if not ((ranks[w] == d_n) if ranked else (v >= d_n)):
+                    freeze = (ranks[w] == d_n) if ranked else (v >= d_n)
+                    if not freeze:
                         sym[pos] = w
                         if w != s:
                             writes += 1
@@ -218,6 +221,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         writes += 1
                         cell_writes[pos] += 1
                         last_write = steps + 1
+                    was_frozen = (not ranked) and (v - 1 >= d_n)
                     g = cf_cache.get(x) or cf_idx(c, x)
                     if tr is not None:
                         left, right = prev[pos], nxt[pos]
@@ -227,8 +231,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     if edges > edges_max:
                         edges_max = edges
                     if tr is not None:
-                        tr.append((steps + 1, pos, state, s, x, mv, (not ranked) and v > d_n,
-                                   1, kind[left] == DELETED, kind[right] == DELETED,
+                        tr.append((steps + 1, pos, state, s, x, mv, was_frozen, 1,
+                                   kind[left] == DELETED, kind[right] == DELETED,
                                    prev[pos] + 1, nxt[pos] - 1))
                     steps += 1
                     if out < 0:
@@ -241,45 +245,53 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         assert kind[prev[pos]] != SEGMAP and kind[nxt[pos]] != SEGMAP
                     state = out >> 1
                     dr = out & 1
-                    if dr or not sweep or kind[nxt[pos]] != LETTER or (
+                    if dr != RIGHT or kind[nxt[pos]] != LETTER or (
                             max_steps is not None and steps >= max_steps):
                         break
                     pos = nxt[pos]
                 if verdict is not None:
                     break
-            else:  # a map or a marker: both feed the stretch detector
+            elif k0 == SEGMAP:
                 key = ((pos * nq + state) << 1) | dr
                 if key in stretch:
                     verdict, reason = REJECT, LOOP_DETECTED
                     break
                 stretch.add(key)
+                out = fmap[pos].table[2 * state + dr]
+                map_jumps += 1
                 steps += 1
-                if k0 == SEGMAP:
-                    out = fmap[pos].table[2 * state + dr]
-                    map_jumps += 1
-                    if out < 0:
-                        verdict, reason = REJECT, MAP_LOOP
-                        break
-                    if tr is not None:
-                        tr.append((steps, pos, state, -2, -2, out & 1, True,
-                                   2, False, False, -1, -1))
-                    state = out >> 1
-                    dr = out & 1
-                else:
-                    s = sym[pos]
-                    k = state * width + s
-                    dr = mv_tab[k]
-                    if tr is not None:
-                        tr.append((steps, pos, state, s, s, dr, False, 0, False, False, -1, -1))
-                    visits[pos] += 1
-                    marker_moves += 1
-                    state = to_tab[k]
+                if out < 0:
+                    verdict, reason = REJECT, MAP_LOOP
+                    break
+                if tr is not None:
+                    tr.append((steps, pos, state, -2, -2, out & 1, True,
+                               2, False, False, -1, -1))
+                state = out >> 1
+                dr = out & 1
+            else:  # marker
+                key = ((pos * nq + state) << 1) | dr
+                if key in stretch:
+                    verdict, reason = REJECT, LOOP_DETECTED
+                    break
+                stretch.add(key)
+                s = sym[pos]
+                k = state * width + s
+                ns = to_tab[k]
+                mv = mv_tab[k]
+                if tr is not None:
+                    tr.append((steps + 1, pos, state, s, s, mv, False,
+                               0, False, False, -1, -1))
+                visits[pos] += 1
+                marker_moves += 1
+                steps += 1
+                state = ns
+                dr = mv
             pos = prev[pos] if dr == 1 else nxt[pos]
             if pos == n + 1 and accepting[state]:
                 verdict = ACCEPT
                 break
 
-    if 4 * nq * memo.pairs > COMPOSE_MEMO_SLOTS:
+    if 4 * nq * len(memo) > COMPOSE_MEMO_SLOTS:
         memo.clear()
     if verdict is None:
         raise BudgetExceeded(steps)

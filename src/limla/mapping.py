@@ -78,8 +78,9 @@ def cf_idx(c, s: int) -> SegmentMap:
         to_tab, mv_tab = c.to_tab, c.mv_tab
         for q in range(c.n_states):
             k = q * w + s
-            # one step always leaves a one-cell segment: the entry side is irrelevant
-            tab[2 * q] = tab[2 * q + 1] = 2 * to_tab[k] + mv_tab[k]
+            out = 2 * to_tab[k] + mv_tab[k]
+            tab[2 * q] = out      # one step always leaves a one-cell segment,
+            tab[2 * q + 1] = out  # so the entry side is irrelevant
         m = SegmentMap(c.n_states, tuple(tab))
         c.cf_cache[s] = m
     return m
@@ -109,18 +110,13 @@ class CompositionResult(NamedTuple):
 
 
 class CompositionMemo(dict):
-    """One machine's compositions: f.table -> {g.table: [result, the last run
-    to request the pair]}; pairs counts the pairs held and walks the pairs
-    the current run requested."""
+    """One machine's compositions: (f.table, g.table) -> [result, the last
+    run to request the pair]; walks counts the pairs the current run requested."""
 
-    __slots__ = ("run", "walks", "pairs")
+    __slots__ = ("run", "walks")
 
     def __init__(self):
-        self.run = self.walks = self.pairs = 0
-
-    def clear(self):
-        super().clear()
-        self.pairs = 0
+        self.run = self.walks = 0
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = None
@@ -135,14 +131,10 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = No
     """
     if memo is None:
         return _walk_glued(f.table, g.table)
-    ft, gt = f.table, g.table
-    row = memo.get(ft)
-    if row is None:
-        row = memo[ft] = {}
-    e = row.get(gt)
+    key = (f.table, g.table)
+    e = memo.get(key)
     if e is None:
-        e = row[gt] = [_walk_glued(ft, gt), -1]
-        memo.pairs += 1
+        e = memo[key] = [_walk_glued(*key), -1]
     if e[1] != memo.run:
         e[1] = memo.run
         memo.walks += 1

@@ -157,7 +157,7 @@ class CompiledAutomaton:
     mv_tab: list
     ranks: tuple
     cf_cache: dict
-    compose_memo: CompositionMemo    # f.table -> {g.table: walk} (mapping.compose_full)
+    compose_memo: CompositionMemo    # (f.table, g.table) -> walk (mapping.compose_full)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
     shadow_slots: int = 0    # letters plus table entries held in shadow_cache
 

@@ -101,7 +101,11 @@ def trace_records(aut, outcome: RunOutcome, engine: str):
                 rec["merged_right"] = bool(t[9])
                 rec["segment"] = [t[10], t[11]]
         yield rec
-    final = {"verdict": outcome.verdict, "reason": outcome.reason, "steps": outcome.steps}
+    final = {
+        "verdict": outcome.verdict,
+        "reason": outcome.reason,
+        "steps": outcome.steps,
+    }
     if engine == "linear":
         final["compose_walks"] = outcome.compose_walks
     yield final

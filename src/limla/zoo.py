@@ -233,13 +233,18 @@ def random_automaton(p: GenParams) -> Automaton:
                 tok = f"x{r}_{j}"
                 tape.append(tok)
                 ranks[tok] = r
-        by_rank_above = {r: [t for t in tape if ranks[t] > r] for r in range(d)}
     else:
         for j in range(p.tape_per_rank):
             tape.append(f"y{j}")
     tape = tuple(tape)
 
     accepting = tuple(s for s in states if rng.below(2) == 1)
+
+    by_rank_above: dict = {}
+    if p.mode == RANKED:
+        d = p.dlimit.k
+        for r in range(d):
+            by_rank_above[r] = [t for t in tape if ranks[t] > r]
 
     rows = []
     for q in states:
@@ -249,15 +254,18 @@ def random_automaton(p: GenParams) -> Automaton:
                 rows.append((q, s, to, s, "R"))
             elif s == RIGHT_MARKER:
                 rows.append((q, s, to, s, "L"))
+            elif p.mode == RANKED and ranks[s] < p.dlimit.k:
+                cands = by_rank_above[ranks[s]]
+                wr = cands[rng.below(len(cands))]
+                mv = "R" if rng.below(2) == 0 else "L"
+                rows.append((q, s, to, wr, mv))
+            elif p.mode == RANKED:
+                mv = "R" if rng.below(2) == 0 else "L"
+                rows.append((q, s, to, s, mv))
             else:
-                if p.mode == COUNTED:
-                    wr = tape[rng.below(len(tape))]
-                elif ranks[s] < p.dlimit.k:
-                    cands = by_rank_above[ranks[s]]
-                    wr = cands[rng.below(len(cands))]
-                else:
-                    wr = s
-                rows.append((q, s, to, wr, "R" if rng.below(2) == 0 else "L"))
+                wr = tape[rng.below(len(tape))]
+                mv = "R" if rng.below(2) == 0 else "L"
+                rows.append((q, s, to, wr, mv))
 
     return _machine(p.mode, p.dlimit, states, input_syms, tape, ranks,
                     states[0], accepting, rows)

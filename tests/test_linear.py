@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -451,43 +452,68 @@ _D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
              + [(COUNTED, DLimit(k)) for k in ("log2", "sqrt", "id")])
 
 
-def _outcome_or_budget(aut, word, k, trace):
-    try:
-        return dataclasses.replace(run_linear(aut, word, trace=trace, max_steps=k), trace=None)
-    except BudgetExceeded as e:
-        return e.steps
+# sha256 of _fingerprint at the engine before the sweep, which went round
+# its main loop once per step: sweeping leaves every outcome and trace as
+# it was.  Recompute only for a change that means to alter them.
+_FINGERPRINTS = {
+    "zoo-anbn": "ead0ce73a0cf82c622cec76b5a79f77d3b353c6def7a38881cdc1e599d35f138",
+    "zoo-bouncer": "c28404c977521af5dcb7e88db712305fda9f0a3dd89fd5a5e8bd8540d6c780ea",
+    "zoo-even_a": "4ea616ab9a34b79e58da6694c1f43ce19b1f7ee1d56b82ff434296a91ea92970",
+    "zoo-sweeper": "2a04626c372776be30111a90f199d55730532ec919a0304c33640e6f4e7d8828",
+    "ranked-0": "b8e38933c3d6167403dea29a53a91e779c0375e495a84483966e17b2ad12b24f",
+    "ranked-1": "8c8b3892d51ba9f94a1483b12ecda57b34af5a650bf9cf96a20e977accc311c8",
+    "ranked-2": "e9a854b59b3c13a9146566269a847cd0be1bbcd82e4746b3f8510a249be13e60",
+    "ranked-3": "050e72a9d2dd84b9e2ef0607ea5bd740c3f638f99a6cc46c2520f3579da89e96",
+    "counted-0": "4561e43c9b118d2423b940fb1b8034b0cc0650067be886d586ff20a0f942265a",
+    "counted-1": "291b5be3e469e8335a432c3cec746f4108e28568779904542b5cf2fc24b67354",
+    "counted-2": "7dfe2eab306bc204f923eb46bbf05a3881c6bc439b0c57f75bd7c120dea2bc58",
+    "counted-4": "b662e4437ce39296e76a755b1f2a3ff6a74d240595d0dece0f3f8ccf7fd375fc",
+    "counted-log2": "ea9850f59d650cca6c10cf0f549ee93a652433321a13c52aa95e6daab4ba6697",
+    "counted-sqrt": "d92a6af22ccd80d445d987171f327a4d094691f44ff519ce45204cc790739d4e",
+    "counted-id": "8cd773c11f4c01be013282c74e05fc8a822d8457bf5604f53cecd7890c436783",
+}
 
 
-def _assert_sweep_matches_general_path(aut, words, budget_words):
-    # a traced run always takes the general path; an untraced one sweeps
+def _fingerprint(aut, words, budget_words) -> str:
+    """Digest of every RunOutcome field, traces included, over the words;
+    checks on the way that tracing changes no outcome and that max_steps=k
+    raises BudgetExceeded(k) for each k short of a run's length."""
+    h = hashlib.sha256()
     for word in words:
-        general = run_linear(aut, word, trace=True)
-        assert run_linear(aut, word) == dataclasses.replace(general, trace=None), word
+        out = run_linear(aut, word, trace=True)
+        assert run_linear(aut, word) == dataclasses.replace(out, trace=None), word
+        h.update(repr(out).encode())
     for word in budget_words:
-        full = _outcome_or_budget(aut, word, None, False)
+        full = run_linear(aut, word)
         for k in range(full.steps + 1):
-            # BudgetExceeded(k), or the whole run if it ends within k steps
-            got = _outcome_or_budget(aut, word, k, True)
+            try:
+                got = run_linear(aut, word, max_steps=k)
+            except BudgetExceeded as e:
+                got = e.steps
             assert got == k or (k == full.steps and got == full), (word, k)
-            assert _outcome_or_budget(aut, word, k, False) == got, (word, k)
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_sweep_matches_general_path_on_zoo(name):
+def test_sweep_keeps_outcomes_on_zoo(name):
     aut = ZOO[name]()
     words = list(words_upto(aut.input_alphabet, 6))
     words += random_words(aut.input_alphabet, 4, 200, 600, 17)
     budget_words = random_words(aut.input_alphabet, 3, 6, 24, 19)
-    _assert_sweep_matches_general_path(aut, words, budget_words)
+    digest = _fingerprint(aut, words, budget_words)
+    assert _FINGERPRINTS.get(f"zoo-{name}") == digest, digest
 
 
 @pytest.mark.parametrize("mode, dlimit", _D_LIMITS,
                          ids=[f"{m}-{d.token()}" for m, d in _D_LIMITS])
-def test_sweep_matches_general_path_on_random_machines(mode, dlimit):
+def test_sweep_keeps_outcomes_on_random_machines(mode, dlimit):
     rng = SplitMix64(0x5EE9)
+    h = hashlib.sha256()
     for q in (1, 2, 3, 4, 6):
         aut = random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
         words = list(words_upto(aut.input_alphabet, 4))
         words += random_words(aut.input_alphabet, 6, 8, 96, rng.next_u64())
         budget_words = random_words(aut.input_alphabet, 3, 6, 20, rng.next_u64())
-        _assert_sweep_matches_general_path(aut, words, budget_words)
+        h.update(_fingerprint(aut, words, budget_words).encode())
+    digest = h.hexdigest()
+    assert _FINGERPRINTS.get(f"{mode}-{dlimit.token()}") == digest, digest
