@@ -7,7 +7,6 @@ as a secondary column and excluded from any determinism checks.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import statistics
 import time
@@ -80,21 +79,12 @@ def run_bench(aut, machine_id: str, engines, lengths, gen: str, seed: int = 0) -
     return rows
 
 
-def write_csv(rows, dest) -> None:
-    if hasattr(dest, "write"):
-        w = csv.writer(dest)
-        w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow([r.machine, r.engine, r.n, r.steps, r.wall_ns, r.verdict])
-    else:
-        with open(dest, "w", newline="", encoding="utf-8") as fp:
-            write_csv(rows, fp)
-
-
-def csv_text(rows) -> str:
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    return buf.getvalue()
+def write_csv(rows, fp) -> None:
+    """Write the rows as CSV, header first, to an open text file."""
+    w = csv.writer(fp)
+    w.writerow(CSV_HEADER)
+    for r in rows:
+        w.writerow([r.machine, r.engine, r.n, r.steps, r.wall_ns, r.verdict])
 
 
 def fit_scaling(rows) -> ScalingFit:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 
@@ -35,6 +36,9 @@ def _load(path: str):
             text = fp.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as e:
+        print(f"error: {path}: {e}", file=sys.stderr)
         return None
     try:
         return parse_machine(text)
@@ -180,10 +184,11 @@ def _dump_reproducer(outdir: str, aut, div) -> None:
         fp.write(serialize_machine(aut))
     with open(os.path.join(outdir, "word.txt"), "w", encoding="utf-8") as fp:
         fp.write(",".join(div.word) + "\n")
-    if div.naive is not None and div.naive.trace is not None:
-        write_trace(aut, div.naive, "naive", os.path.join(outdir, "naive.trace.jsonl"))
-    if div.linear is not None and div.linear.trace is not None:
-        write_trace(aut, div.linear, "linear", os.path.join(outdir, "linear.trace.jsonl"))
+    for engine, out in (("naive", div.naive), ("linear", div.linear)):
+        if out is not None and out.trace is not None:
+            with open(os.path.join(outdir, f"{engine}.trace.jsonl"), "w",
+                      encoding="utf-8") as fp:
+                write_trace(aut, out, engine, fp)
     with open(os.path.join(outdir, "diff.txt"), "w", encoding="utf-8") as fp:
         fp.write(f"kind: {div.kind}\n")
         fp.write(f"word: {','.join(div.word)}\n")
@@ -226,9 +231,9 @@ def cmd_fuzz(args) -> int:
         )
         aut = random_automaton(params)
         cap = min(args.maxlen, _EXHAUSTIVE_CAP)
-        words = list(words_upto(aut.input_alphabet, cap))
-        words += random_words(aut.input_alphabet, _EXTRA_FUZZ_WORDS,
-                              cap + 1, cap + 10, mseed)
+        words = itertools.chain(words_upto(aut.input_alphabet, cap),
+                                random_words(aut.input_alphabet, _EXTRA_FUZZ_WORDS,
+                                             cap + 1, cap + 10, mseed))
         for word in words:
             div = compare_run(aut, word, shadow=True, stats=stats)
             if div is not None:

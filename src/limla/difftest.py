@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .model import ACCEPT, RANKED, d_of
+from .model import ACCEPT, d_of
 from .linear import ShadowMismatch, run_linear
 from .naive import run_naive
 from .outcome import regular_projection
@@ -62,8 +62,7 @@ def projections_agree(verdict: str, pn: list, pl: list) -> bool:
 
 def step_budget(aut, n: int) -> int:
     """Linear-engine iteration allowance for an input of length n."""
-    d_n = aut.dlimit.k if aut.mode == RANKED else d_of(aut.dlimit, n)
-    return 16 * (d_n + 1) * (aut.compiled.n_states + 1) * (n + 2)
+    return 16 * (d_of(aut.dlimit, n) + 1) * (aut.compiled.n_states + 1) * (n + 2)
 
 
 def compare_run(aut, word, *, shadow: bool = True, stats: DiffStats | None = None):
@@ -94,15 +93,3 @@ def compare_run(aut, word, *, shadow: bool = True, stats: DiffStats | None = Non
         return Divergence("trace", word, f"regular projections differ at record {at}", no, lo)
     return None
 
-
-def compare_machine(aut, words, *, shadow: bool = True, stats: DiffStats | None = None,
-                    stop_after: int | None = 1) -> list:
-    """Compare the engines over many words; returns the divergences found."""
-    found = []
-    for word in words:
-        div = compare_run(aut, word, shadow=shadow, stats=stats)
-        if div is not None:
-            found.append(div)
-            if stop_after is not None and len(found) >= stop_after:
-                break
-    return found

@@ -164,7 +164,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     cf_cache = c.cf_cache
 
     ranked = aut.mode == RANKED
-    d_n = aut.dlimit.k if ranked else d_of(aut.dlimit, n)
+    d_n = d_of(aut.dlimit, n)
 
     state = c.start_idx
     dr = RIGHT
@@ -200,12 +200,14 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     v = visits[pos] + 1
                     visits[pos] = v
                     freeze = (ranks[w] == d_n) if ranked else (v >= d_n)
+                    # the letter the cell keeps: w, unless a counted cell is over budget
+                    x = w if (ranked or v <= d_n) else s
+                    if x != s:
+                        writes += 1
+                        cell_writes[pos] += 1
+                        last_write = steps + 1
                     if not freeze:
                         sym[pos] = w
-                        if w != s:
-                            writes += 1
-                            cell_writes[pos] += 1
-                            last_write = steps + 1
                         if tr is not None:
                             tr.append((steps + 1, pos, state, s, w, mv, False,
                                        0, False, False, -1, -1))
@@ -216,11 +218,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         state = ns
                         dr = mv
                         break
-                    x = w if (ranked or v <= d_n) else s
-                    if x != s:
-                        writes += 1
-                        cell_writes[pos] += 1
-                        last_write = steps + 1
                     was_frozen = (not ranked) and (v - 1 >= d_n)
                     g = cf_cache.get(x) or cf_idx(c, x)
                     if tr is not None:
@@ -251,41 +248,37 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     pos = nxt[pos]
                 if verdict is not None:
                     break
-            elif k0 == SEGMAP:
+            else:
                 key = ((pos * nq + state) << 1) | dr
                 if key in stretch:
                     verdict, reason = REJECT, LOOP_DETECTED
                     break
                 stretch.add(key)
-                out = fmap[pos].table[2 * state + dr]
-                map_jumps += 1
-                steps += 1
-                if out < 0:
-                    verdict, reason = REJECT, MAP_LOOP
-                    break
-                if tr is not None:
-                    tr.append((steps, pos, state, -2, -2, out & 1, True,
-                               2, False, False, -1, -1))
-                state = out >> 1
-                dr = out & 1
-            else:  # marker
-                key = ((pos * nq + state) << 1) | dr
-                if key in stretch:
-                    verdict, reason = REJECT, LOOP_DETECTED
-                    break
-                stretch.add(key)
-                s = sym[pos]
-                k = state * width + s
-                ns = to_tab[k]
-                mv = mv_tab[k]
-                if tr is not None:
-                    tr.append((steps + 1, pos, state, s, s, mv, False,
-                               0, False, False, -1, -1))
-                visits[pos] += 1
-                marker_moves += 1
-                steps += 1
-                state = ns
-                dr = mv
+                if k0 == SEGMAP:
+                    out = fmap[pos].table[2 * state + dr]
+                    map_jumps += 1
+                    steps += 1
+                    if out < 0:
+                        verdict, reason = REJECT, MAP_LOOP
+                        break
+                    if tr is not None:
+                        tr.append((steps, pos, state, -2, -2, out & 1, True,
+                                   2, False, False, -1, -1))
+                    state = out >> 1
+                    dr = out & 1
+                else:  # marker
+                    s = sym[pos]
+                    k = state * width + s
+                    ns = to_tab[k]
+                    mv = mv_tab[k]
+                    if tr is not None:
+                        tr.append((steps + 1, pos, state, s, s, mv, False,
+                                   0, False, False, -1, -1))
+                    visits[pos] += 1
+                    marker_moves += 1
+                    steps += 1
+                    state = ns
+                    dr = mv
             pos = prev[pos] if dr == 1 else nxt[pos]
             if pos == n + 1 and accepting[state]:
                 verdict = ACCEPT

@@ -7,7 +7,8 @@ and exits are directed states: (q, RIGHT) on the input side means the
 head walks into the segment at its left end moving right, (q, LEFT) means
 entry at the right end moving left.  On the output side (p, RIGHT) means
 the head leaves past the segment's right end and (p, LEFT) past its left
-end; LOOP marks entries that never leave.
+end.  Tables store a directed state (q, dir) as the integer 2 * q + dir
+and LOOP, an entry that never leaves, as -1.
 
 Composition of maps over adjacent segments is computed by one fused
 marked walk that bounces between the two part tables, following each
@@ -23,27 +24,12 @@ from typing import NamedTuple
 from .model import LEFT_MARKER, RIGHT_MARKER, RANKED, RIGHT
 
 
-class _Loop:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "LOOP"
-
-
-LOOP = _Loop()
-
-
 class SizeMismatch(ValueError):
     pass
 
 
 class EmptySegment(ValueError):
     pass
-
-
-class DirectedState(NamedTuple):
-    state: int
-    dir: int  # RIGHT or LEFT
 
 
 @dataclass(frozen=True)
@@ -56,12 +42,6 @@ class SegmentMap:
     def __post_init__(self):
         if len(self.table) != 2 * self.q_count:
             raise ValueError("table must have one entry per directed state")
-
-
-def apply(f: SegmentMap, s) -> DirectedState | _Loop:
-    """Look up the exit for one entry; s is a DirectedState or (state, dir)."""
-    out = f.table[2 * s[0] + s[1]]
-    return LOOP if out < 0 else DirectedState(out >> 1, out & 1)
 
 
 def transparent_map(q_count: int) -> SegmentMap:
@@ -194,16 +174,6 @@ def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
                              2 * n + hops)
 
 
-def departure(r: CompositionResult, s) -> DirectedState | _Loop:
-    """Exit of the combined segment after a boundary crossing in directed state s.
-
-    (p, RIGHT) asks about the head crossing the internal boundary rightward
-    in state p, (p, LEFT) about crossing it leftward.
-    """
-    out = r.dep[2 * s[0] + s[1]]
-    return LOOP if out < 0 else DirectedState(out >> 1, out & 1)
-
-
 def describe_indices(c, idxs) -> list:
     """Brute-force description of a frozen letter-index sequence.
 
@@ -292,16 +262,3 @@ def oracle_compose(f: SegmentMap, g: SegmentMap):
         dep.append(follow(0, 2 * s + 1))  # crossing leftward enters the left part
     return tuple(h), tuple(dep)
 
-
-def dump_segment_map(f: SegmentMap, state_names) -> list:
-    """Debug dump, one line per entry, ordered by 2 * state + dir."""
-    lines = []
-    for ci in range(2 * f.q_count):
-        src = f"{state_names[ci >> 1]},{'R' if (ci & 1) == RIGHT else 'L'}"
-        out = f.table[ci]
-        if out < 0:
-            dst = "LOOP"
-        else:
-            dst = f"{state_names[out >> 1]},{'R' if (out & 1) == RIGHT else 'L'}"
-        lines.append(f"{src} -> {dst}")
-    return lines

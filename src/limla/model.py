@@ -125,13 +125,6 @@ class Automaton:
     def compiled(self) -> "CompiledAutomaton":
         return _compile(self)
 
-    @cached_property
-    def description_len(self) -> int:
-        """Token count of the canonical serialized form."""
-        from .fmt import serialize_machine
-
-        return len(serialize_machine(self).split())
-
 
 @dataclass
 class CompiledAutomaton:

@@ -60,24 +60,6 @@ def regular_projection(aut, outcome: RunOutcome) -> list:
     return recs
 
 
-def regular_trace(aut, outcome: RunOutcome) -> list:
-    """Token form of the regular projection: (state, pos, read, write, move)
-    tuples, the initial configuration first with None for the step fields.
-
-    Equal for both engines on the same machine and word, up to the point
-    where either loop detector fires on rejecting runs.
-    """
-    c = aut.compiled
-    out = []
-    for state, pos, rd, wr, mv in regular_projection(aut, outcome):
-        if rd < 0:
-            out.append((c.state_names[state], pos, None, None, None))
-        else:
-            out.append((c.state_names[state], pos, c.sym_names[rd], c.sym_names[wr],
-                        "R" if mv == RIGHT else "L"))
-    return out
-
-
 _CASES = ("amove", "scan", "mapjump")
 
 
@@ -111,11 +93,7 @@ def trace_records(aut, outcome: RunOutcome, engine: str):
     yield final
 
 
-def write_trace(aut, outcome: RunOutcome, engine: str, dest) -> None:
-    """Write the run as JSON lines to a path or file-like object."""
-    if hasattr(dest, "write"):
-        for rec in trace_records(aut, outcome, engine):
-            dest.write(json.dumps(rec) + "\n")
-    else:
-        with open(dest, "w", encoding="utf-8") as fp:
-            write_trace(aut, outcome, engine, fp)
+def write_trace(aut, outcome: RunOutcome, engine: str, fp) -> None:
+    """Write the run as JSON lines to an open text file."""
+    for rec in trace_records(aut, outcome, engine):
+        fp.write(json.dumps(rec) + "\n")

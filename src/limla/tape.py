@@ -44,23 +44,3 @@ class ListTape:
         self.prev[nx] = p
         self.kind[i] = DELETED
         self.fmap[i] = None
-
-    def payload(self, i: int):
-        k = self.kind[i]
-        if k == MARKER:
-            return ("marker", "left" if i == 0 else "right")
-        if k == LETTER:
-            return ("letter", self.compiled.sym_names[self.sym[i]], self.visits[i])
-        if k == SEGMAP:
-            return ("map", self.fmap[i])
-        return ("deleted",)
-
-    def cells(self) -> list:
-        """Live cell indices in tape order."""
-        out = [0]
-        i = 0
-        while i != self.n + 1:
-            i = self.nxt[i]
-            out.append(i)
-        return out
-

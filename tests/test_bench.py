@@ -1,7 +1,9 @@
+import io
+
 import pytest
 
 from limla.bench import (
-    BenchRow, Degenerate, csv_text, doubling_ratios, fit_scaling, make_word, run_bench,
+    BenchRow, Degenerate, doubling_ratios, fit_scaling, make_word, run_bench, write_csv,
 )
 from limla.zoo import build_anbn, build_sweeper
 
@@ -61,8 +63,9 @@ def test_bench_rows_deterministic_steps():
 def test_csv_layout():
     aut = build_anbn()
     rows = run_bench(aut, "anbn", ("naive",), (8, 16, 32), "anbn")
-    text = csv_text(rows)
-    lines = text.strip().splitlines()
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "machine,engine,n,steps,wall_ns,verdict"
     assert len(lines) == 4
     assert lines[1].startswith("anbn,naive,8,")

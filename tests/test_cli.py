@@ -36,6 +36,15 @@ def test_check_missing_file():
     assert main(["check", "/nonexistent/x.limla"]) == 2
 
 
+@pytest.mark.parametrize("cmd", [["check"], ["run", "--input", "ab"], ["bench"]])
+def test_non_utf8_file_is_usage_error(tmp_path, capsys, cmd):
+    bad = tmp_path / "bad.limla"
+    bad.write_bytes(pathlib.Path(ANBN).read_bytes() + b"\xff\n")
+    assert main(cmd[:1] + [str(bad)] + cmd[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+
 def test_run_accept_and_reject(capsys):
     assert main(["run", ANBN, "--input", "aabb", "--engine", "linear"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -255,7 +264,29 @@ def test_fuzz_catches_corrupted_engine(tmp_path, capsys, monkeypatch):
     cases = list(outdir.glob("case_*"))
     assert cases
     files = {p.name for p in cases[0].iterdir()}
-    assert {"machine.limla", "word.txt", "diff.txt"} <= files
+    assert {"machine.limla", "word.txt", "diff.txt", "naive.trace.jsonl"} <= files
+    final = json.loads((cases[0] / "naive.trace.jsonl").read_text().splitlines()[-1])
+    assert final["verdict"] in ("accept", "reject")
+
+
+def test_fuzz_draws_words_only_until_a_divergence(tmp_path, capsys, monkeypatch):
+    import limla.cli as cli
+    from limla.difftest import Divergence
+    real_words_upto = cli.words_upto
+    drawn = []
+
+    def counting_words_upto(alphabet, maxlen):
+        for word in real_words_upto(alphabet, maxlen):
+            drawn.append(word)
+            yield word
+
+    monkeypatch.setattr(cli, "words_upto", counting_words_upto)
+    monkeypatch.setattr(cli, "compare_run", lambda aut, word, **kw: Divergence(
+        "verdict", tuple(word), "stubbed"))
+    code = main(["fuzz", "--machines", "1", "--maxlen", "10", "--alphabet-size", "3",
+                 "--out-dir", str(tmp_path / "f")])
+    assert code == 1 and "divergence" in capsys.readouterr().out
+    assert drawn == [()]
 
 
 def test_fuzz_seed_repetition_identical(tmp_path, capsys):

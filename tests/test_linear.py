@@ -15,28 +15,41 @@ from limla.model import (
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER,
 )
 from limla.naive import run_naive
-from limla.outcome import BudgetExceeded, regular_trace, write_trace
+from limla.outcome import BudgetExceeded, regular_projection, write_trace
 from limla.rng import SplitMix64
-from limla.tape import DELETED, SEGMAP, ListTape
+from limla.tape import DELETED, LETTER, MARKER, SEGMAP, ListTape
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
 
+def _live_cells(t):
+    """Live cell indices in tape order, following the nxt links."""
+    out = [0]
+    while out[-1] != t.n + 1:
+        out.append(t.nxt[out[-1]])
+    return out
+
+
 def test_init_tape_empty_word():
-    t = ListTape.from_word(build_anbn(), "")
-    assert t.payload(0) == ("marker", "left")
-    assert t.payload(1) == ("marker", "right")
+    aut = build_anbn()
+    t = ListTape.from_word(aut, "")
+    n_letters = aut.compiled.n_letters
+    assert t.kind == [MARKER, MARKER]
+    assert t.sym == [n_letters, n_letters + 1]  # left marker, then right
     assert t.nxt[0] == 1 and t.prev[1] == 0
-    assert t.cells() == [0, 1]
+    assert _live_cells(t) == [0, 1]
 
 
 def test_init_tape_word_layout():
-    t = ListTape.from_word(build_anbn(), "ab")
-    assert t.cells() == [0, 1, 2, 3]
-    assert t.payload(1) == ("letter", "a", 0)
-    assert t.payload(2) == ("letter", "b", 0)
-    assert t.payload(3) == ("marker", "right")
-    for i, tok in enumerate("aabb", start=1):
-        assert ListTape.from_word(build_anbn(), "aabb").payload(i)[1] == tok
+    aut = build_anbn()
+    c = aut.compiled
+    t = ListTape.from_word(aut, "ab")
+    assert _live_cells(t) == [0, 1, 2, 3]
+    assert t.kind == [MARKER, LETTER, LETTER, MARKER]
+    assert [c.sym_names[s] for s in t.sym[1:3]] == ["a", "b"]
+    assert t.sym[3] == c.n_letters + 1
+    assert t.visits == [0, 0, 0, 0]
+    t = ListTape.from_word(aut, "aabb")
+    assert [c.sym_names[s] for s in t.sym[1:5]] == list("aabb")
 
 
 def test_unlink_relinks_and_marks_dead():
@@ -44,7 +57,7 @@ def test_unlink_relinks_and_marks_dead():
     t.unlink(2)
     assert t.nxt[1] == 3 and t.prev[3] == 1
     assert t.kind[2] == DELETED
-    assert t.cells() == [0, 1, 3, 4]
+    assert _live_cells(t) == [0, 1, 3, 4]
 
 
 def _two_state_walker():
@@ -80,8 +93,8 @@ def test_deletion_scan_no_neighbours():
     assert (calls, edges) == (0, 0)
     assert t.kind[1] != DELETED and t.kind[3] != DELETED  # nothing merged
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (2, 2)
-    assert t.payload(2) == ("map", g)
-    assert t.payload(1)[0] == "letter" and t.payload(3)[0] == "letter"
+    assert t.kind[2] == SEGMAP and t.fmap[2] == g
+    assert t.kind[1] == LETTER and t.kind[3] == LETTER
 
 
 def test_deletion_scan_left_merge_no_departure_when_heading_right():
@@ -94,7 +107,7 @@ def test_deletion_scan_left_merge_no_departure_when_heading_right():
     assert out >= 0 and calls == 1
     assert t.kind[1] == DELETED and t.kind[3] != DELETED  # merged left only
     assert out == 2 * 1 + RIGHT  # no departure taken
-    assert t.payload(2) == ("map", compose_full(g, g).h)
+    assert t.kind[2] == SEGMAP and t.fmap[2] == compose_full(g, g).h
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 2)
 
 
@@ -129,8 +142,8 @@ def test_deletion_scan_three_way_merge():
     assert t.kind[1] == DELETED and t.kind[3] == DELETED
     assert out == 2 * 1 + RIGHT
     want = compose_full(compose_full(g, g).h, g).h
-    assert t.payload(2) == ("map", want)
-    assert t.cells() == [0, 2, 4]
+    assert t.kind[2] == SEGMAP and t.fmap[2] == want
+    assert _live_cells(t) == [0, 2, 4]
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 3)
 
 
@@ -158,14 +171,15 @@ def test_empty_word_projection_is_initial_record_only():
     aut = build_anbn()
     no = run_naive(aut, "", trace=True)
     lo = run_linear(aut, "", trace=True)
-    assert regular_trace(aut, no) == regular_trace(aut, lo) == \
-        [("start", 1, None, None, None)]
+    start = aut.compiled.state_index["start"]
+    assert regular_projection(aut, no) == regular_projection(aut, lo) == \
+        [(start, 1, -1, -1, -1)]
 
 
 def test_bouncer_projections_agree_up_to_detection():
     aut = build_bouncer()
-    pn = regular_trace(aut, run_naive(aut, "aa", trace=True))
-    pl = regular_trace(aut, run_linear(aut, "aa", trace=True))
+    pn = regular_projection(aut, run_naive(aut, "aa", trace=True))
+    pl = regular_projection(aut, run_linear(aut, "aa", trace=True))
     m = min(len(pn), len(pl))
     assert pn[:m] == pl[:m]
 

@@ -7,9 +7,8 @@ from limla.difftest import random_words, words_upto
 from limla.linear import COMPOSE_MEMO_SLOTS, run_linear
 from limla.outcome import BudgetExceeded
 from limla.mapping import (
-    LOOP, CompositionMemo, DirectedState, EmptySegment, SegmentMap, SizeMismatch,
-    apply, cf, compose_full, departure, describe_segment, dump_segment_map,
-    oracle_compose, transparent_map,
+    CompositionMemo, EmptySegment, SegmentMap, SizeMismatch,
+    cf, compose_full, describe_segment, oracle_compose, transparent_map,
 )
 from limla.model import COUNTED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
 from limla.rng import SplitMix64
@@ -40,17 +39,17 @@ def all_q1_maps():
 def test_cf_all_right_letter():
     aut = _uniform_machine({"p": ("p", "R"), "q": ("q", "R")})
     m = cf(aut, "x")
-    for qi, name in enumerate(aut.states):
-        assert apply(m, DirectedState(qi, RIGHT)) == DirectedState(qi, RIGHT)
-        assert apply(m, DirectedState(qi, LEFT)) == DirectedState(qi, RIGHT)
+    for qi in range(2):
+        assert m.table[2 * qi + RIGHT] == 2 * qi + RIGHT
+        assert m.table[2 * qi + LEFT] == 2 * qi + RIGHT
 
 
 def test_cf_all_left_letter():
     aut = _uniform_machine({"p": ("p", "L"), "q": ("q", "L")})
     m = cf(aut, "x")
     for qi in range(2):
-        assert apply(m, DirectedState(qi, RIGHT)) == DirectedState(qi, LEFT)
-        assert apply(m, DirectedState(qi, LEFT)) == DirectedState(qi, LEFT)
+        assert m.table[2 * qi + RIGHT] == 2 * qi + LEFT
+        assert m.table[2 * qi + LEFT] == 2 * qi + LEFT
 
 
 def test_cf_of_anbn_frozen_letter_matches_delta():
@@ -59,9 +58,9 @@ def test_cf_of_anbn_frozen_letter_matches_delta():
     m = cf(aut, "B")
     for q, qi in c.state_index.items():
         t = aut.delta[(q, "B")]
-        want = DirectedState(c.state_index[t.to_state], RIGHT if t.move == "R" else LEFT)
-        assert apply(m, DirectedState(qi, RIGHT)) == want
-        assert apply(m, DirectedState(qi, LEFT)) == want
+        want = 2 * c.state_index[t.to_state] + (RIGHT if t.move == "R" else LEFT)
+        assert m.table[2 * qi + RIGHT] == want
+        assert m.table[2 * qi + LEFT] == want
 
 
 def test_cf_rejects_unfrozen_or_marker():
@@ -107,10 +106,9 @@ def test_two_cycle_composes_to_loop():
     g = SegmentMap(1, (1, 1))
     r = compose_full(f, g)
     assert r.h.table == (-1, -1)
-    assert apply(r.h, DirectedState(0, RIGHT)) is LOOP
     assert oracle_compose(f, g)[0] == (-1, -1)
     # the boundary departure is the same forced cycle
-    assert departure(r, DirectedState(0, RIGHT)) is LOOP
+    assert r.dep[2 * 0 + RIGHT] == -1
 
 
 def test_compose_matches_oracle_randomized():
@@ -306,18 +304,3 @@ def test_homomorphism_on_random_machines():
 def test_empty_segment_rejected():
     with pytest.raises(EmptySegment):
         describe_segment(build_anbn(), [])
-
-
-def test_dump_format():
-    f = SegmentMap(2, (2, -1, 1, 0))
-    assert dump_segment_map(f, ("q0", "q1")) == [
-        "q0,R -> q1,R",
-        "q0,L -> LOOP",
-        "q1,R -> q0,L",
-        "q1,L -> q0,R",
-    ]
-
-
-def test_loop_sentinel():
-    assert repr(LOOP) == "LOOP"
-    assert apply(SegmentMap(1, (-1, 0)), DirectedState(0, RIGHT)) is LOOP

@@ -149,13 +149,6 @@ def test_accepting_normalized_to_declaration_order():
     assert a1 == a2
 
 
-def test_description_len_counts_tokens():
-    aut = ZOO["anbn"]()
-    from limla.fmt import serialize_machine
-    assert aut.description_len == len(serialize_machine(aut).split())
-    assert aut.description_len > 0
-
-
 def test_word_indices_accepts_only_input_tokens():
     aut = ZOO["anbn"]()
     c = aut.compiled

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from limla.model import ACCEPT, LOOP_DETECTED, RANKED, REJECT, d_of
+from limla.model import ACCEPT, LEFT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of
 from limla.naive import run_naive
-from limla.outcome import BudgetExceeded, regular_trace, write_trace
+from limla.outcome import BudgetExceeded, regular_projection, write_trace
 from limla.zoo import ZOO, build_anbn, build_bouncer
 from limla.difftest import words_upto
 
@@ -25,9 +25,9 @@ def test_bouncer_forced_two_cycle():
     assert out.verdict == REJECT and out.reason == LOOP_DETECTED
     assert out.steps <= 2 * 1 * 3
     # nothing froze, so the regular projection is the whole trace
-    proj = regular_trace(aut, out)
+    proj = regular_projection(aut, out)
     assert len(proj) == len(out.trace) + 1
-    assert proj[0] == ("roam", 1, None, None, None)
+    assert proj[0] == (aut.compiled.state_index["roam"], 1, -1, -1, -1)
 
 
 # frozen from one reference run of this engine; hand-checked move by move
@@ -43,9 +43,14 @@ ANBN_AB_REGULAR = [
 
 def test_anbn_ab_regular_trace_golden():
     aut = build_anbn()
+    c = aut.compiled
     out = run_naive(aut, "ab", trace=True)
     assert out.verdict == ACCEPT
-    assert regular_trace(aut, out) == ANBN_AB_REGULAR
+    want = [(c.state_index[q], pos, -1, -1, -1) if rd is None else
+            (c.state_index[q], pos, c.sym_index[rd], c.sym_index[wr],
+             RIGHT if mv == "R" else LEFT)
+            for q, pos, rd, wr, mv in ANBN_AB_REGULAR]
+    assert regular_projection(aut, out) == want
 
 
 def test_determinism():
