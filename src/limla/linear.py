@@ -26,7 +26,7 @@ from __future__ import annotations
 from .model import ACCEPT, LOOP_DETECTED, MAP_LOOP, RANKED, REJECT, RIGHT, d_of
 from .mapping import cf_idx, compose_full, describe_indices
 from .outcome import BudgetExceeded, RunOutcome
-from .tape import DELETED, LETTER, ListTape, SEGMAP
+from .tape import ListTape
 
 
 class ShadowMismatch(Exception):
@@ -52,25 +52,27 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
 
     g is the single-cell map of the letter just written at i and p the
     directed result of the transition there, encoded as 2 * state + dir
-    like every segment map entry.  If the left neighbour is a map f, the
-    two segments merge: when p points left the head is about to cross into
-    f's segment, so p is rerouted through the departure table of (f, g);
-    then g becomes f composed with g and the neighbour is unlinked.  The
-    right neighbour is handled the same way afterwards, with the possibly
-    rerouted p.  On success cell i holds the merged map, both its
-    neighbours are letters or markers, and exit is the rerouted p.  A
+    like every segment map entry.  A neighbour is a map when its fmap
+    entry is set.  If the left neighbour is a map f, the two segments
+    merge: when p points left the head is about to cross into f's segment,
+    so p is rerouted through the departure table of (f, g); then g becomes
+    f composed with g and the neighbour is unlinked.  The right neighbour
+    is handled the same way afterwards, with the possibly rerouted p.  On
+    success fmap[i] holds the merged map, both its neighbours are letters
+    or markers, and exit is the rerouted p.  The scan writes only fmap and
+    the links, so sym[i] keeps the letter the caller stored there.  A
     departure that loops stops the scan at once with exit -1, leaving the
     unmerged neighbour linked.  calls counts every composition requested,
     hits in the machine's compose_memo included.
     """
-    kind = tape.kind
     fmap = tape.fmap
     memo = tape.compiled.compose_memo
     calls = edges = 0
 
     left = tape.prev[i]
-    if kind[left] == SEGMAP:
-        comp = compose_full(fmap[left], g, memo)
+    f = fmap[left]
+    if f is not None:
+        comp = compose_full(f, g, memo)
         calls = 1
         edges = comp.edges
         if (p & 1) != RIGHT:  # heading left, into the merged territory
@@ -81,8 +83,9 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
         tape.unlink(left)
 
     right = tape.nxt[i]
-    if kind[right] == SEGMAP:
-        comp = compose_full(g, fmap[right], memo)
+    f = fmap[right]
+    if f is not None:
+        comp = compose_full(g, f, memo)
         calls += 1
         if comp.edges > edges:
             edges = comp.edges
@@ -93,19 +96,18 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
         g = comp.h
         tape.unlink(right)
 
-    kind[i] = SEGMAP
     fmap[i] = g
-    tape.sym[i] = -1
     return p, calls, edges
 
 
-def _shadow_check(c, tape: ListTape, i: int, shadow_letters) -> None:
-    if tape.kind[tape.prev[i]] == SEGMAP or tape.kind[tape.nxt[i]] == SEGMAP:
-        raise ShadowMismatch(f"adjacent segment maps around cell {i}")
+def _shadow_check(c, tape: ListTape, i: int) -> None:
+    fmap = tape.fmap
     lo = tape.prev[i] + 1
     hi = tape.nxt[i] - 1
-    table = tape.fmap[i].table
-    seg = tuple(shadow_letters[lo - 1:hi])
+    if fmap[lo - 1] is not None or fmap[hi + 1] is not None:
+        raise ShadowMismatch(f"adjacent segment maps around cell {i}")
+    table = fmap[i].table
+    seg = tuple(tape.sym[lo:hi + 1])
     expected = c.shadow_cache.get(seg)
     if expected is None:
         # The description depends on the machine and the letters alone, so
@@ -128,13 +130,14 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                max_steps: int | None = None) -> RunOutcome:
     """Run the deleting engine on a word; requires validate_automaton(aut).ok.
 
-    With shadow=True a parallel letter array mirrors what the reference
-    tape would hold, and after every deletion scan the stored map is
-    compared against the brute-force description of its segment
-    (ShadowMismatch on any disagreement).  The descriptions are memoized
-    per machine on the letters of the segment (SHADOW_MEMO_SLOTS), but the
-    comparison runs after every scan.  Verdicts always match
-    run_naive; steps count letter moves, scans, map jumps and marker moves.
+    With shadow=True, after every deletion scan the stored map is compared
+    against the brute-force description of its segment, read from the
+    tape's own letters: sym keeps the letter each frozen cell last held, as
+    the reference tape would (ShadowMismatch on any disagreement).  The
+    descriptions are memoized per machine on the letters of the segment
+    (SHADOW_MEMO_SLOTS), but the comparison runs after every scan.
+    Verdicts always match run_naive; steps count letter moves, scans, map
+    jumps and marker moves.
 
     A scan that exits right onto a letter goes straight on to it, without a
     round of the main loop: the sweep goes on while each visit freezes its
@@ -149,7 +152,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     memo.run += 1
     memo.walks = 0
     n = tape.n
-    kind = tape.kind
     sym = tape.sym
     visits = tape.visits
     fmap = tape.fmap
@@ -165,6 +167,9 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
 
     ranked = aut.mode == RANKED
     d_n = d_of(aut.dlimit, n)
+    # counted d(n) = 0: every letter cell is over budget on its first visit,
+    # so it freezes keeping the letter it read
+    zero_counted = not ranked and d_n == 0
 
     state = c.start_idx
     dr = RIGHT
@@ -178,7 +183,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     edges_max = 0
     stretch = set()
     tr = [] if trace else None
-    shadow_letters = list(sym[1:n + 1]) if shadow else None
     verdict = None
     reason = None
 
@@ -188,8 +192,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
         while True:
             if max_steps is not None and steps >= max_steps:
                 break
-            k0 = kind[pos]
-            if k0 == LETTER:
+            f = fmap[pos]
+            if f is None and 0 < pos <= n:
                 stretch.clear()
                 while True:  # the sweep: see the docstring
                     s = sym[pos]
@@ -200,25 +204,21 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     v = visits[pos] + 1
                     visits[pos] = v
                     freeze = (ranks[w] == d_n) if ranked else (v >= d_n)
-                    # the letter the cell keeps: w, unless a counted cell is over budget
-                    x = w if (ranked or v <= d_n) else s
+                    x = s if zero_counted else w  # the letter the cell keeps
                     if x != s:
+                        sym[pos] = x
                         writes += 1
                         cell_writes[pos] += 1
                         last_write = steps + 1
                     if not freeze:
-                        sym[pos] = w
                         if tr is not None:
                             tr.append((steps + 1, pos, state, s, w, mv, False,
                                        0, False, False, -1, -1))
-                        if shadow_letters is not None:
-                            shadow_letters[pos - 1] = w
                         letter_moves += 1
                         steps += 1
                         state = ns
                         dr = mv
                         break
-                    was_frozen = (not ranked) and (v - 1 >= d_n)
                     g = cf_cache.get(x) or cf_idx(c, x)
                     if tr is not None:
                         left, right = prev[pos], nxt[pos]
@@ -228,24 +228,24 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     if edges > edges_max:
                         edges_max = edges
                     if tr is not None:
-                        tr.append((steps + 1, pos, state, s, x, mv, was_frozen, 1,
-                                   kind[left] == DELETED, kind[right] == DELETED,
+                        tr.append((steps + 1, pos, state, s, x, mv, zero_counted, 1,
+                                   prev[pos] != left, nxt[pos] != right,
                                    prev[pos] + 1, nxt[pos] - 1))
                     steps += 1
                     if out < 0:
                         verdict, reason = REJECT, MAP_LOOP
                         break
-                    if shadow_letters is not None:
-                        shadow_letters[pos - 1] = x
-                        _shadow_check(c, tape, pos, shadow_letters)
+                    if shadow:
+                        _shadow_check(c, tape, pos)
                     else:
-                        assert kind[prev[pos]] != SEGMAP and kind[nxt[pos]] != SEGMAP
+                        assert fmap[prev[pos]] is None and fmap[nxt[pos]] is None
                     state = out >> 1
                     dr = out & 1
-                    if dr != RIGHT or kind[nxt[pos]] != LETTER or (
+                    nx = nxt[pos]
+                    if dr != RIGHT or nx > n or fmap[nx] is not None or (
                             max_steps is not None and steps >= max_steps):
                         break
-                    pos = nxt[pos]
+                    pos = nx
                 if verdict is not None:
                     break
             else:
@@ -254,8 +254,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     verdict, reason = REJECT, LOOP_DETECTED
                     break
                 stretch.add(key)
-                if k0 == SEGMAP:
-                    out = fmap[pos].table[2 * state + dr]
+                if f is not None:
+                    out = f.table[2 * state + dr]
                     map_jumps += 1
                     steps += 1
                     if out < 0:

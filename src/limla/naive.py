@@ -70,44 +70,31 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
             s = tape[pos]
             k = state * width + s
             ns = to_tab[k]
-            w = wr_tab[k]
             mv = mv_tab[k]
+            # markers and frozen cells keep their letter: w = s
             if s >= lo:
-                key = pos * nq + state
-                if key in stretch:
-                    verdict, reason = REJECT, LOOP_DETECTED
-                    break
-                stretch.add(key)
-                if tr is not None:
-                    tr.append((steps + 1, pos, state, s, s, mv, False))
+                frozen = False
+                w = s
             else:
                 if ranked:
                     frozen = visits[pos] >= 1 if zero_d else frozen_rank[s]
                 else:
                     frozen = visits[pos] >= d_n
-                if frozen:
-                    key = pos * nq + state
-                    if key in stretch:
-                        verdict, reason = REJECT, LOOP_DETECTED
-                        break
-                    stretch.add(key)
-                    if tr is not None:
-                        tr.append((steps + 1, pos, state, s, s, mv, True))
-                else:
-                    if w != s:
-                        tape[pos] = w
-                        writes += 1
-                        cell_writes[pos] += 1
-                        last_write = steps + 1
-                        stretch.clear()
-                    else:
-                        key = pos * nq + state
-                        if key in stretch:
-                            verdict, reason = REJECT, LOOP_DETECTED
-                            break
-                        stretch.add(key)
-                    if tr is not None:
-                        tr.append((steps + 1, pos, state, s, w, mv, False))
+                w = s if frozen else wr_tab[k]
+            if w != s:  # a write that sticks ends the stretch
+                tape[pos] = w
+                writes += 1
+                cell_writes[pos] += 1
+                last_write = steps + 1
+                stretch.clear()
+            else:
+                key = pos * nq + state
+                if key in stretch:
+                    verdict, reason = REJECT, LOOP_DETECTED
+                    break
+                stretch.add(key)
+            if tr is not None:
+                tr.append((steps + 1, pos, state, s, w, mv, frozen))
             visits[pos] += 1
             steps += 1
             state = ns

@@ -5,6 +5,11 @@ marker, n+1 the right marker, and neither is ever deleted.  Deleting a
 cell only relinks its neighbours; dead cells are never reused, which
 keeps indices stable for traces and shadow bookkeeping at O(n) memory.
 
+Each cell is one record across the parallel arrays: sym (the letter it
+holds, or last held before it froze), visits, fmap, and the prev/nxt
+links.  A live interior cell is a letter while fmap[i] is None and a
+frozen segment described by fmap[i] otherwise; the markers never get a map.
+
 The tape holds no cache: its deletion scans share the composition memo of
 its compiled machine (see mapping.compose_full).
 """
@@ -12,14 +17,9 @@ from __future__ import annotations
 
 from .model import word_indices
 
-MARKER = 0
-LETTER = 1
-SEGMAP = 2
-DELETED = 3
-
 
 class ListTape:
-    __slots__ = ("n", "kind", "sym", "visits", "fmap", "prev", "nxt", "compiled")
+    __slots__ = ("n", "sym", "visits", "fmap", "prev", "nxt", "compiled")
 
     @classmethod
     def from_word(cls, aut, word) -> "ListTape":
@@ -27,7 +27,6 @@ class ListTape:
         syms = word_indices(aut, word)
         t = cls.__new__(cls)
         t.n = n = len(syms)
-        t.kind = [MARKER] + [LETTER] * n + [MARKER]
         t.sym = [c.n_letters] + syms + [c.n_letters + 1]
         t.visits = [0] * (n + 2)
         t.fmap = [None] * (n + 2)
@@ -42,5 +41,4 @@ class ListTape:
         nx = self.nxt[i]
         self.nxt[p] = nx
         self.prev[nx] = p
-        self.kind[i] = DELETED
         self.fmap[i] = None

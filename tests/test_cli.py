@@ -244,13 +244,13 @@ def test_fuzz_catches_corrupted_engine(tmp_path, capsys, monkeypatch):
     real_scan = linear_mod.deletion_scan
 
     def skip_right_merge(tape, i, p, g):
-        from limla.tape import SEGMAP
         # reproduce the scan but never merge the right neighbour
         right = tape.nxt[i]
-        if tape.kind[right] == SEGMAP:
-            tape.kind[right] = 1  # pretend it is a letter during the scan
+        f = tape.fmap[right]
+        if f is not None:
+            tape.fmap[right] = None  # hide its map during the scan
             res = real_scan(tape, i, p, g)
-            tape.kind[right] = SEGMAP
+            tape.fmap[right] = f
             return res
         return real_scan(tape, i, p, g)
 

@@ -12,12 +12,12 @@ import limla.mapping as mapping_mod
 from limla.mapping import SegmentMap, cf, compose_full
 from limla.model import (
     ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, RANKED, REJECT, RIGHT,
-    Automaton, Transition, LEFT_MARKER, RIGHT_MARKER,
+    Automaton, Transition, LEFT_MARKER, RIGHT_MARKER, word_indices,
 )
 from limla.naive import run_naive
 from limla.outcome import BudgetExceeded, regular_projection, write_trace
 from limla.rng import SplitMix64
-from limla.tape import DELETED, LETTER, MARKER, SEGMAP, ListTape
+from limla.tape import ListTape
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
 
@@ -33,7 +33,7 @@ def test_init_tape_empty_word():
     aut = build_anbn()
     t = ListTape.from_word(aut, "")
     n_letters = aut.compiled.n_letters
-    assert t.kind == [MARKER, MARKER]
+    assert t.fmap == [None, None]
     assert t.sym == [n_letters, n_letters + 1]  # left marker, then right
     assert t.nxt[0] == 1 and t.prev[1] == 0
     assert _live_cells(t) == [0, 1]
@@ -44,19 +44,21 @@ def test_init_tape_word_layout():
     c = aut.compiled
     t = ListTape.from_word(aut, "ab")
     assert _live_cells(t) == [0, 1, 2, 3]
-    assert t.kind == [MARKER, LETTER, LETTER, MARKER]
+    assert t.fmap == [None] * 4  # no cell starts as a map
     assert [c.sym_names[s] for s in t.sym[1:3]] == ["a", "b"]
-    assert t.sym[3] == c.n_letters + 1
+    assert (t.sym[0], t.sym[3]) == (c.n_letters, c.n_letters + 1)  # the markers
     assert t.visits == [0, 0, 0, 0]
     t = ListTape.from_word(aut, "aabb")
     assert [c.sym_names[s] for s in t.sym[1:5]] == list("aabb")
 
 
 def test_unlink_relinks_and_marks_dead():
-    t = ListTape.from_word(build_anbn(), "aba")
+    aut = _two_state_walker()
+    t = ListTape.from_word(aut, "xxx")
+    t.fmap[2] = cf(aut, "x")
     t.unlink(2)
     assert t.nxt[1] == 3 and t.prev[3] == 1
-    assert t.kind[2] == DELETED
+    assert t.fmap[2] is None  # its map is dropped with it
     assert _live_cells(t) == [0, 1, 3, 4]
 
 
@@ -88,26 +90,27 @@ def test_deletion_scan_no_neighbours():
     aut = _two_state_walker()
     t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
+    letters = list(t.sym)
     out, calls, edges = deletion_scan(t, 2, 2 * 0 + RIGHT, g)
     assert out == 2 * 0 + RIGHT
     assert (calls, edges) == (0, 0)
-    assert t.kind[1] != DELETED and t.kind[3] != DELETED  # nothing merged
+    assert _live_cells(t) == [0, 1, 2, 3, 4]  # nothing merged
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (2, 2)
-    assert t.kind[2] == SEGMAP and t.fmap[2] == g
-    assert t.kind[1] == LETTER and t.kind[3] == LETTER
+    assert t.fmap[2] == g
+    assert t.fmap[1] is None and t.fmap[3] is None  # the neighbours stay letters
+    assert t.sym == letters  # the scan writes no letter
 
 
 def test_deletion_scan_left_merge_no_departure_when_heading_right():
     aut = _two_state_walker()
     t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
-    t.kind[1] = SEGMAP
     t.fmap[1] = g
     out, calls, _ = deletion_scan(t, 2, 2 * 1 + RIGHT, g)
     assert out >= 0 and calls == 1
-    assert t.kind[1] == DELETED and t.kind[3] != DELETED  # merged left only
+    assert _live_cells(t) == [0, 2, 3, 4] and t.fmap[1] is None  # merged left only
     assert out == 2 * 1 + RIGHT  # no departure taken
-    assert t.kind[2] == SEGMAP and t.fmap[2] == compose_full(g, g).h
+    assert t.fmap[2] == compose_full(g, g).h
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 2)
 
 
@@ -131,18 +134,16 @@ def test_deletion_scan_three_way_merge():
     aut = _right_runner()
     t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
-    t.kind[1] = SEGMAP
     t.fmap[1] = g
-    t.kind[3] = SEGMAP
     t.fmap[3] = g
     # heading left into the left map: the departure bounces the head back
     # rightward, so the second departure is taken on the merged map too
     out, calls, _ = deletion_scan(t, 2, 2 * 0 + LEFT, g)
     assert out >= 0 and calls == 2
-    assert t.kind[1] == DELETED and t.kind[3] == DELETED
+    assert t.fmap[1] is None and t.fmap[3] is None  # both merged
     assert out == 2 * 1 + RIGHT
     want = compose_full(compose_full(g, g).h, g).h
-    assert t.kind[2] == SEGMAP and t.fmap[2] == want
+    assert t.fmap[2] == want
     assert _live_cells(t) == [0, 2, 4]
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 3)
 
@@ -151,12 +152,11 @@ def test_deletion_scan_rejects_on_loop_departure():
     aut = _two_state_walker()
     t = ListTape.from_word(aut, "xx")
     g = cf(aut, "x")
-    t.kind[1] = SEGMAP
     t.fmap[1] = g
     # entering leftward in state u: u bounces right, v bounces back left, a cycle
     out, calls, _ = deletion_scan(t, 2, 2 * 0 + LEFT, g)
     assert out < 0 and calls == 1
-    assert t.kind[1] == SEGMAP  # the looping neighbour stays linked
+    assert t.fmap[1] == g and t.nxt[1] == 2  # the looping neighbour stays linked
 
 
 def test_verdicts_and_projections_match_naive_on_zoo():
@@ -318,7 +318,7 @@ def test_shadow_mismatch_on_corrupted_map():
 
     def corrupt(tape, i, p, g):
         res = real_scan(tape, i, p, g)
-        if tape.kind[i] == SEGMAP:
+        if tape.fmap[i] is not None:
             table = list(tape.fmap[i].table)
             table[0] = -1 if table[0] >= 0 else 0
             tape.fmap[i] = type(tape.fmap[i])(tape.fmap[i].q_count, tuple(table))
@@ -531,3 +531,36 @@ def test_sweep_keeps_outcomes_on_random_machines(mode, dlimit):
         h.update(_fingerprint(aut, words, budget_words).encode())
     digest = h.hexdigest()
     assert _FINGERPRINTS.get(f"{mode}-{dlimit.token()}") == digest, digest
+
+
+def test_tape_ends_with_the_oracles_letters(monkeypatch):
+    # a frozen cell keeps the letter it last held, so on every accepting run
+    # the linear tape spells the reference engine's final tape: the letters
+    # the shadow check reads
+    tapes = []
+    real_from_word = ListTape.from_word.__func__
+
+    def capture(cls, aut, word):
+        tapes.append(real_from_word(cls, aut, word))
+        return tapes[-1]
+
+    monkeypatch.setattr(ListTape, "from_word", classmethod(capture))
+    rng = SplitMix64(0x7A9E)
+    machines = [ZOO[name]() for name in sorted(ZOO)]
+    machines += [random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
+                 for mode, dlimit in _D_LIMITS for q in (1, 2, 3, 4, 6)]
+    accepted = 0
+    for aut in machines:
+        words = list(words_upto(aut.input_alphabet, 5))
+        words += random_words(aut.input_alphabet, 10, 8, 64, rng.next_u64())
+        for word in words:
+            tapes.clear()
+            if not run_linear(aut, word).accepted:
+                continue
+            want = [None] + word_indices(aut, word) + [None]
+            for rec in run_naive(aut, word, trace=True).trace:
+                want[rec[1]] = rec[4]  # replay the oracle's writes
+            n = len(want) - 2
+            assert tapes[0].sym[1:n + 1] == want[1:n + 1], word
+            accepted += 1
+    assert accepted >= 1000, accepted

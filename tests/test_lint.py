@@ -114,14 +114,32 @@ def unread_names(modules: dict, readers) -> list:
     return sorted(found)
 
 
+# Readers are matched by bare name, so a method named like a builtin
+# container's (clear, get, add, ...) would count every dict.get or set.add
+# as its reader and never be flagged dead.
+CONTAINER_ATTRS = frozenset(
+    name for kind in (dict, list, set, frozenset, tuple, str, bytes)
+    for name in dir(kind) if not name.startswith("__"))
+
+
+def container_named_methods(tree) -> list:
+    """(line, "Class.method") for each method of a top-level class whose name
+    a builtin container's attribute shares."""
+    return sorted((node.lineno, name) for name, node in defined_names(tree).items()
+                  if "." in name and name.rpartition(".")[2] in CONTAINER_ATTRS)
+
+
 def test_dead_name_detector_flags_only_unread_names():
     src = ("import os\nA = 1\nB, _c = 2, 3\n__all__ = []\n"
            "def f():\n    return A\nclass K:\n    def loop(self):\n        return self.loop()\n"
            "    def n(self):\n        pass\n    def __repr__(self):\n        return ''\n"
-           "X: int = 4\nY = 5\ndef g(k):\n    return g(k - 1)\n")
-    other = "from m import K\nprint(m.X)\nm.Y = 6\nk.n()\ngetattr(m, 'f')\n"
+           "X: int = 4\nY = 5\ndef g(k):\n    return g(k - 1)\n"
+           "class T:\n    def get(self):\n        pass\n")
+    other = "from m import K, T\nprint(m.X)\nm.Y = 6\nk.n()\ngetattr(m, 'f')\n{}.get(1)\n"
     assert unread_names({"m": src}, [other]) == [
         ("m", 3, "B"), ("m", 3, "_c"), ("m", 8, "K.loop"), ("m", 15, "Y"), ("m", 16, "g")]
+    # dict.get reads "get", so only the name check catches the dead T.get
+    assert container_named_methods(ast.parse(src)) == [(19, "T.get")]
 
 
 def test_no_dead_module_names():
@@ -139,3 +157,10 @@ def test_no_dead_module_names():
     # every entry still exists, still has no library reader, and says why it stays
     assert sorted(set(KEPT_FOR_TESTS) - set(unread)) == []
     assert all(reason.strip() for reason in KEPT_FOR_TESTS.values())
+
+
+def test_no_method_named_like_a_container_method():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in container_named_methods(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
