@@ -1,13 +1,17 @@
+import dataclasses
+import hashlib
 import io
 import json
 
 import pytest
 
-from limla.model import ACCEPT, LEFT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of
+from limla.linear import run_linear
+from limla.model import ACCEPT, COUNTED, DLimit, LEFT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of
 from limla.naive import run_naive
 from limla.outcome import BudgetExceeded, regular_projection, write_trace
-from limla.zoo import ZOO, build_anbn, build_bouncer
-from limla.difftest import words_upto
+from limla.rng import SplitMix64
+from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, random_automaton
+from limla.difftest import random_words, words_upto
 
 
 def test_anbn_language_samples():
@@ -153,3 +157,94 @@ def test_word_must_be_over_input_alphabet():
         run_naive(build_anbn(), "abc")
     with pytest.raises(ValueError):
         run_naive(build_anbn(), ["a", "A"])  # tape letter, not input
+
+
+@pytest.mark.parametrize("engine", [run_naive, run_linear])
+def test_negative_budget_takes_no_step(engine):
+    # max_steps < 0 is spent before the first step, like 0: BudgetExceeded(0),
+    # unless the empty word accepts at step 0
+    assert engine(build_anbn(), "", max_steps=-1).verdict == ACCEPT
+    for aut, word in ((build_anbn(), "ab"), (build_bouncer(), ""), (build_bouncer(), "a")):
+        for k in (-7, -1):
+            with pytest.raises(BudgetExceeded) as e:
+                engine(aut, word, max_steps=k)
+            assert e.value.steps == 0, (word, k)
+
+
+_D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
+             + [(COUNTED, DLimit.const(k)) for k in (0, 1, 2, 4)]
+             + [(COUNTED, DLimit(k)) for k in ("log2", "sqrt", "id")])
+
+
+# sha256 of _fingerprint taken from the engine whose loop tested the budget,
+# the markers and the mode on every step: the lean loop leaves every outcome
+# and trace as it was.  Recompute only for a change that means to alter them.
+_FINGERPRINTS = {
+    "zoo-anbn": "b74685ac12e16f040014740cd9947e68d517ba22b2fb99592473ab11654d872c",
+    "zoo-bouncer": "72a2eddbda23c49a97aea506ce5b1c23dc0fa4d0114ce19c27b02d82337aa4fc",
+    "zoo-even_a": "a948b6ee63db7a5d10c56ff9718fd91b85895bd2c8eb284c3cd0bb33e68c2f8e",
+    "zoo-sweeper": "6bdd50378fa4ca8a4a60bd85eba2a8be8b247d650809ecd41f92d4e3aab5ad2e",
+    "ranked-0": "a21205ce1c7fc1d7f1d98788ce506ed77a07de5be9a14397f248a9c28057426b",
+    "ranked-1": "ee030cbd5ad0cf6eec0dde94dc1a12cda5e4541b4c4782e39e96e350d2c8b949",
+    "ranked-2": "69eb02107e2ea77350f83c6f41d31ae10a30ef2eb930162726abbf127a0d3d82",
+    "ranked-3": "2faf490b4e9c81f1905b5da57396ab619ac725b8e99182d543334e90c0e90f7b",
+    "counted-0": "f7d09ffb0ba4336cb9ad406d5392048497ca97403e856d5d59d96b031faefba5",
+    "counted-1": "bad5d8a0d53e33bb5ec507c3f5f39bf12315b52d1e0336439c5eac609541c503",
+    "counted-2": "2f6a3d1a17c049b6ae0a70d1877ca3bf39965c87f6904f44cc15c5e31e124034",
+    "counted-4": "b78eb298444efc866b12b896ebbaf7a3420f91111d1cf153da865f3a7e4d5266",
+    "counted-log2": "45c06eca1bc8cfdd5b43d8d5c97a355a43a09438870b95fe230b8de4bacb3dc2",
+    "counted-sqrt": "eee281a09a349a00f6cbea15c96279c2568a9e9bc14e6a3c7fc95a1b63f39bff",
+    "counted-id": "3da70c006771a33ccb6e609fc603ef27e563a7f40bfd0542fccfbcfa0cc061ab",
+}
+
+
+def _fingerprint(aut, words, budget_words) -> str:
+    """Digest of every RunOutcome field, traces included, over the words.
+
+    Checks on the way that tracing changes no outcome, that the move counts
+    agree with the trace's move column, and that max_steps=k raises
+    BudgetExceeded(max(k, 0)) until the budget covers the run: its steps on
+    an accepting run, one more on a rejecting one (the detector fires on the
+    step it refuses to take)."""
+    h = hashlib.sha256()
+    for word in words:
+        out = run_naive(aut, word, trace=True)
+        assert run_naive(aut, word) == dataclasses.replace(out, trace=None), word
+        right = sum(rec[5] == RIGHT for rec in out.trace)
+        assert out.moves == {"R": right, "L": len(out.trace) - right}, word
+        h.update(repr(out).encode())
+    for word in budget_words:
+        full = run_naive(aut, word)
+        covers = full.steps + (not full.accepted)
+        for k in range(-1, covers + 1):
+            try:
+                got = run_naive(aut, word, max_steps=k)
+            except BudgetExceeded as e:
+                got = e.steps
+            assert got == (full if max(k, 0) >= covers else max(k, 0)), (word, k)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_outcomes_pinned_on_zoo(name):
+    aut = ZOO[name]()
+    words = list(words_upto(aut.input_alphabet, 6))
+    words += random_words(aut.input_alphabet, 4, 200, 600, 17)
+    budget_words = random_words(aut.input_alphabet, 3, 6, 24, 19)
+    digest = _fingerprint(aut, words, budget_words)
+    assert _FINGERPRINTS.get(f"zoo-{name}") == digest, digest
+
+
+@pytest.mark.parametrize("mode, dlimit", _D_LIMITS,
+                         ids=[f"{m}-{d.token()}" for m, d in _D_LIMITS])
+def test_outcomes_pinned_on_random_machines(mode, dlimit):
+    rng = SplitMix64(0x0AC1E)
+    h = hashlib.sha256()
+    for q in (1, 2, 3, 4, 6):
+        aut = random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
+        words = list(words_upto(aut.input_alphabet, 4))
+        words += random_words(aut.input_alphabet, 6, 8, 96, rng.next_u64())
+        budget_words = random_words(aut.input_alphabet, 3, 6, 20, rng.next_u64())
+        h.update(_fingerprint(aut, words, budget_words).encode())
+    digest = h.hexdigest()
+    assert _FINGERPRINTS.get(f"{mode}-{dlimit.token()}") == digest, digest
