@@ -149,6 +149,7 @@ class CompiledAutomaton:
     wr_tab: list
     mv_tab: list
     ranks: tuple
+    fixed: list              # symbol -> a visit never rewrites it (run_naive)
     cf_cache: dict
     compose_memo: CompositionMemo    # (f.table, g.table) -> walk (mapping.compose_full)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
@@ -192,6 +193,9 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         if s in state_index:
             accepting[state_index[s]] = True
     ranks = tuple(aut.ranks.get(tok, 0) for tok in letters)
+    # markers, and in ranked mode with d > 0 the letters of rank d
+    d = aut.dlimit.k if aut.mode == RANKED else 0
+    fixed = [d > 0 and r == d for r in ranks] + [True, True]
     from .mapping import CompositionMemo
     return CompiledAutomaton(
         n_states=len(states), n_letters=lo, width=width,
@@ -200,7 +204,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
         start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
-        ranks=ranks, cf_cache={}, compose_memo=CompositionMemo(), shadow_cache={},
+        ranks=ranks, fixed=fixed, cf_cache={}, compose_memo=CompositionMemo(), shadow_cache={},
     )
 
 

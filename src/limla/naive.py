@@ -1,22 +1,28 @@
 """Reference engine: executes the definition literally, cell by cell.
 
 Exists to be obviously correct; the linear engine is differentially
-tested against it.  Loop detection is exact: a set of (position, state)
-pairs is cleared whenever a cell's content actually changes.  Between
-content changes the tape as seen by the transition function is constant,
-so a repeated pair replays forever.  Visit counters still advance on
-no-change visits, but they only gate whether writes stick, and every
-write in such a cycle rewrites the letter that is already there, so the
-cycle is genuinely infinite.  Termination without a budget follows:
-content changes are bounded by the rewrite budget, and each change-free
-stretch is bounded by (n + 2) * |Q| pairs.
+tested against it.  One rule freezes a cell for every mode: a visit
+applies the written letter unless the cell's visit count has reached
+``limit`` or the letter read is ``fixed`` (``CompiledAutomaton.fixed``:
+the markers, and rank-d letters in ranked mode with d > 0).  ``limit`` is
+1 in ranked mode with d = 0, never reached with d > 0, and d(n) in
+counted mode.  Trace records report markers as not frozen.
+
+Loop detection is exact: a set of (position, state) pairs is cleared
+whenever a cell's content actually changes.  Between content changes the
+tape as seen by the transition function is constant, so a repeated pair
+replays forever.  Visit counters still advance on no-change visits, but
+they only gate whether writes stick, and every write in such a cycle
+rewrites the letter that is already there, so the cycle is genuinely
+infinite.  Termination without a budget follows: content changes are
+bounded by the rewrite budget, and each change-free stretch is bounded by
+(n + 2) * |Q| pairs.
 """
 from __future__ import annotations
 
-from .model import (
-    ACCEPT, LOOP_DETECTED, RANKED, REJECT, RIGHT,
-    d_of, word_indices,
-)
+import sys
+
+from .model import ACCEPT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of, word_indices
 from .outcome import BudgetExceeded, RunOutcome
 
 
@@ -25,62 +31,47 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
 
     Always terminates: Accept on arriving at the right marker in an
     accepting state, Reject when the stretch detector fires.  A supplied
-    max_steps raises BudgetExceeded instead of guessing a verdict.
+    max_steps raises BudgetExceeded instead of guessing a verdict; no step
+    is taken when it is 0 or less.  The head starts on cell 1, so the move
+    counts follow from the step count and the final position.
     """
     c = aut.compiled
     syms = word_indices(aut, word)
     n = len(syms)
     lo = c.n_letters
     width = c.width
-    right_idx = lo + 1
     nq = c.n_states
     to_tab, wr_tab, mv_tab = c.to_tab, c.wr_tab, c.mv_tab
     accepting = c.accepting
 
-    tape = [lo] + syms + [right_idx]
+    tape = [lo] + syms + [lo + 1]
     visits = [0] * (n + 2)
     cell_writes = [0] * (n + 2)
 
-    ranked = aut.mode == RANKED
-    if ranked:
-        d_k = aut.dlimit.k
-        zero_d = d_k == 0
-        frozen_rank = [r == d_k for r in c.ranks]
-        d_n = d_k
+    fixed = c.fixed
+    if aut.mode == RANKED:
+        limit = 1 if aut.dlimit.k == 0 else sys.maxsize
     else:
-        d_n = d_of(aut.dlimit, n)
+        limit = d_of(aut.dlimit, n)
 
     pos = 1
     state = c.start_idx
-    steps = 0
-    r_moves = l_moves = 0
-    writes = 0
-    last_write = 0
+    steps = writes = last_write = 0
     stretch = set()
     tr = [] if trace else None
-    verdict = None
+    verdict = REJECT
     reason = None
 
-    if tape[pos] == right_idx and accepting[state]:
+    if n == 0 and accepting[state]:
         verdict = ACCEPT
     else:
-        while True:
-            if max_steps is not None and steps >= max_steps:
-                raise BudgetExceeded(steps)
+        budget = range(sys.maxsize if max_steps is None else max_steps)
+        for steps in budget:
             s = tape[pos]
             k = state * width + s
-            ns = to_tab[k]
-            mv = mv_tab[k]
-            # markers and frozen cells keep their letter: w = s
-            if s >= lo:
-                frozen = False
-                w = s
-            else:
-                if ranked:
-                    frozen = visits[pos] >= 1 if zero_d else frozen_rank[s]
-                else:
-                    frozen = visits[pos] >= d_n
-                w = s if frozen else wr_tab[k]
+            v = visits[pos]
+            frozen = v >= limit or fixed[s]
+            w = s if frozen else wr_tab[k]
             if w != s:  # a write that sticks ends the stretch
                 tape[pos] = w
                 writes += 1
@@ -90,28 +81,28 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
             else:
                 key = pos * nq + state
                 if key in stretch:
-                    verdict, reason = REJECT, LOOP_DETECTED
+                    reason = LOOP_DETECTED
                     break
                 stretch.add(key)
+            visits[pos] = v + 1
             if tr is not None:
-                tr.append((steps + 1, pos, state, s, w, mv, frozen))
-            visits[pos] += 1
-            steps += 1
-            state = ns
-            if mv == RIGHT:
+                tr.append((steps + 1, pos, state, s, w, mv_tab[k], frozen and s < lo))
+            state = to_tab[k]
+            if mv_tab[k] == RIGHT:
                 pos += 1
-                r_moves += 1
+                if pos > n and accepting[state]:
+                    verdict = ACCEPT
+                    steps += 1
+                    break
             else:
                 pos -= 1
-                l_moves += 1
-            if tape[pos] == right_idx and accepting[state]:
-                verdict = ACCEPT
-                break
+        else:
+            raise BudgetExceeded(len(budget))
 
+    r_moves = (steps + pos - 1) // 2
     return RunOutcome(
         verdict=verdict, reason=reason, steps=steps,
-        moves={"R": r_moves, "L": l_moves},
+        moves={"R": r_moves, "L": steps - r_moves},
         visits=visits, writes=writes, cell_writes=cell_writes,
         last_write_step=last_write, trace=tr,
     )
-
