@@ -193,7 +193,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         if s in state_index:
             accepting[state_index[s]] = True
     ranks = tuple(aut.ranks.get(tok, 0) for tok in letters)
-    # markers, and in ranked mode with d > 0 the letters of rank d
+    # counted mode, and ranked mode with d = 0, freeze by visit count alone
     d = aut.dlimit.k if aut.mode == RANKED else 0
     fixed = [d > 0 and r == d for r in ranks] + [True, True]
     from .mapping import CompositionMemo

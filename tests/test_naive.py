@@ -176,9 +176,9 @@ _D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
              + [(COUNTED, DLimit(k)) for k in ("log2", "sqrt", "id")])
 
 
-# sha256 of _fingerprint taken from the engine whose loop tested the budget,
-# the markers and the mode on every step: the lean loop leaves every outcome
-# and trace as it was.  Recompute only for a change that means to alter them.
+# sha256 of _fingerprint, taken before the step loop was rewritten to test
+# one frozen rule and take its budget from a range.  Recompute only for a
+# change that means to alter outcomes or traces.
 _FINGERPRINTS = {
     "zoo-anbn": "b74685ac12e16f040014740cd9947e68d517ba22b2fb99592473ab11654d872c",
     "zoo-bouncer": "72a2eddbda23c49a97aea506ce5b1c23dc0fa4d0114ce19c27b02d82337aa4fc",
