@@ -7,8 +7,10 @@ describing it and coalesces it with any adjacent map cells, so no two map
 cells are ever adjacent.  Arriving on a map cell costs a single table
 lookup that teleports the head across the whole frozen segment.
 
-The freeze trigger is deliberately keyed on the written letter, not on
-the letter read: ranked rewrites may jump several ranks at once, so a
+Writes stick as in the reference engine, and a visit freezes its cell
+when it is the cell's model.visit_limit-th or writes a letter that
+CompiledAutomaton.fixed marks.  That test is keyed on the written letter,
+not the letter read: ranked rewrites may jump several ranks at once, so a
 cell can become frozen on a visit that read a low rank.  Without this the
 frozen letter would persist and no case could handle its next visit.
 
@@ -23,7 +25,9 @@ cells, unlike letters, react to it.
 """
 from __future__ import annotations
 
-from .model import ACCEPT, LOOP_DETECTED, MAP_LOOP, RANKED, REJECT, RIGHT, d_of
+import sys
+
+from .model import ACCEPT, LOOP_DETECTED, MAP_LOOP, REJECT, RIGHT, visit_limit
 from .mapping import cf_idx, compose_full, describe_indices
 from .outcome import BudgetExceeded, RunOutcome
 from .tape import ListTape
@@ -139,12 +143,11 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     Verdicts always match run_naive; steps count letter moves, scans, map
     jumps and marker moves.
 
-    A scan that exits right onto a letter goes straight on to it, without a
-    round of the main loop: the sweep goes on while each visit freezes its
-    cell and stops after any other visit, at a leftward or looping exit, or
-    at max_steps.  Each scan is still one call to deletion_scan and each
-    merge one call to compose_full, both looked up by name at call time, so
-    wrappers installed on them see every call.
+    Consecutive visits to letter cells make one letter run, an inner loop
+    that hands back to the main loop only on a map cell, a marker, a
+    map-loop exit or max_steps.  Each scan is one call to deletion_scan and
+    each merge one call to compose_full, both looked up by name at call
+    time, so wrappers installed on them see every call.
     """
     c = aut.compiled
     tape = ListTape.from_word(aut, word)
@@ -162,76 +165,57 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     nq = c.n_states
     to_tab, wr_tab, mv_tab = c.to_tab, c.wr_tab, c.mv_tab
     accepting = c.accepting
-    ranks = c.ranks
+    fixed = c.fixed
     cf_cache = c.cf_cache
-
-    ranked = aut.mode == RANKED
-    d_n = d_of(aut.dlimit, n)
-    # counted d(n) = 0: every letter cell is over budget on its first visit,
-    # so it freezes keeping the letter it read
-    zero_counted = not ranked and d_n == 0
+    limit = visit_limit(aut, n)
+    budget = sys.maxsize if max_steps is None else max_steps
 
     state = c.start_idx
     dr = RIGHT
     pos = 1
-    steps = 0
-    letter_moves = map_jumps = scans = marker_moves = 0
-    writes = 0
-    last_write = 0
+    steps = map_jumps = scans = marker_moves = 0
+    writes = last_write = 0
     cell_writes = [0] * (n + 2)
-    compose_calls = 0
-    edges_max = 0
+    compose_calls = edges_max = 0
     stretch = set()
     tr = [] if trace else None
-    verdict = None
-    reason = None
+    verdict = reason = None
 
-    if pos == n + 1 and accepting[state]:
-        verdict = ACCEPT
-    else:
-        while True:
-            if max_steps is not None and steps >= max_steps:
-                break
-            f = fmap[pos]
-            if f is None and 0 < pos <= n:
-                stretch.clear()
-                while True:  # the sweep: see the docstring
-                    s = sym[pos]
-                    k = state * width + s
-                    ns = to_tab[k]
-                    w = wr_tab[k]
-                    mv = mv_tab[k]
-                    v = visits[pos] + 1
-                    visits[pos] = v
-                    freeze = (ranks[w] == d_n) if ranked else (v >= d_n)
-                    x = s if zero_counted else w  # the letter the cell keeps
-                    if x != s:
-                        sym[pos] = x
-                        writes += 1
-                        cell_writes[pos] += 1
-                        last_write = steps + 1
-                    if not freeze:
-                        if tr is not None:
-                            tr.append((steps + 1, pos, state, s, w, mv, False,
-                                       0, False, False, -1, -1))
-                        letter_moves += 1
-                        steps += 1
-                        state = ns
-                        dr = mv
-                        break
-                    g = cf_cache.get(x) or cf_idx(c, x)
+    while True:
+        if pos == n + 1 and accepting[state]:
+            verdict = ACCEPT
+            break
+        if steps >= budget:
+            break
+        f = fmap[pos]
+        if f is None and 0 < pos <= n:
+            stretch.clear()
+            while True:  # the letter run: see the docstring
+                s = sym[pos]
+                k = state * width + s
+                v = visits[pos]
+                visits[pos] = v + 1
+                w = s if v >= limit else wr_tab[k]
+                mv = mv_tab[k]
+                steps += 1
+                if w != s:
+                    sym[pos] = w
+                    writes += 1
+                    cell_writes[pos] += 1
+                    last_write = steps
+                if v + 1 >= limit or fixed[w]:
+                    g = cf_cache.get(w) or cf_idx(c, w)
                     if tr is not None:
                         left, right = prev[pos], nxt[pos]
-                    out, calls, edges = deletion_scan(tape, pos, 2 * ns + mv, g)
+                    out, calls, edges = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
                     scans += 1
                     compose_calls += calls
                     if edges > edges_max:
                         edges_max = edges
                     if tr is not None:
-                        tr.append((steps + 1, pos, state, s, x, mv, zero_counted, 1,
+                        tr.append((steps, pos, state, s, w, mv, v >= limit, 1,
                                    prev[pos] != left, nxt[pos] != right,
                                    prev[pos] + 1, nxt[pos] - 1))
-                    steps += 1
                     if out < 0:
                         verdict, reason = REJECT, MAP_LOOP
                         break
@@ -241,48 +225,48 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         assert fmap[prev[pos]] is None and fmap[nxt[pos]] is None
                     state = out >> 1
                     dr = out & 1
-                    nx = nxt[pos]
-                    if dr != RIGHT or nx > n or fmap[nx] is not None or (
-                            max_steps is not None and steps >= max_steps):
-                        break
-                    pos = nx
-                if verdict is not None:
-                    break
-            else:
-                key = ((pos * nq + state) << 1) | dr
-                if key in stretch:
-                    verdict, reason = REJECT, LOOP_DETECTED
-                    break
-                stretch.add(key)
-                if f is not None:
-                    out = f.table[2 * state + dr]
-                    map_jumps += 1
-                    steps += 1
-                    if out < 0:
-                        verdict, reason = REJECT, MAP_LOOP
-                        break
+                else:
                     if tr is not None:
-                        tr.append((steps, pos, state, -2, -2, out & 1, True,
-                                   2, False, False, -1, -1))
-                    state = out >> 1
-                    dr = out & 1
-                else:  # marker
-                    s = sym[pos]
-                    k = state * width + s
-                    ns = to_tab[k]
-                    mv = mv_tab[k]
-                    if tr is not None:
-                        tr.append((steps + 1, pos, state, s, s, mv, False,
+                        tr.append((steps, pos, state, s, w, mv, False,
                                    0, False, False, -1, -1))
-                    visits[pos] += 1
-                    marker_moves += 1
-                    steps += 1
-                    state = ns
+                    state = to_tab[k]
                     dr = mv
-            pos = prev[pos] if dr == 1 else nxt[pos]
-            if pos == n + 1 and accepting[state]:
-                verdict = ACCEPT
+                pos = prev[pos] if dr else nxt[pos]
+                if fmap[pos] is not None or not 0 < pos <= n or steps >= budget:
+                    break
+            if verdict is not None:
                 break
+            continue
+        key = ((pos * nq + state) << 1) | dr
+        if key in stretch:
+            verdict, reason = REJECT, LOOP_DETECTED
+            break
+        stretch.add(key)
+        if f is not None:
+            out = f.table[2 * state + dr]
+            map_jumps += 1
+            steps += 1
+            if out < 0:
+                verdict, reason = REJECT, MAP_LOOP
+                break
+            if tr is not None:
+                tr.append((steps, pos, state, -2, -2, out & 1, True,
+                           2, False, False, -1, -1))
+            state = out >> 1
+            dr = out & 1
+        else:  # marker
+            s = sym[pos]
+            k = state * width + s
+            mv = mv_tab[k]
+            visits[pos] += 1
+            marker_moves += 1
+            steps += 1
+            if tr is not None:
+                tr.append((steps, pos, state, s, s, mv, False,
+                           0, False, False, -1, -1))
+            state = to_tab[k]
+            dr = mv
+        pos = prev[pos] if dr else nxt[pos]
 
     if 4 * nq * len(memo) > COMPOSE_MEMO_SLOTS:
         memo.clear()
@@ -290,10 +274,10 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
         raise BudgetExceeded(steps)
     return RunOutcome(
         verdict=verdict, reason=reason, steps=steps,
-        moves={"letter": letter_moves, "map": map_jumps, "marker": marker_moves},
+        moves={"letter": steps - scans - map_jumps - marker_moves,
+               "map": map_jumps, "marker": marker_moves},
         visits=visits, writes=writes, cell_writes=cell_writes,
         last_write_step=last_write, trace=tr,
         scans=scans, compose_calls=compose_calls, compose_walks=memo.walks,
         compose_edges_max=edges_max,
     )
-

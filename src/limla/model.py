@@ -11,6 +11,7 @@ input length.  Frozen cells stay readable forever but keep their content.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,6 +68,18 @@ def d_of(spec: DLimit, n: int) -> int:
     if spec.kind == "id":
         return n
     raise ValueError(f"unknown d-limit kind {spec.kind!r}")
+
+
+def visit_limit(aut: Automaton, n: int) -> int:
+    """Visits after which a cell of an n-letter word takes no more writes.
+
+    1 in ranked mode with d = 0; never reached with d > 0, where a cell
+    freezes by the rank-d letter it holds (CompiledAutomaton.fixed); d(n)
+    in counted mode.
+    """
+    if aut.mode == RANKED:
+        return 1 if aut.dlimit.k == 0 else sys.maxsize
+    return d_of(aut.dlimit, n)
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,7 @@ class CompiledAutomaton:
     wr_tab: list
     mv_tab: list
     ranks: tuple
-    fixed: list              # symbol -> a visit never rewrites it (run_naive)
+    fixed: list              # symbol -> a cell holding it takes no more writes
     cf_cache: dict
     compose_memo: CompositionMemo    # (f.table, g.table) -> walk (mapping.compose_full)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
@@ -193,7 +206,8 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         if s in state_index:
             accepting[state_index[s]] = True
     ranks = tuple(aut.ranks.get(tok, 0) for tok in letters)
-    # counted mode, and ranked mode with d = 0, freeze by visit count alone
+    # the markers, and rank-d letters in ranked mode with d > 0; counted mode
+    # and ranked mode with d = 0 freeze by visit count alone (visit_limit)
     d = aut.dlimit.k if aut.mode == RANKED else 0
     fixed = [d > 0 and r == d for r in ranks] + [True, True]
     from .mapping import CompositionMemo

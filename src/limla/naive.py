@@ -4,9 +4,9 @@ Exists to be obviously correct; the linear engine is differentially
 tested against it.  One rule freezes a cell for every mode: a visit
 applies the written letter unless the cell's visit count has reached
 ``limit`` or the letter read is ``fixed`` (``CompiledAutomaton.fixed``:
-the markers, and rank-d letters in ranked mode with d > 0).  ``limit`` is
-1 in ranked mode with d = 0, never reached with d > 0, and d(n) in
-counted mode.  Trace records report markers as not frozen.
+the markers, and rank-d letters in ranked mode with d > 0).  ``limit``
+is ``model.visit_limit``, which run_linear reads too.  Trace records
+report markers as not frozen.
 
 Loop detection is exact: a set of (position, state) pairs is cleared
 whenever a cell's content actually changes.  Between content changes the
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from .model import ACCEPT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of, word_indices
+from .model import ACCEPT, LOOP_DETECTED, REJECT, RIGHT, visit_limit, word_indices
 from .outcome import BudgetExceeded, RunOutcome
 
 
@@ -49,10 +49,7 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
     cell_writes = [0] * (n + 2)
 
     fixed = c.fixed
-    if aut.mode == RANKED:
-        limit = 1 if aut.dlimit.k == 0 else sys.maxsize
-    else:
-        limit = d_of(aut.dlimit, n)
+    limit = visit_limit(aut, n)
 
     pos = 1
     state = c.start_idx

@@ -192,7 +192,7 @@ def test_even_a_interior_collapses_to_one_map():
     assert len(scans) == 4 == out.scans
     assert (scans[-1][10], scans[-1][11]) == (1, 4)
     # odd parity: the run goes on bouncing; the collapse still happened during
-    # the first sweep, before the head ever reached a marker twice
+    # the first letter run, before the head ever reached a marker twice
     out = run_linear(aut, "ab", trace=True, shadow=True)
     assert out.verdict == REJECT
     marker_steps = [t[0] for t in out.trace if t[3] >= aut.compiled.n_letters]
@@ -202,13 +202,21 @@ def test_even_a_interior_collapses_to_one_map():
 
 
 def test_step_bound_on_zoo_runs():
+    # the letter count is derived from the others, so every count is checked
+    # against the trace: case-0 records on letters and on markers, case-2
+    # map jumps and case-1 scans
     for name, build in ZOO.items():
         aut = build()
         for word in words_upto(aut.input_alphabet, 6):
-            out = run_linear(aut, word)
-            assert out.steps <= step_budget(aut, len(word)), (name, word)
-            assert out.scans <= len(word)
-            assert out.steps == sum(out.moves.values()) + out.scans
+            n = len(word)
+            out = run_linear(aut, word, trace=True)
+            assert out.steps <= step_budget(aut, n), (name, word)
+            assert out.scans <= n
+            kinds = [(rec[7], rec[7] == 0 and 0 < rec[1] <= n) for rec in out.trace]
+            assert kinds.count((0, True)) == out.moves["letter"], (name, word)
+            assert kinds.count((0, False)) == out.moves["marker"], (name, word)
+            assert kinds.count((2, False)) == out.moves["map"], (name, word)
+            assert kinds.count((1, False)) == out.scans, (name, word)
 
 
 def test_no_adjacent_maps_assertion_active():
@@ -445,7 +453,7 @@ def _seam_calls(monkeypatch, aut, word):
 
 @pytest.mark.parametrize("case", ["even_a", "anbn", "log2", "sqrt", "id"])
 def test_every_scan_and_merge_goes_through_its_module_name(monkeypatch, case):
-    # the sweep may skip the main loop, never the seams: one deletion_scan
+    # the letter run may skip the main loop, never the seams: one deletion_scan
     # call per scan and one compose_full call per merge, memo hits included
     if case == "even_a":
         aut = build_even_a_2dfa()
@@ -467,8 +475,9 @@ _D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
 
 
 # sha256 of _fingerprint at the engine before the sweep, which went round
-# its main loop once per step: sweeping leaves every outcome and trace as
-# it was.  Recompute only for a change that means to alter them.
+# its main loop once per step: the letter run, like the sweep before it,
+# leaves every outcome and trace as it was.  Recompute only for a change
+# that means to alter them.
 _FINGERPRINTS = {
     "zoo-anbn": "ead0ce73a0cf82c622cec76b5a79f77d3b353c6def7a38881cdc1e599d35f138",
     "zoo-bouncer": "c28404c977521af5dcb7e88db712305fda9f0a3dd89fd5a5e8bd8540d6c780ea",

@@ -164,3 +164,22 @@ def test_no_method_named_like_a_container_method():
              for path in sorted(SRC.glob("*.py"))
              for line, name in container_named_methods(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+# The freeze rule's facts live in model.visit_limit and CompiledAutomaton.fixed,
+# so the engines read neither the mode nor the d-limit of a machine.
+FREEZE_FACTS = frozenset({"RANKED", "COUNTED", "d_of", "mode", "dlimit"})
+
+
+def freeze_fact_reads(source: str) -> list:
+    """The names of FREEZE_FACTS that a module reads."""
+    return sorted(read_names(ast.parse(source)) & FREEZE_FACTS)
+
+
+def test_engines_take_the_freeze_rule_from_the_model():
+    assert freeze_fact_reads("from .model import RANKED, visit_limit\n"
+                             "ranked = aut.mode == RANKED\nd_of(aut.dlimit, n)\n") == [
+        "RANKED", "d_of", "dlimit", "mode"]
+    found = {name: freeze_fact_reads((SRC / name).read_text(encoding="utf-8"))
+             for name in ("naive.py", "linear.py")}
+    assert found == {"naive.py": [], "linear.py": []}

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
 from limla.model import (
     Automaton, DLimit, ID, LOG2, SQRT, Transition,
     COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
-    d_of, validate_automaton, word_indices,
+    d_of, validate_automaton, visit_limit, word_indices,
 )
 from limla.zoo import ZOO
 
@@ -30,6 +32,16 @@ def test_d_of_monotone():
         vals = [d_of(spec, n) for n in range(300)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert {d_of(DLimit.const(3), n) for n in range(50)} == {3}
+
+
+def test_visit_limit():
+    def machine(mode, dlimit):
+        return Automaton(mode, dlimit, ("q",), ("a",), ("a",), {}, "q", (), {})
+    assert visit_limit(machine(RANKED, DLimit.const(0)), 9) == 1
+    assert visit_limit(machine(RANKED, DLimit.const(2)), 9) == sys.maxsize
+    assert visit_limit(machine(COUNTED, DLimit.const(0)), 9) == 0
+    assert visit_limit(machine(COUNTED, ID), 9) == 9
+    assert visit_limit(machine(COUNTED, SQRT), 9) == 3
 
 
 def _tiny(mode=RANKED, d=2, rows=None, ranks=None, tape=("a", "X"),
