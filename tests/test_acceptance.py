@@ -18,6 +18,8 @@ from limla.naive import run_naive
 from limla.rng import SplitMix64
 from limla.zoo import GenParams, ZOO, build_anbn, build_bouncer, build_sweeper, random_automaton
 
+from trace_writes import write_profile
+
 N_RANDOM_MACHINES = 200
 RANDOM_WORD_LEN = 10
 ZOO_WORD_LEN = 12
@@ -159,7 +161,7 @@ def sweeper_runs():
     runs = {}
     for n in range(0, 129):
         word = ("a",) * n
-        runs[n] = (run_naive(aut, word), run_linear(aut, word))
+        runs[n] = (run_naive(aut, word, trace=True), run_linear(aut, word))
     return aut, runs
 
 
@@ -167,7 +169,7 @@ def test_criterion_6_growing_budget_mode(sweeper_runs):
     aut, runs = sweeper_runs
     for n, (no, lo) in runs.items():
         assert no.verdict == lo.verdict == REJECT
-        assert no.cell_writes[1:n + 1] == [n] * n, f"n={n}"
+        assert write_profile(no, n)[0][1:n + 1] == [n] * n, f"n={n}"
         assert lo.steps <= step_budget(aut, n)
     rows = run_bench(aut, "sweeper", ("naive",), (32, 64, 128, 256), "unary")
     fit = fit_scaling(rows)
@@ -204,9 +206,9 @@ def test_criterion_8_loop_handling():
         nq = len(aut.states)
         for word in random_words(aut.input_alphabet, 100, 0, 12, seed=i):
             n = len(word)
-            no = run_naive(aut, word)
+            no = run_naive(aut, word, trace=True)
             assert no.verdict == REJECT
-            assert no.steps - no.last_write_step <= 2 * (n + 2) * nq
+            assert no.steps - write_profile(no, n)[1] <= 2 * (n + 2) * nq
             lo = run_linear(aut, word)
             assert lo.verdict == REJECT
             assert lo.steps <= step_budget(aut, n)

@@ -13,6 +13,8 @@ from limla.zoo import (
     random_automaton,
 )
 
+from trace_writes import write_profile
+
 
 def test_all_builders_validate():
     for name, build in ZOO.items():
@@ -41,9 +43,10 @@ def test_bouncer_rejects_everything():
     aut = build_bouncer()
     for n in range(0, 12):
         word = "a" * n
-        out = run_naive(aut, word)
+        out = run_naive(aut, word, trace=True)
         assert out.verdict == REJECT
-        assert out.steps - out.last_write_step <= 2 * (n + 2) * 1
+        _, last_write = write_profile(out, n)
+        assert out.steps - last_write <= 2 * (n + 2) * 1
         lin = run_linear(aut, word)
         assert lin.verdict == REJECT
 
@@ -52,9 +55,9 @@ def test_sweeper_write_profile():
     aut = build_sweeper()
     for n in (0, 1, 2, 3, 5, 9, 16):
         word = "ab" * (n // 2) + "a" * (n % 2)
-        out = run_naive(aut, word)
+        out = run_naive(aut, word, trace=True)
         assert out.verdict == REJECT
-        assert out.cell_writes[1:n + 1] == [n] * n
+        assert write_profile(out, n)[0][1:n + 1] == [n] * n
         # sweeps until everything froze, plus one detection lap:
         # exactly (n+1)(n+2) - 1 steps for n >= 1
         if n >= 1:
@@ -65,9 +68,9 @@ def test_sweeper_write_profile():
 
 def test_sweeper_visit_budget():
     aut = build_sweeper()
-    out = run_naive(aut, "abab")
+    out = run_naive(aut, "abab", trace=True)
     # letters change only during the first d(n)=n visits of each cell
-    assert out.writes == 4 * 4
+    assert sum(write_profile(out, 4)[0]) == 4 * 4
 
 
 def test_random_automaton_deterministic():
