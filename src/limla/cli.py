@@ -233,13 +233,17 @@ def cmd_fuzz(args) -> int:
         cap = min(args.maxlen, _EXHAUSTIVE_CAP)
         words = itertools.chain(words_upto(aut.input_alphabet, cap),
                                 random_words(aut.input_alphabet, _EXTRA_FUZZ_WORDS,
-                                             cap + 1, cap + 10, mseed))
+                                             cap + 1, max(args.maxlen, cap + 10), mseed))
         for word in words:
             div = compare_run(aut, word, shadow=True, stats=stats)
             if div is not None:
                 divergences += 1
                 outdir = os.path.join(args.out_dir, f"case_{idx:04d}")
-                _dump_reproducer(outdir, aut, div)
+                try:
+                    _dump_reproducer(outdir, aut, div)
+                except OSError as e:
+                    print(f"error: --out-dir: {e}", file=sys.stderr)
+                    return EXIT_USAGE
                 print(f"divergence: machine {idx} word {','.join(word) or '<empty>'} "
                       f"({div.kind}: {div.detail}) -> {outdir}")
                 break
@@ -288,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", choices=("ranked", "counted"), default="ranked")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--machines", type=int, default=200)
-    f.add_argument("--maxlen", type=int, default=10)
+    f.add_argument("--maxlen", type=int, default=10, metavar="N",
+                   help=f"every word of up to m = min(N, {_EXHAUSTIVE_CAP}) letters, then "
+                        f"{_EXTRA_FUZZ_WORDS} random words of m + 1 to max(N, m + 10) letters")
     f.add_argument("--alphabet-size", type=int, default=2)
     f.add_argument("--out-dir", default="fuzz-failures")
     f.set_defaults(func=cmd_fuzz)

@@ -61,7 +61,7 @@ def projections_agree(verdict: str, pn: list, pl: list) -> bool:
 
 
 def step_budget(aut, n: int) -> int:
-    """Linear-engine iteration allowance for an input of length n."""
+    """Linear-engine step allowance for an input of length n."""
     return 16 * (d_of(aut.dlimit, n) + 1) * (aut.compiled.n_states + 1) * (n + 2)
 
 

@@ -174,8 +174,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     dr = RIGHT
     pos = 1
     steps = map_jumps = scans = marker_moves = 0
-    writes = last_write = 0
-    cell_writes = [0] * (n + 2)
     compose_calls = edges_max = 0
     stretch = set()
     tr = [] if trace else None
@@ -200,9 +198,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                 steps += 1
                 if w != s:
                     sym[pos] = w
-                    writes += 1
-                    cell_writes[pos] += 1
-                    last_write = steps
                 if v + 1 >= limit or fixed[w]:
                     g = cf_cache.get(w) or cf_idx(c, w)
                     if tr is not None:
@@ -258,7 +253,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             s = sym[pos]
             k = state * width + s
             mv = mv_tab[k]
-            visits[pos] += 1
             marker_moves += 1
             steps += 1
             if tr is not None:
@@ -276,8 +270,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
         verdict=verdict, reason=reason, steps=steps,
         moves={"letter": steps - scans - map_jumps - marker_moves,
                "map": map_jumps, "marker": marker_moves},
-        visits=visits, writes=writes, cell_writes=cell_writes,
-        last_write_step=last_write, trace=tr,
-        scans=scans, compose_calls=compose_calls, compose_walks=memo.walks,
+        trace=tr, scans=scans, compose_calls=compose_calls, compose_walks=memo.walks,
         compose_edges_max=edges_max,
     )

@@ -152,7 +152,6 @@ class CompiledAutomaton:
     n_letters: int
     width: int
     state_names: tuple
-    state_index: dict
     sym_names: tuple
     sym_index: dict
     input_index: dict        # input token -> symbol index (word_indices)
@@ -213,7 +212,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
     from .mapping import CompositionMemo
     return CompiledAutomaton(
         n_states=len(states), n_letters=lo, width=width,
-        state_names=states, state_index=state_index,
+        state_names=states,
         sym_names=sym_names, sym_index=sym_index,
         input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
         start_idx=start, accepting=accepting,

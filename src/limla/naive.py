@@ -46,14 +46,13 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
 
     tape = [lo] + syms + [lo + 1]
     visits = [0] * (n + 2)
-    cell_writes = [0] * (n + 2)
 
     fixed = c.fixed
     limit = visit_limit(aut, n)
 
     pos = 1
     state = c.start_idx
-    steps = writes = last_write = 0
+    steps = 0
     stretch = set()
     tr = [] if trace else None
     verdict = REJECT
@@ -71,9 +70,6 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
             w = s if frozen else wr_tab[k]
             if w != s:  # a write that sticks ends the stretch
                 tape[pos] = w
-                writes += 1
-                cell_writes[pos] += 1
-                last_write = steps + 1
                 stretch.clear()
             else:
                 key = pos * nq + state
@@ -99,7 +95,5 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
     r_moves = (steps + pos - 1) // 2
     return RunOutcome(
         verdict=verdict, reason=reason, steps=steps,
-        moves={"R": r_moves, "L": steps - r_moves},
-        visits=visits, writes=writes, cell_writes=cell_writes,
-        last_write_step=last_write, trace=tr,
+        moves={"R": r_moves, "L": steps - r_moves}, trace=tr,
     )

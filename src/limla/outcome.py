@@ -6,6 +6,10 @@ and state fields as indices into the compiled machine; the linear engine
 appends (case, merged_left, merged_right, seg_lo, seg_hi) where case is
 0 = plain move, 1 = deletion scan, 2 = map jump.  Map jumps use -2 as
 their read/write index.
+
+The trace is where a run's per-cell writes are recorded: a write that
+sticks is a record whose read and write differ, so an outcome keeps no
+write counters of its own.
 """
 from __future__ import annotations
 
@@ -27,10 +31,6 @@ class RunOutcome:
     reason: str | None           # None | LOOP_DETECTED | MAP_LOOP
     steps: int
     moves: dict                  # per-kind move counters
-    visits: list                 # per-cell visit counts, index 0..n+1
-    writes: int                  # content-changing writes
-    cell_writes: list
-    last_write_step: int = 0
     trace: list | None = None
     scans: int = 0
     compose_calls: int = 0       # compositions requested, memo hits included

@@ -152,7 +152,7 @@ def test_criterion_5_linear_engine_profile(anbn_profile, diff_results):
     assert stats.scan_violations == []
     print(f"\ncriterion 5: PASS  linear steps {[r.steps for r in linear]} "
           f"ratios {[round(r, 2) for r in ratios]} slope {fit.slope:.3f}; "
-          f"iteration budget respected on all {stats.runs} differential runs")
+          f"step budget respected on all {stats.runs} differential runs")
 
 
 @pytest.fixture(scope="module")

@@ -289,6 +289,31 @@ def test_fuzz_draws_words_only_until_a_divergence(tmp_path, capsys, monkeypatch)
     assert drawn == [()]
 
 
+def test_fuzz_unwritable_out_dir_is_usage_error(tmp_path, capsys, monkeypatch):
+    from limla.difftest import Divergence
+    monkeypatch.setattr("limla.cli.compare_run", lambda aut, word, **kw: Divergence(
+        "verdict", tuple(word), "stubbed"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["fuzz", "--machines", "1", "--out-dir", str(blocker / "f")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --out-dir: ") and "Traceback" not in captured.err
+    assert "divergence:" not in captured.out
+
+
+def test_fuzz_maxlen_reaches_long_words(tmp_path, monkeypatch):
+    lengths = []
+
+    def record(aut, word, **kw):
+        lengths.append(len(word))
+
+    monkeypatch.setattr("limla.cli.compare_run", record)
+    assert main(["fuzz", "--machines", "1", "--maxlen", "40", "--alphabet-size", "1",
+                 "--out-dir", str(tmp_path / "f")]) == 0
+    assert max(lengths) > 20
+
+
 def test_fuzz_seed_repetition_identical(tmp_path, capsys):
     args = ["fuzz", "--states", "3", "--d", "2", "--machines", "5",
             "--maxlen", "3", "--seed", "42"]

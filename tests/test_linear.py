@@ -20,7 +20,7 @@ from limla.rng import SplitMix64
 from limla.tape import ListTape
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
-from trace_writes import pinned_repr, write_profile
+from trace_writes import write_profile
 
 
 def _live_cells(t):
@@ -173,7 +173,7 @@ def test_empty_word_projection_is_initial_record_only():
     aut = build_anbn()
     no = run_naive(aut, "", trace=True)
     lo = run_linear(aut, "", trace=True)
-    start = aut.compiled.state_index["start"]
+    start = aut.states.index("start")
     assert regular_projection(aut, no) == regular_projection(aut, lo) == \
         [(start, 1, -1, -1, -1)]
 
@@ -509,7 +509,7 @@ def _fingerprint(aut, words, budget_words) -> str:
     for word in words:
         out = run_linear(aut, word, trace=True)
         assert run_linear(aut, word) == dataclasses.replace(out, trace=None), word
-        h.update(pinned_repr(out).encode())
+        h.update(repr(out).encode())
     for word in budget_words:
         full = run_linear(aut, word)
         for k in range(full.steps + 1):

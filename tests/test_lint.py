@@ -35,7 +35,7 @@ def test_no_unused_imports():
 
 
 # Names that only tests read, kept on purpose.  Keys are "module.name" or
-# "module.Class.method"; every entry states why it stays.
+# "module.Class.member" for a method or field; every entry states why it stays.
 KEPT_FOR_TESTS = {
     "mapping.oracle_compose": "oracle: plain path-following reference for compose_full",
     "mapping.describe_segment": "oracle: token-form brute-force description of a segment",
@@ -43,6 +43,9 @@ KEPT_FOR_TESTS = {
     "mapping.transparent_map": "the identity of composition, for the monoid-law tests",
     "bench.fit_scaling": "step-growth tooling: log-log slope of step counts against n",
     "bench.doubling_ratios": "step-growth tooling: step ratios over doubled lengths",
+    "bench.ScalingFit.slope": "step-growth tooling: log-log slope of step counts against n",
+    "bench.ScalingFit.residual": "step-growth tooling: log-log slope of step counts against n",
+    "bench.ScalingFit.points": "step-growth tooling: log-log slope of step counts against n",
 }
 
 
@@ -73,22 +76,47 @@ def defined_names(tree) -> dict:
     return names
 
 
-def read_names(tree, skip=None) -> set:
-    """Every name a tree reads outside the node skip: loaded names, attributes,
+def class_fields(tree) -> dict:
+    """The fields of a module's top-level classes, each with its defining node:
+    annotated class attributes (dataclass and NamedTuple fields) and the
+    entries of __slots__.  Keys are "Class.field"."""
+    fields = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names = [item.target.id]
+            elif isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                names = [leaf.value for leaf in ast.walk(item.value)
+                         if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)]
+            else:
+                continue
+            for name in names:
+                fields[f"{cls.name}.{name}"] = item
+    return fields
+
+
+def read_names(tree, skip=(), bare=True) -> set:
+    """Every name a tree reads outside the nodes in skip: loaded names, attributes,
     imported names, and identifiers spelled as strings (as getattr and the
-    benchmark's tracer take them)."""
+    benchmark's tracer take them).  With bare=False only attributes and
+    strings count, the ways a field is read."""
     out = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
+        if node in skip:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            if bare:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
+            if bare:
+                out.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 out.add(node.value)
@@ -100,17 +128,30 @@ def unread_names(modules: dict, readers) -> list:
     """(module, line, name) for each name that modules (module name -> source)
     define and that neither the readers, the other modules nor the rest of
     its own module reads; a definition that reads itself, as a recursive
-    call does, is not its own reader."""
+    call does, is not its own reader.  Class fields count as read only by an
+    attribute load or an identifier string anywhere in modules or readers
+    outside the fields' own definitions (the strings of __slots__): a local
+    variable named like a field is not its reader.
+
+    Readers are matched by bare name, so a field shares its readers with
+    every attribute of that name: RunOutcome.visits would pass on the
+    engines' reads of ListTape.visits alone."""
     trees = {mod: ast.parse(src) for mod, src in modules.items()}
+    trees.update((f"<reader {i}>", ast.parse(src)) for i, src in enumerate(readers))
     reads = {mod: read_names(tree) for mod, tree in trees.items()}
-    outside = set().union(*(read_names(ast.parse(src)) for src in readers))
+    field_reads = set().union(*(
+        read_names(tree, skip=tuple(class_fields(tree).values()), bare=False)
+        for tree in trees.values()))
     found = []
-    for mod, tree in trees.items():
-        read = outside.union(*(r for other, r in reads.items() if other != mod))
+    for mod in modules:
+        tree = trees[mod]
+        read = set().union(*(r for other, r in reads.items() if other != mod))
         for name, node in defined_names(tree).items():
             leaf = name.rpartition(".")[2]
-            if leaf not in read and leaf not in read_names(tree, skip=node):
+            if leaf not in read and leaf not in read_names(tree, skip=(node,)):
                 found.append((mod, node.lineno, name))
+        found.extend((mod, node.lineno, name) for name, node in class_fields(tree).items()
+                     if name.rpartition(".")[2] not in field_reads)
     return sorted(found)
 
 
@@ -134,10 +175,17 @@ def test_dead_name_detector_flags_only_unread_names():
            "def f():\n    return A\nclass K:\n    def loop(self):\n        return self.loop()\n"
            "    def n(self):\n        pass\n    def __repr__(self):\n        return ''\n"
            "X: int = 4\nY = 5\ndef g(k):\n    return g(k - 1)\n"
-           "class T:\n    def get(self):\n        pass\n")
-    other = "from m import K, T\nprint(m.X)\nm.Y = 6\nk.n()\ngetattr(m, 'f')\n{}.get(1)\n"
+           "class T:\n    def get(self):\n        pass\n"
+           "class R:\n    kept: int\n    named: int\n    dead: int = 0\n"
+           "class S:\n    __slots__ = ('used', 'spare')\n"
+           "    def __init__(self):\n        self.used = self.spare = 0\n")
+    other = ("from m import K, T, R, S\nprint(m.X)\nm.Y = 6\nk.n()\ngetattr(m, 'f')\n{}.get(1)\n"
+             "print(r.kept, getattr(s, 'used'))\nnamed = 7\nprint(named)\n")
+    # a field is read only by an attribute load or a string: the bare name
+    # named and the stores in S.__init__ read no field
     assert unread_names({"m": src}, [other]) == [
-        ("m", 3, "B"), ("m", 3, "_c"), ("m", 8, "K.loop"), ("m", 15, "Y"), ("m", 16, "g")]
+        ("m", 3, "B"), ("m", 3, "_c"), ("m", 8, "K.loop"), ("m", 15, "Y"), ("m", 16, "g"),
+        ("m", 23, "R.named"), ("m", 24, "R.dead"), ("m", 26, "S.spare")]
     # dict.get reads "get", so only the name check catches the dead T.get
     assert container_named_methods(ast.parse(src)) == [(19, "T.get")]
 

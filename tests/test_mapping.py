@@ -56,9 +56,9 @@ def test_cf_of_anbn_frozen_letter_matches_delta():
     aut = build_anbn()
     c = aut.compiled
     m = cf(aut, "B")
-    for q, qi in c.state_index.items():
+    for qi, q in enumerate(aut.states):
         t = aut.delta[(q, "B")]
-        want = 2 * c.state_index[t.to_state] + (RIGHT if t.move == "R" else LEFT)
+        want = 2 * aut.states.index(t.to_state) + (RIGHT if t.move == "R" else LEFT)
         assert m.table[2 * qi + RIGHT] == want
         assert m.table[2 * qi + LEFT] == want
 

@@ -13,7 +13,7 @@ from limla.rng import SplitMix64
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, random_automaton
 from limla.difftest import random_words, words_upto
 
-from trace_writes import pinned_repr, write_profile
+from trace_writes import write_profile
 
 
 def test_anbn_language_samples():
@@ -33,7 +33,7 @@ def test_bouncer_forced_two_cycle():
     # nothing froze, so the regular projection is the whole trace
     proj = regular_projection(aut, out)
     assert len(proj) == len(out.trace) + 1
-    assert proj[0] == (aut.compiled.state_index["roam"], 1, -1, -1, -1)
+    assert proj[0] == (aut.states.index("roam"), 1, -1, -1, -1)
 
 
 # frozen from one reference run of this engine; hand-checked move by move
@@ -52,8 +52,8 @@ def test_anbn_ab_regular_trace_golden():
     c = aut.compiled
     out = run_naive(aut, "ab", trace=True)
     assert out.verdict == ACCEPT
-    want = [(c.state_index[q], pos, -1, -1, -1) if rd is None else
-            (c.state_index[q], pos, c.sym_index[rd], c.sym_index[wr],
+    want = [(aut.states.index(q), pos, -1, -1, -1) if rd is None else
+            (aut.states.index(q), pos, c.sym_index[rd], c.sym_index[wr],
              RIGHT if mv == "R" else LEFT)
             for q, pos, rd, wr, mv in ANBN_AB_REGULAR]
     assert regular_projection(aut, out) == want
@@ -217,7 +217,7 @@ def _fingerprint(aut, words, budget_words) -> str:
         assert run_naive(aut, word) == dataclasses.replace(out, trace=None), word
         right = sum(rec[5] == RIGHT for rec in out.trace)
         assert out.moves == {"R": right, "L": len(out.trace) - right}, word
-        h.update(pinned_repr(out).encode())
+        h.update(repr(out).encode())
     for word in budget_words:
         full = run_naive(aut, word)
         covers = full.steps + (not full.accepted)

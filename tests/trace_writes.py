@@ -1,5 +1,4 @@
 """Write facts read back from a traced run, for tests of either engine."""
-import dataclasses
 
 
 def write_profile(outcome, n: int) -> tuple:
@@ -16,13 +15,3 @@ def write_profile(outcome, n: int) -> tuple:
             last = rec[0]
     return counts, last
 
-
-# RunOutcome fields that the outcome digests leave out
-UNPINNED = ("visits", "writes", "cell_writes", "last_write_step")
-
-
-def pinned_repr(outcome) -> str:
-    """repr(outcome) without the UNPINNED fields."""
-    kept = ", ".join(f"{f.name}={getattr(outcome, f.name)!r}"
-                     for f in dataclasses.fields(outcome) if f.name not in UNPINNED)
-    return f"{type(outcome).__name__}({kept})"
