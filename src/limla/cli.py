@@ -199,6 +199,22 @@ def _dump_reproducer(outdir: str, aut, div) -> None:
             fp.write(f"linear verdict: {div.linear.verdict} steps: {div.linear.steps}\n")
 
 
+def _out_dir_problem(path: str) -> str | None:
+    """Why reproducers could not be written under path, or None.
+
+    Checks the nearest existing ancestor, creating nothing: a clean fuzz run
+    leaves no directory behind.
+    """
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        return f"{probe} is not a directory"
+    if not os.access(probe, os.W_OK | os.X_OK):
+        return f"{probe} is not writable"
+    return None
+
+
 def cmd_fuzz(args) -> int:
     if min(args.states, args.machines, args.alphabet_size) < 1 or args.maxlen < 0:
         print("error: fuzz parameters must be positive", file=sys.stderr)
@@ -218,6 +234,10 @@ def cmd_fuzz(args) -> int:
         option = "--d" if symbols > MAX_TRANSITIONS else "--states"
         print(f"error: {option}: {args.states} states x {symbols} symbols is over the "
               f"generator's {MAX_TRANSITIONS} transitions", file=sys.stderr)
+        return EXIT_USAGE
+    problem = _out_dir_problem(args.out_dir)
+    if problem is not None:
+        print(f"error: --out-dir: {problem}", file=sys.stderr)
         return EXIT_USAGE
     master = SplitMix64(args.seed)
     seeds = [master.next_u64() for _ in range(args.machines)]

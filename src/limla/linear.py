@@ -44,10 +44,11 @@ class ShadowMismatch(Exception):
 # would pass the cap empties the memo first.
 SHADOW_MEMO_SLOTS = 1 << 12
 
-# Cap on a machine's composition memo, in slots: 4|Q| per entry (h and dep;
-# its key tables are maps the memo or cf_cache holds), at most about 70 bytes
-# each.  Checked only when a run ends, emptying a memo past the cap, so a run
-# is never evicted from and between runs the memo stays under 0.1 MB.
+# Cap on a machine's composition memo, in slots: 4|Q| per entry (h and its
+# departure list, which fills as scans ask for departures; its key tables are
+# maps the memo or cf_cache holds), at most about 70 bytes each.  Checked
+# only when a run ends, emptying a memo past the cap, so a run is never
+# evicted from and between runs the memo stays under 0.1 MB.
 COMPOSE_MEMO_SLOTS = 1 << 10
 
 
@@ -80,7 +81,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
         calls = 1
         edges = comp.edges
         if (p & 1) != RIGHT:  # heading left, into the merged territory
-            p = comp.dep[p]
+            p = comp.departure(p)
             if p < 0:
                 return p, calls, edges
         g = comp.h
@@ -94,7 +95,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
         if comp.edges > edges:
             edges = comp.edges
         if (p & 1) == RIGHT:
-            p = comp.dep[p]
+            p = comp.departure(p)
             if p < 0:
                 return p, calls, edges
         g = comp.h

@@ -10,16 +10,21 @@ the head leaves past the segment's right end and (p, LEFT) past its left
 end.  Tables store a directed state (q, dir) as the integer 2 * q + dir
 and LOOP, an entry that never leaves, as -1.
 
-Composition of maps over adjacent segments is computed by one fused
-marked walk that bounces between the two part tables, following each
-entry to the combined segment's exit with no graph built, so one
-composition plus the full boundary departure table costs O(|Q|).  Maps are
-immutable values, so a machine can memoize their compositions.
+Composition of maps over adjacent segments follows the head across the
+seam between them, with no graph built.  Crossing 2p is the head crossing
+the seam rightward in state p, so it exits wherever the right part sends
+entry 2p; crossing 2p+1 crosses leftward and exits wherever the left part
+sends entry 2p+1.  The 2|Q| crossings are also the boundary departure
+table's indices.  One marked walk builds the composed map h, resolving
+only the crossings that h passes through; the rest of the departure table
+is resolved entry by entry when a deletion scan first asks for it.  Both
+share one list of resolutions, so a composition costs O(|Q|) however many
+departures are read.  Maps are immutable values, so a machine can memoize
+their compositions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import LEFT_MARKER, RIGHT_MARKER, RANKED, RIGHT
 
@@ -83,10 +88,37 @@ def cf(aut, letter: str) -> SegmentMap:
     return cf_idx(aut.compiled, _frozen_letter_index(aut, letter))
 
 
-class CompositionResult(NamedTuple):
-    h: SegmentMap          # the composed map
-    dep: tuple             # boundary departure table, indexed 2*state+dir, -1 = LOOP
-    edges: int             # walk loop iterations, in [4|Q|, 8|Q|]
+# Marks in a composition's departure list, which otherwise holds resolved
+# exits (-1 = LOOP): a crossing not yet walked, and one on the current walk.
+_UNSEEN, _ON_PATH = -3, -2
+
+
+class CompositionResult:
+    """A composition of adjacent maps f and g.
+
+    h is the composed map and edges the h walk's loop iterations, in
+    [2|Q|, 4|Q|].  departure(p) is the boundary departure table, resolved
+    on first request per entry into a list that the h walk started; the
+    result reads f's and g's tables themselves (with a memo, the key's), so
+    it holds 4|Q| slots of its own: h and that list.
+    """
+
+    __slots__ = ("h", "edges", "_ft", "_gt", "_dep")
+
+    def __init__(self, h: SegmentMap, edges: int, ft: tuple, gt: tuple, dep: list):
+        self.h = h
+        self.edges = edges
+        self._ft = ft
+        self._gt = gt
+        self._dep = dep
+
+    def departure(self, p: int) -> int:
+        """Where the head leaves the combined segment after crossing the seam
+        in directed state p (rightward into g, leftward into f); -1 = LOOP."""
+        v = self._dep[p]
+        if v == _UNSEEN:
+            v = _cross(self._ft, self._gt, self._dep, p)[0]
+        return v
 
 
 class CompositionMemo(dict):
@@ -101,13 +133,14 @@ class CompositionMemo(dict):
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = None
                  ) -> CompositionResult:
-    """Compose adjacent segment maps and compute the boundary departure table.
+    """Compose adjacent segment maps; the result also answers departures.
 
     The result depends on the two tables alone: maps over one machine form
     a finite monoid.  So with a memo (the machine's compose_memo), only the
     first request for a pair ever reaches the walk and every later one, in
-    this run or a later one, returns the same CompositionResult.  The memo
-    also counts, in memo.walks, the distinct pairs the current run requested.
+    this run or a later one, returns the same CompositionResult, with every
+    departure an earlier request resolved.  The memo also counts, in
+    memo.walks, the distinct pairs the current run requested.
     """
     if memo is None:
         return _walk_glued(f.table, g.table)
@@ -122,56 +155,59 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = No
 
 
 def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
-    """The composition of the maps with tables ft and gt, by one fused marked walk.
+    """The composed map of the tables ft and gt, by one marked walk.
 
-    The glued graph is never built.  Its internal vertices are the 4|Q|
-    part entries, numbered f's entries 0..2|Q|-1 then g's from 2|Q|, and
-    each has at most one successor, read straight from its part's table
-    (RIGHT = 0, so an even exit points right): a left-part exit pointing
-    right continues at that right-part entry, a right-part exit pointing
-    left continues at that left-part entry, and every other exit (or
-    LOOP, -1) is the combined segment's own.
-
-    One walk per origin, marking every vertex it visits with the walk's
-    number, which is also the origin's slot in h + dep.  A walk ends at an
-    exit, on its own mark (a cycle, LOOP), or on an earlier walk's mark,
-    whose resolved outcome it inherits since the paths share their tail.
-    Marks persist across origins, so edges (one per origin plus one per
-    transition followed) lies in [4|Q|, 8|Q|].  Origins run in pinned order:
-    f's rightward and g's leftward entries ascending for the composed map,
-    then g's rightward and f's leftward entries for the departure table.
+    Entry 2q enters the left part and entry 2q+1 the right part; h takes
+    that part's exit unless the exit crosses the seam (a left-part exit
+    pointing right, a right-part exit pointing left), and then the
+    resolution of that crossing.  Crossings resolve through _cross into one
+    list that keeps every resolution, so a crossing is walked at most once
+    and edges (one per entry plus one per crossing walked) lies in
+    [2|Q|, 4|Q|].
     """
     n = len(ft)
     if n != len(gt):
         raise SizeMismatch(f"cannot compose maps over {n // 2} and {len(gt) // 2} states")
-    tab = ft + gt
-    marks = [-1] * (2 * n)
-    res = [0] * (2 * n)  # h then dep
+    dep = [_UNSEEN] * n
+    h = list(ft)
+    h[1::2] = gt[1::2]
     hops = 0
-    for lo, hi, shift in ((0, n, 0), (n + 1, 2 * n, -n), (n, 2 * n, 0), (1, n, n)):
-        for u in range(lo, hi, 2):
-            k = u + shift
-            while True:
-                m = marks[u]
-                if m >= 0:
-                    val = -1 if m == k else res[m]
-                    break
-                marks[u] = k
-                out = tab[u]
-                if u < n:  # in f: a rightward exit (even) enters g
-                    if out & 1:
-                        val = out
-                        break
-                    u = n + out
-                elif out & 1 and out > 0:  # in g: a leftward exit enters f
-                    u = out
-                else:
-                    val = out
-                    break
-                hops += 1
-            res[k] = val
-    return CompositionResult(SegmentMap(n // 2, tuple(res[:n])), tuple(res[n:]),
-                             2 * n + hops)
+    for c in range(n):
+        out = h[c]
+        if out >= 0 and not (out ^ c) & 1:  # the exit crosses the seam
+            v = dep[out]
+            if v == _UNSEEN:
+                v, k = _cross(ft, gt, dep, out)
+                hops += k
+            h[c] = v
+    return CompositionResult(SegmentMap(n // 2, tuple(h)), n + hops, ft, gt, dep)
+
+
+def _cross(ft: tuple, gt: tuple, dep: list, c: int) -> tuple:
+    """Resolve crossing c; returns (its exit, the crossings walked).
+
+    A crossing reads its exit from the part it enters (gt for 2p, ft for
+    2p+1) and leads on to another crossing exactly when that exit is a
+    directed state of the opposite parity.  The walk ends at any other exit,
+    at a crossing resolved earlier, whose exit it shares, or back on its own
+    path, a cycle: LOOP.  Every crossing walked gets the walk's exit.
+    """
+    path = []
+    while True:
+        v = dep[c]
+        if v != _UNSEEN:
+            if v == _ON_PATH:
+                v = -1
+            break
+        dep[c] = _ON_PATH
+        path.append(c)
+        v = ft[c] if c & 1 else gt[c]
+        if v < 0 or not (v ^ c) & 1:
+            break
+        c = v
+    for u in path:
+        dep[u] = v
+    return v, len(path)
 
 
 def describe_indices(c, idxs) -> list:

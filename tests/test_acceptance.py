@@ -83,9 +83,9 @@ def test_criterion_2_algebra_oracle():
         r = compose_full(f, g)
         oh, od = oracle_compose(f, g)
         assert r.h.table == oh
-        assert r.dep == od
-        assert r.edges <= 8 * q
-        worst_edges = max(worst_edges, r.edges - 4 * q)
+        assert tuple(map(r.departure, range(2 * q))) == od
+        assert 2 * q <= r.edges <= 4 * q
+        worst_edges = max(worst_edges, r.edges - 2 * q)
     for _ in range(1_000):
         q = 1 + rng.below(6)
         f, g, h = (_random_map(rng, q) for _ in range(3))
@@ -113,7 +113,7 @@ def test_criterion_3_homomorphism():
             m = cf(aut, seg[0])
             for tok in seg[1:]:
                 r = compose_full(m, cf(aut, tok))
-                assert r.edges <= 8 * aut.compiled.n_states
+                assert r.edges <= 4 * aut.compiled.n_states
                 m = r.h
             assert m == describe_segment(aut, seg)
             checked += 1

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import pytest
@@ -295,11 +296,40 @@ def test_fuzz_unwritable_out_dir_is_usage_error(tmp_path, capsys, monkeypatch):
         "verdict", tuple(word), "stubbed"))
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code = main(["fuzz", "--machines", "1", "--out-dir", str(blocker / "f")])
+    # refused up front, and when only the reproducer's own directory is blocked
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "case_0000").write_text("")
+    for out_dir in (blocker / "f", tmp_path / "d"):
+        code = main(["fuzz", "--machines", "1", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --out-dir: ") and "Traceback" not in captured.err
+        assert "divergence:" not in captured.out
+
+
+@pytest.mark.parametrize("case", ["file", "under-file", "unwritable"])
+def test_fuzz_checks_out_dir_before_building_machines(tmp_path, capsys, monkeypatch, case):
+    def unreachable(params):
+        raise AssertionError("a machine was built")
+
+    monkeypatch.setattr("limla.cli.random_automaton", unreachable)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = {"file": blocker, "under-file": blocker / "a" / "b",
+               "unwritable": tmp_path / "locked" / "f"}[case]
+    if case == "unwritable":
+        # file modes do not bind every user, so the permission check is faked
+        locked = str(tmp_path / "locked")
+        os.mkdir(locked)
+        real_access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != locked
+                            and real_access(path, mode))
+    code = main(["fuzz", "--machines", "1", "--out-dir", str(out_dir)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: --out-dir: ") and "Traceback" not in captured.err
-    assert "divergence:" not in captured.out
+    assert captured.out == ""
+    assert not (tmp_path / "locked" / "f").exists()
 
 
 def test_fuzz_maxlen_reaches_long_words(tmp_path, monkeypatch):
