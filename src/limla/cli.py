@@ -240,10 +240,10 @@ def cmd_fuzz(args) -> int:
         print(f"error: --out-dir: {problem}", file=sys.stderr)
         return EXIT_USAGE
     master = SplitMix64(args.seed)
-    seeds = [master.next_u64() for _ in range(args.machines)]
     stats = DiffStats()
     divergences = 0
-    for idx, mseed in enumerate(seeds):
+    for idx in range(args.machines):
+        mseed = master.next_u64()
         params = GenParams(
             state_count=args.states, seed=mseed,
             mode=mode, dlimit=dlimit,

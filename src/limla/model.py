@@ -163,7 +163,7 @@ class CompiledAutomaton:
     ranks: tuple
     fixed: list              # symbol -> a cell holding it takes no more writes
     cf_cache: dict
-    compose_memo: CompositionMemo    # (f.table, g.table) -> walk (mapping.compose_full)
+    compose_memo: CompositionMemo    # see mapping.CompositionMemo
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
     shadow_slots: int = 0    # letters plus table entries held in shadow_cache
 

@@ -1,23 +1,23 @@
-"""Concrete machines covering every mode and complexity regime, plus a
-seeded generator for differential fuzzing."""
+"""Concrete machines covering every mode and complexity regime, parsed from
+their documents in machines/, plus a seeded generator for differential fuzzing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
+from . import fmt
 from .model import (
-    Automaton, DLimit, ID, Transition,
+    Automaton, DLimit, Transition,
     COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
 )
 from .rng import SplitMix64
 
 
-def _machine(mode, dlimit, states, input_syms, tape, ranks, start, accept, rows):
-    delta = {(q, rd): Transition(q, rd, p, wr, mv) for q, rd, p, wr, mv in rows}
-    return Automaton(
-        mode=mode, dlimit=dlimit, states=tuple(states),
-        input_alphabet=tuple(input_syms), tape_alphabet=tuple(tape),
-        ranks=ranks, start_state=start, accepting=tuple(accept), delta=delta,
-    )
+_MACHINES = Path(__file__).resolve().parents[2] / "machines"
+
+
+def _load(name: str) -> Automaton:
+    return fmt.parse_machine((_MACHINES / f"{name}.limla").read_text(encoding="utf-8"))
 
 
 def build_anbn() -> Automaton:
@@ -29,75 +29,18 @@ def build_anbn() -> Automaton:
     Matching the k-th pair walks across the whole matched block, so the
     step count grows quadratically.  Invalid words fall into a bouncing
     trap state.  Letters: a, b are input; a1 is a once-visited a; A and B
-    are matched (frozen) marks.
+    are matched (frozen) marks.  States:
+
+    - start: classifies the first cell; accepting, for the empty word,
+      whose run starts directly on the right marker.
+    - scan_a: the first sweep right over the leading a's.
+    - match_a: walks left through the matched block to the nearest unmatched a.
+    - seek_b: walks right through the matched block to the next unmatched b.
+    - verify: sweeps back to the left marker checking for leftover a1's.
+    - finish: all matched; returns to the right marker, accepting.
+    - trap: rejection, a bounce between the right marker and the last cell.
     """
-    L, R = "L", "R"
-    rows = [
-        # initial state: classify the first cell; accepting here covers the
-        # empty word, whose run starts directly on the right marker
-        ("start", "a", "scan_a", "a1", R),
-        ("start", "b", "match_a", "B", L),
-        ("start", "a1", "trap", "A", R),
-        ("start", "A", "trap", "A", R),
-        ("start", "B", "trap", "B", R),
-        ("start", LEFT_MARKER, "start", LEFT_MARKER, R),
-        ("start", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-        # first sweep right over the leading a's
-        ("scan_a", "a", "scan_a", "a1", R),
-        ("scan_a", "b", "match_a", "B", L),
-        ("scan_a", "a1", "trap", "A", R),
-        ("scan_a", "A", "trap", "A", R),
-        ("scan_a", "B", "trap", "B", R),
-        ("scan_a", LEFT_MARKER, "scan_a", LEFT_MARKER, R),
-        ("scan_a", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-        # walk left through the matched block to the nearest unmatched a
-        ("match_a", "a", "trap", "a1", L),
-        ("match_a", "b", "trap", "B", L),
-        ("match_a", "a1", "seek_b", "A", R),
-        ("match_a", "A", "match_a", "A", L),
-        ("match_a", "B", "match_a", "B", L),
-        ("match_a", LEFT_MARKER, "trap", LEFT_MARKER, R),
-        ("match_a", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-        # walk right through the matched block to the next unmatched b
-        ("seek_b", "a", "trap", "A", R),
-        ("seek_b", "b", "match_a", "B", L),
-        ("seek_b", "a1", "trap", "A", R),
-        ("seek_b", "A", "seek_b", "A", R),
-        ("seek_b", "B", "seek_b", "B", R),
-        ("seek_b", LEFT_MARKER, "seek_b", LEFT_MARKER, R),
-        ("seek_b", RIGHT_MARKER, "verify", RIGHT_MARKER, L),
-        # sweep back to the left marker checking for leftover a1's
-        ("verify", "a", "trap", "A", L),
-        ("verify", "b", "trap", "B", L),
-        ("verify", "a1", "trap", "A", L),
-        ("verify", "A", "verify", "A", L),
-        ("verify", "B", "verify", "B", L),
-        ("verify", LEFT_MARKER, "finish", LEFT_MARKER, R),
-        ("verify", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-        # all matched: return to the right marker in an accepting state
-        ("finish", "a", "trap", "A", R),
-        ("finish", "b", "trap", "B", R),
-        ("finish", "a1", "trap", "A", R),
-        ("finish", "A", "finish", "A", R),
-        ("finish", "B", "finish", "B", R),
-        ("finish", LEFT_MARKER, "finish", LEFT_MARKER, R),
-        ("finish", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-        # rejection is a bounce between the right marker and the last cell
-        ("trap", "a", "trap", "A", R),
-        ("trap", "b", "trap", "B", R),
-        ("trap", "a1", "trap", "A", R),
-        ("trap", "A", "trap", "A", R),
-        ("trap", "B", "trap", "B", R),
-        ("trap", LEFT_MARKER, "trap", LEFT_MARKER, R),
-        ("trap", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-    ]
-    return _machine(
-        RANKED, DLimit.const(2),
-        ["start", "scan_a", "match_a", "seek_b", "verify", "finish", "trap"],
-        ["a", "b"], ["a", "b", "a1", "A", "B"],
-        {"a": 0, "b": 0, "a1": 1, "A": 2, "B": 2},
-        "start", ["start", "finish"], rows,
-    )
+    return _load("anbn")
 
 
 def build_even_a_2dfa() -> Automaton:
@@ -107,62 +50,21 @@ def build_even_a_2dfa() -> Automaton:
     first visit, so this is a plain two-way DFA; the linear engine folds
     the whole interior into one map during the single forward sweep.
     """
-    L, R = "L", "R"
-    rows = [
-        ("even", "a", "odd", "a", R),
-        ("even", "b", "even", "b", R),
-        ("even", LEFT_MARKER, "even", LEFT_MARKER, R),
-        ("even", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-        ("odd", "a", "even", "a", R),
-        ("odd", "b", "odd", "b", R),
-        ("odd", LEFT_MARKER, "odd", LEFT_MARKER, R),
-        ("odd", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-        ("trap", "a", "trap", "a", R),
-        ("trap", "b", "trap", "b", R),
-        ("trap", LEFT_MARKER, "trap", LEFT_MARKER, R),
-        ("trap", RIGHT_MARKER, "trap", RIGHT_MARKER, L),
-    ]
-    return _machine(
-        RANKED, DLimit.const(0), ["even", "odd", "trap"],
-        ["a", "b"], ["a", "b"], {"a": 0, "b": 0},
-        "even", ["even"], rows,
-    )
+    return _load("even_a")
 
 
 def build_bouncer() -> Automaton:
     """Loop-detection fixture: one state, runs right to the end marker and
     back forever, never accepting.  Counted mode with a budget large enough
     that no cell freezes before the reference detector fires."""
-    rows = [
-        ("roam", "a", "roam", "a", "R"),
-        ("roam", LEFT_MARKER, "roam", LEFT_MARKER, "R"),
-        ("roam", RIGHT_MARKER, "roam", RIGHT_MARKER, "L"),
-    ]
-    return _machine(
-        COUNTED, DLimit.const(8), ["roam"], ["a"], ["a"], {},
-        "roam", [], rows,
-    )
+    return _load("bouncer")
 
 
 def build_sweeper() -> Automaton:
     """Counted machine with d(n) = n: sweeps end to end, toggling every
     cell each visit until all cells freeze, then keeps sweeping until the
     loop detector fires.  Each cell is written exactly n times."""
-    L, R = "L", "R"
-    rows = [
-        ("fwd", "a", "fwd", "b", R),
-        ("fwd", "b", "fwd", "a", R),
-        ("fwd", LEFT_MARKER, "fwd", LEFT_MARKER, R),
-        ("fwd", RIGHT_MARKER, "back", RIGHT_MARKER, L),
-        ("back", "a", "back", "b", L),
-        ("back", "b", "back", "a", L),
-        ("back", LEFT_MARKER, "fwd", LEFT_MARKER, R),
-        ("back", RIGHT_MARKER, "back", RIGHT_MARKER, L),
-    ]
-    return _machine(
-        COUNTED, ID, ["fwd", "back"], ["a", "b"], ["a", "b"], {},
-        "fwd", [], rows,
-    )
+    return _load("sweeper")
 
 
 ZOO = {
@@ -246,26 +148,27 @@ def random_automaton(p: GenParams) -> Automaton:
         for r in range(d):
             by_rank_above[r] = [t for t in tape if ranks[t] > r]
 
-    rows = []
+    delta = {}
     for q in states:
         for s in tape + (LEFT_MARKER, RIGHT_MARKER):
             to = states[rng.below(p.state_count)]
             if s == LEFT_MARKER:
-                rows.append((q, s, to, s, "R"))
+                wr, mv = s, "R"
             elif s == RIGHT_MARKER:
-                rows.append((q, s, to, s, "L"))
-            elif p.mode == RANKED and ranks[s] < p.dlimit.k:
-                cands = by_rank_above[ranks[s]]
-                wr = cands[rng.below(len(cands))]
-                mv = "R" if rng.below(2) == 0 else "L"
-                rows.append((q, s, to, wr, mv))
-            elif p.mode == RANKED:
-                mv = "R" if rng.below(2) == 0 else "L"
-                rows.append((q, s, to, s, mv))
+                wr, mv = s, "L"
             else:
-                wr = tape[rng.below(len(tape))]
+                if p.mode == RANKED and ranks[s] < p.dlimit.k:
+                    cands = by_rank_above[ranks[s]]
+                    wr = cands[rng.below(len(cands))]
+                elif p.mode == RANKED:
+                    wr = s
+                else:
+                    wr = tape[rng.below(len(tape))]
                 mv = "R" if rng.below(2) == 0 else "L"
-                rows.append((q, s, to, wr, mv))
+            delta[(q, s)] = Transition(q, s, to, wr, mv)
 
-    return _machine(p.mode, p.dlimit, states, input_syms, tape, ranks,
-                    states[0], accepting, rows)
+    return Automaton(
+        mode=p.mode, dlimit=p.dlimit, states=states,
+        input_alphabet=input_syms, tape_alphabet=tape,
+        ranks=ranks, start_state=states[0], accepting=accepting, delta=delta,
+    )

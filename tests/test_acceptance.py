@@ -76,7 +76,6 @@ def _random_map(rng, q):
 def test_criterion_2_algebra_oracle():
     rng = SplitMix64(0xA19E)
     t0 = time.monotonic()
-    worst_edges = 0
     for _ in range(10_000):
         q = 1 + rng.below(6)
         f, g = _random_map(rng, q), _random_map(rng, q)
@@ -85,7 +84,6 @@ def test_criterion_2_algebra_oracle():
         assert r.h.table == oh
         assert tuple(map(r.departure, range(2 * q))) == od
         assert 2 * q <= r.edges <= 4 * q
-        worst_edges = max(worst_edges, r.edges - 2 * q)
     for _ in range(1_000):
         q = 1 + rng.below(6)
         f, g, h = (_random_map(rng, q) for _ in range(3))

@@ -344,6 +344,30 @@ def test_fuzz_maxlen_reaches_long_words(tmp_path, monkeypatch):
     assert max(lengths) > 20
 
 
+def test_fuzz_draws_each_machine_seed_when_it_builds_the_machine(tmp_path, monkeypatch):
+    # the seeds are not drawn up front, so --machines does not size a list
+    from limla.rng import SplitMix64
+
+    class Built(Exception):
+        pass
+
+    real_next = SplitMix64.next_u64
+    draws = []
+
+    def counting_next(self):
+        draws.append(1)
+        return real_next(self)
+
+    def build(params):
+        raise Built
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counting_next)
+    monkeypatch.setattr("limla.cli.random_automaton", build)
+    with pytest.raises(Built):
+        main(["fuzz", "--machines", "3", "--out-dir", str(tmp_path / "f")])
+    assert len(draws) == 1
+
+
 def test_fuzz_seed_repetition_identical(tmp_path, capsys):
     args = ["fuzz", "--states", "3", "--d", "2", "--machines", "5",
             "--maxlen", "3", "--seed", "42"]
