@@ -179,7 +179,7 @@ def parse_machine(text: str) -> Automaton:
         # unknown states/symbols are left for validate_automaton to report
         if (q, rd) in delta:
             raise FormatError(f"duplicate delta entry for ({q}, {rd})", no)
-        delta[(q, rd)] = Transition(q, rd, p, wr, mv)
+        delta[(q, rd)] = Transition(p, wr, mv)
 
     return Automaton(
         mode=mode, dlimit=dlimit, states=states,

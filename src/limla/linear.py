@@ -52,8 +52,8 @@ SHADOW_MEMO_SLOTS = 1 << 12
 COMPOSE_MEMO_SLOTS = 1 << 10
 
 
-def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
-    """Freeze-time coalescing at cell i; returns (exit, compose_calls, edges_max).
+def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
+    """Freeze-time coalescing at cell i; returns the exit.
 
     g is the single-cell map of the letter just written at i and p the
     directed result of the transition there, encoded as 2 * state + dir
@@ -64,26 +64,23 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     f composed with g and the neighbour is unlinked.  The right neighbour
     is handled the same way afterwards, with the possibly rerouted p.  On
     success fmap[i] holds the merged map, both its neighbours are letters
-    or markers, and exit is the rerouted p.  The scan writes only fmap and
-    the links, so sym[i] keeps the letter the caller stored there.  A
+    or markers, and the exit is the rerouted p.  The scan writes only fmap
+    and the links, so sym[i] keeps the letter the caller stored there.  A
     departure that loops stops the scan at once with exit -1, leaving the
-    unmerged neighbour linked.  calls counts every composition requested,
-    hits in the machine's compose_memo included.
+    unmerged neighbour linked.  Every merge is one compose_full request on
+    the machine's compose_memo, which counts it.
     """
     fmap = tape.fmap
     memo = tape.compiled.compose_memo
-    calls = edges = 0
 
     left = tape.prev[i]
     f = fmap[left]
     if f is not None:
         comp = compose_full(f, g, memo)
-        calls = 1
-        edges = comp.edges
         if (p & 1) != RIGHT:  # heading left, into the merged territory
             p = comp.departure(p)
             if p < 0:
-                return p, calls, edges
+                return p
         g = comp.h
         tape.unlink(left)
 
@@ -91,18 +88,15 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> tuple:
     f = fmap[right]
     if f is not None:
         comp = compose_full(g, f, memo)
-        calls += 1
-        if comp.edges > edges:
-            edges = comp.edges
         if (p & 1) == RIGHT:
             p = comp.departure(p)
             if p < 0:
-                return p, calls, edges
+                return p
         g = comp.h
         tape.unlink(right)
 
     fmap[i] = g
-    return p, calls, edges
+    return p
 
 
 def _shadow_check(c, tape: ListTape, i: int) -> None:
@@ -154,7 +148,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     tape = ListTape.from_word(aut, word)
     memo = c.compose_memo
     memo.run += 1
-    memo.walks = 0
+    memo.calls = memo.walks = memo.edges_max = 0
     n = tape.n
     sym = tape.sym
     visits = tape.visits
@@ -175,7 +169,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     dr = RIGHT
     pos = 1
     steps = map_jumps = scans = marker_moves = 0
-    compose_calls = edges_max = 0
     stretch = set()
     tr = [] if trace else None
     verdict = reason = None
@@ -203,11 +196,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     g = cf_cache.get(w) or cf_idx(c, w)
                     if tr is not None:
                         left, right = prev[pos], nxt[pos]
-                    out, calls, edges = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
+                    out = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
                     scans += 1
-                    compose_calls += calls
-                    if edges > edges_max:
-                        edges_max = edges
                     if tr is not None:
                         tr.append((steps, pos, state, s, w, mv, v >= limit, 1,
                                    prev[pos] != left, nxt[pos] != right,
@@ -271,6 +261,6 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
         verdict=verdict, reason=reason, steps=steps,
         moves={"letter": steps - scans - map_jumps - marker_moves,
                "map": map_jumps, "marker": marker_moves},
-        trace=tr, scans=scans, compose_calls=compose_calls, compose_walks=memo.walks,
-        compose_edges_max=edges_max,
+        trace=tr, scans=scans, compose_calls=memo.calls, compose_walks=memo.walks,
+        compose_edges_max=memo.edges_max,
     )

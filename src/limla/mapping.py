@@ -37,21 +37,20 @@ class EmptySegment(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentMap:
-    """Total map over 2*q_count directed states; -1 encodes LOOP."""
+    """Total map over the 2|Q| directed states, its table; -1 encodes LOOP."""
 
-    q_count: int
     table: tuple
 
-    def __post_init__(self):
-        if len(self.table) != 2 * self.q_count:
-            raise ValueError("table must have one entry per directed state")
+    @property
+    def q_count(self) -> int:
+        return len(self.table) >> 1
 
 
 def transparent_map(q_count: int) -> SegmentMap:
     """The two-sided identity of composition: every entry passes straight through."""
-    return SegmentMap(q_count, tuple(range(2 * q_count)))
+    return SegmentMap(tuple(range(2 * q_count)))
 
 
 def cf_idx(c, s: int) -> SegmentMap:
@@ -66,7 +65,7 @@ def cf_idx(c, s: int) -> SegmentMap:
             out = 2 * to_tab[k] + mv_tab[k]
             tab[2 * q] = out      # one step always leaves a one-cell segment,
             tab[2 * q + 1] = out  # so the entry side is irrelevant
-        m = SegmentMap(c.n_states, tuple(tab))
+        m = SegmentMap(tuple(tab))
         c.cf_cache[s] = m
     return m
 
@@ -78,8 +77,9 @@ def _frozen_letter_index(aut, letter: str) -> int:
     i = c.sym_index.get(letter)
     if i is None or i >= c.n_letters:
         raise ValueError(f"unknown tape letter {letter!r}")
-    if aut.mode == RANKED and c.ranks[i] != aut.dlimit.k:
-        raise ValueError(f"letter {letter!r} has rank {c.ranks[i]}, not frozen")
+    rank = aut.ranks.get(letter, 0)
+    if aut.mode == RANKED and rank != aut.dlimit.k:
+        raise ValueError(f"letter {letter!r} has rank {rank}, not frozen")
     return i
 
 
@@ -100,14 +100,16 @@ class CompositionResult:
     [2|Q|, 4|Q|].  departure(p) is the boundary departure table, resolved
     on first request per entry into a list that the h walk started; the
     result reads f's and g's tables themselves (with a memo, the key's), so
-    it holds 4|Q| slots of its own: h and that list.
+    it holds 4|Q| slots of its own: h and that list.  In a memo, run is the
+    last run to request the result.
     """
 
-    __slots__ = ("h", "edges", "_ft", "_gt", "_dep")
+    __slots__ = ("h", "edges", "run", "_ft", "_gt", "_dep")
 
     def __init__(self, h: SegmentMap, edges: int, ft: tuple, gt: tuple, dep: list):
         self.h = h
         self.edges = edges
+        self.run = -1
         self._ft = ft
         self._gt = gt
         self._dep = dep
@@ -122,13 +124,14 @@ class CompositionResult:
 
 
 class CompositionMemo(dict):
-    """One machine's compositions: (f.table, g.table) -> [result, the last
-    run to request the pair]; walks counts the pairs the current run requested."""
+    """One machine's compositions, (f.table, g.table) -> CompositionResult,
+    and the counts of the current run: calls, every request; walks, the
+    distinct pairs requested; edges_max, the largest edges among them."""
 
-    __slots__ = ("run", "walks")
+    __slots__ = ("run", "calls", "walks", "edges_max")
 
     def __init__(self):
-        self.run = self.walks = 0
+        self.run = self.calls = self.walks = self.edges_max = 0
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = None
@@ -139,19 +142,23 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = No
     a finite monoid.  So with a memo (the machine's compose_memo), only the
     first request for a pair ever reaches the walk and every later one, in
     this run or a later one, returns the same CompositionResult, with every
-    departure an earlier request resolved.  The memo also counts, in
-    memo.walks, the distinct pairs the current run requested.
+    departure an earlier request resolved.  The memo counts every request
+    in memo.calls, and a pair's first request in the current run (memo.run,
+    stamped on the result) in memo.walks and memo.edges_max.
     """
     if memo is None:
         return _walk_glued(f.table, g.table)
+    memo.calls += 1
     key = (f.table, g.table)
-    e = memo.get(key)
-    if e is None:
-        e = memo[key] = [_walk_glued(*key), -1]
-    if e[1] != memo.run:
-        e[1] = memo.run
+    r = memo.get(key)
+    if r is None:
+        r = memo[key] = _walk_glued(*key)
+    if r.run != memo.run:
+        r.run = memo.run
         memo.walks += 1
-    return e[0]
+        if r.edges > memo.edges_max:
+            memo.edges_max = r.edges
+    return r
 
 
 def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
@@ -180,7 +187,7 @@ def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
                 v, k = _cross(ft, gt, dep, out)
                 hops += k
             h[c] = v
-    return CompositionResult(SegmentMap(n // 2, tuple(h)), n + hops, ft, gt, dep)
+    return CompositionResult(SegmentMap(tuple(h)), n + hops, ft, gt, dep)
 
 
 def _cross(ft: tuple, gt: tuple, dep: list, c: int) -> tuple:
@@ -255,7 +262,7 @@ def describe_segment(aut, letters) -> SegmentMap:
     if not letters:
         raise EmptySegment("a described segment holds at least one letter")
     idxs = [_frozen_letter_index(aut, tok) for tok in letters]
-    return SegmentMap(aut.compiled.n_states, tuple(describe_indices(aut.compiled, idxs)))
+    return SegmentMap(tuple(describe_indices(aut.compiled, idxs)))
 
 
 def oracle_compose(f: SegmentMap, g: SegmentMap):

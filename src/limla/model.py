@@ -84,8 +84,6 @@ def visit_limit(aut: Automaton, n: int) -> int:
 
 @dataclass(frozen=True)
 class Transition:
-    from_state: str
-    read: str
     to_state: str
     write: str
     move: str  # "L" | "R"
@@ -151,7 +149,6 @@ class CompiledAutomaton:
     n_states: int
     n_letters: int
     width: int
-    state_names: tuple
     sym_names: tuple
     sym_index: dict
     input_index: dict        # input token -> symbol index (word_indices)
@@ -160,7 +157,6 @@ class CompiledAutomaton:
     to_tab: list
     wr_tab: list
     mv_tab: list
-    ranks: tuple
     fixed: list              # symbol -> a cell holding it takes no more writes
     cf_cache: dict
     compose_memo: CompositionMemo    # see mapping.CompositionMemo
@@ -204,20 +200,18 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
     for s in aut.accepting:
         if s in state_index:
             accepting[state_index[s]] = True
-    ranks = tuple(aut.ranks.get(tok, 0) for tok in letters)
     # the markers, and rank-d letters in ranked mode with d > 0; counted mode
     # and ranked mode with d = 0 freeze by visit count alone (visit_limit)
     d = aut.dlimit.k if aut.mode == RANKED else 0
-    fixed = [d > 0 and r == d for r in ranks] + [True, True]
+    fixed = [d > 0 and aut.ranks.get(tok, 0) == d for tok in letters] + [True, True]
     from .mapping import CompositionMemo
     return CompiledAutomaton(
         n_states=len(states), n_letters=lo, width=width,
-        state_names=states,
         sym_names=sym_names, sym_index=sym_index,
         input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
         start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
-        ranks=ranks, fixed=fixed, cf_cache={}, compose_memo=CompositionMemo(), shadow_cache={},
+        fixed=fixed, cf_cache={}, compose_memo=CompositionMemo(), shadow_cache={},
     )
 
 
@@ -329,8 +323,6 @@ def validate_automaton(aut: Automaton) -> ValidationReport:
         if s not in sym_set:
             bad("UnknownSymbol", q, s, "transition reads unknown symbol")
             continue
-        if (t.from_state, t.read) != (q, s):
-            bad("Malformed", q, s, "transition fields do not match the table key")
         if t.to_state not in state_set:
             bad("UnknownState", q, s, f"target {t.to_state!r}")
         if t.move not in ("L", "R"):

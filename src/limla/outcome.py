@@ -46,16 +46,16 @@ def regular_projection(aut, outcome: RunOutcome) -> list:
     """Index-form projection onto regular moves, initial configuration first.
 
     A step is regular when it is applied at a marker or at a cell that was
-    still writable on arrival.  Map jumps carry read = -2 and frozen = True,
-    so one filter covers both engines' trace layouts.
+    still writable on arrival.  Both engines record every marker step with
+    frozen = False (run_naive writes frozen and s < lo, run_linear's marker
+    case False), and map jumps with frozen = True, so frozen alone is the
+    filter for both engines' trace layouts.
     """
     if outcome.trace is None:
         raise ValueError("run was not recorded with trace enabled")
-    c = aut.compiled
-    lo = c.n_letters
-    recs = [(c.start_idx, 1, -1, -1, -1)]
+    recs = [(aut.compiled.start_idx, 1, -1, -1, -1)]
     for t in outcome.trace:
-        if t[3] >= lo or not t[6]:
+        if not t[6]:
             recs.append((t[2], t[1], t[3], t[4], t[5]))
     return recs
 
@@ -72,7 +72,7 @@ def trace_records(aut, outcome: RunOutcome, engine: str):
 
     for t in outcome.trace or ():
         rec = {
-            "step": t[0], "pos": t[1], "state": c.state_names[t[2]],
+            "step": t[0], "pos": t[1], "state": aut.states[t[2]],
             "read": tok(t[3]), "write": tok(t[4]),
             "move": "R" if t[5] == RIGHT else "L", "frozen": bool(t[6]),
         }

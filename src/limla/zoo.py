@@ -165,7 +165,7 @@ def random_automaton(p: GenParams) -> Automaton:
                 else:
                     wr = tape[rng.below(len(tape))]
                 mv = "R" if rng.below(2) == 0 else "L"
-            delta[(q, s)] = Transition(q, s, to, wr, mv)
+            delta[(q, s)] = Transition(to, wr, mv)
 
     return Automaton(
         mode=p.mode, dlimit=p.dlimit, states=states,

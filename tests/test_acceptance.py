@@ -70,7 +70,7 @@ def test_criterion_1_differential_equivalence(diff_results):
 
 
 def _random_map(rng, q):
-    return SegmentMap(q, tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
+    return SegmentMap(tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
 
 
 def test_criterion_2_algebra_oracle():

@@ -75,7 +75,7 @@ def _two_state_walker():
         ("u", RIGHT_MARKER, "u", RIGHT_MARKER, "L"),
         ("v", RIGHT_MARKER, "v", RIGHT_MARKER, "L"),
     ]
-    delta = {(q, s): Transition(q, s, p, w, m) for q, s, p, w, m in rows}
+    delta = {(q, s): Transition(p, w, m) for q, s, p, w, m in rows}
     return Automaton(mode=COUNTED, dlimit=DLimit.const(1), states=("u", "v"),
                      input_alphabet=("x",), tape_alphabet=("x",), ranks={},
                      start_state="u", accepting=(), delta=delta)
@@ -89,12 +89,22 @@ def test_map_loop_reason():
     assert naive.verdict == REJECT  # reasons differ, verdicts agree
 
 
+def _scan(t, i, p, g):
+    """deletion_scan, with the compositions it requested and the largest edges
+    among those the run requested, both read from the machine's compose_memo."""
+    memo = t.compiled.compose_memo
+    calls = memo.calls
+    out = deletion_scan(t, i, p, g)
+    assert isinstance(out, int)
+    return out, memo.calls - calls, memo.edges_max
+
+
 def test_deletion_scan_no_neighbours():
     aut = _two_state_walker()
     t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
     letters = list(t.sym)
-    out, calls, edges = deletion_scan(t, 2, 2 * 0 + RIGHT, g)
+    out, calls, edges = _scan(t, 2, 2 * 0 + RIGHT, g)
     assert out == 2 * 0 + RIGHT
     assert (calls, edges) == (0, 0)
     assert _live_cells(t) == [0, 1, 2, 3, 4]  # nothing merged
@@ -109,8 +119,9 @@ def test_deletion_scan_left_merge_no_departure_when_heading_right():
     t = ListTape.from_word(aut, "xxx")
     g = cf(aut, "x")
     t.fmap[1] = g
-    out, calls, _ = deletion_scan(t, 2, 2 * 1 + RIGHT, g)
+    out, calls, edges = _scan(t, 2, 2 * 1 + RIGHT, g)
     assert out >= 0 and calls == 1
+    assert edges == compose_full(g, g).edges
     assert _live_cells(t) == [0, 2, 3, 4] and t.fmap[1] is None  # merged left only
     assert out == 2 * 1 + RIGHT  # no departure taken
     assert t.fmap[2] == compose_full(g, g).h
@@ -127,7 +138,7 @@ def _right_runner():
         ("u", RIGHT_MARKER, "u", RIGHT_MARKER, "L"),
         ("v", RIGHT_MARKER, "v", RIGHT_MARKER, "L"),
     ]
-    delta = {(q, s): Transition(q, s, p, w, m) for q, s, p, w, m in rows}
+    delta = {(q, s): Transition(p, w, m) for q, s, p, w, m in rows}
     return Automaton(mode=COUNTED, dlimit=DLimit.const(1), states=("u", "v"),
                      input_alphabet=("x",), tape_alphabet=("x",), ranks={},
                      start_state="u", accepting=(), delta=delta)
@@ -141,8 +152,9 @@ def test_deletion_scan_three_way_merge():
     t.fmap[3] = g
     # heading left into the left map: the departure bounces the head back
     # rightward, so the second departure is taken on the merged map too
-    out, calls, _ = deletion_scan(t, 2, 2 * 0 + LEFT, g)
+    out, calls, edges = _scan(t, 2, 2 * 0 + LEFT, g)
     assert out >= 0 and calls == 2
+    assert edges == max(compose_full(g, g).edges, compose_full(compose_full(g, g).h, g).edges)
     assert t.fmap[1] is None and t.fmap[3] is None  # both merged
     assert out == 2 * 1 + RIGHT
     want = compose_full(compose_full(g, g).h, g).h
@@ -157,8 +169,9 @@ def test_deletion_scan_rejects_on_loop_departure():
     g = cf(aut, "x")
     t.fmap[1] = g
     # entering leftward in state u: u bounces right, v bounces back left, a cycle
-    out, calls, _ = deletion_scan(t, 2, 2 * 0 + LEFT, g)
+    out, calls, edges = _scan(t, 2, 2 * 0 + LEFT, g)
     assert out < 0 and calls == 1
+    assert edges == compose_full(g, g).edges
     assert t.fmap[1] == g and t.nxt[1] == 2  # the looping neighbour stays linked
 
 
@@ -332,7 +345,7 @@ def test_shadow_mismatch_on_corrupted_map():
         if tape.fmap[i] is not None:
             table = list(tape.fmap[i].table)
             table[0] = -1 if table[0] >= 0 else 0
-            tape.fmap[i] = type(tape.fmap[i])(tape.fmap[i].q_count, tuple(table))
+            tape.fmap[i] = type(tape.fmap[i])(tuple(table))
         return res
 
     linear_mod.deletion_scan = corrupt
@@ -377,7 +390,7 @@ def test_compose_memo_is_invisible_in_outcomes(monkeypatch):
             run_linear(warm_aut, w, shadow=True)
         run_linear(warm_aut, word, shadow=True)
         if resolve_all:
-            for r, _ in warm_aut.compiled.compose_memo.values():
+            for r in warm_aut.compiled.compose_memo.values():
                 for p in range(2 * len(warm_aut.states)):
                     r.departure(p)
         walks.clear()
@@ -417,7 +430,7 @@ def test_shadow_memo_does_not_weaken_the_check(monkeypatch):
         table = list(r.h.table)
         table[0] = -1 if table[0] >= 0 else 0
         bad = copy.copy(r)  # the memo keeps the true result
-        bad.h = SegmentMap(r.h.q_count, tuple(table))
+        bad.h = SegmentMap(tuple(table))
         return bad
 
     monkeypatch.setattr(linear_mod, "compose_full", corrupt)
@@ -444,8 +457,10 @@ def test_shadow_memo_stays_within_its_slot_cap():
 def _seam_calls(monkeypatch, aut, word):
     """Run untraced, counting the calls made through the module names
     linear.deletion_scan and linear.compose_full, as any wrapper installed
-    on them (a tracer, a test) would see them."""
+    on them (a tracer, a test) would see them, and the largest edges among
+    the compositions the wrapped compose_full returned."""
     calls = {"scan": 0, "compose": 0}
+    edges = [0]
     real_scan, real_compose = linear_mod.deletion_scan, linear_mod.compose_full
 
     def scan(*args):
@@ -454,13 +469,15 @@ def _seam_calls(monkeypatch, aut, word):
 
     def compose(*args):
         calls["compose"] += 1
-        return real_compose(*args)
+        r = real_compose(*args)
+        edges.append(r.edges)
+        return r
 
     monkeypatch.setattr(linear_mod, "deletion_scan", scan)
     monkeypatch.setattr(linear_mod, "compose_full", compose)
     out = run_linear(aut, word)
     monkeypatch.undo()
-    return out, calls
+    return out, calls, max(edges)
 
 
 @pytest.mark.parametrize("case", ["even_a", "anbn", "log2", "sqrt", "id"])
@@ -476,9 +493,10 @@ def test_every_scan_and_merge_goes_through_its_module_name(monkeypatch, case):
         seed = {"log2": 2, "sqrt": 37, "id": 56}[case]
         aut = random_automaton(GenParams(4, seed, COUNTED, DLimit(case)))
         word = random_words(aut.input_alphabet, 1, 64, 64, seed)[0]
-    out, calls = _seam_calls(monkeypatch, aut, word)
+    out, calls, edges_max = _seam_calls(monkeypatch, aut, word)
     assert out.scans >= 20 and out.compose_calls >= 20
     assert calls == {"scan": out.scans, "compose": out.compose_calls}
+    assert out.compose_edges_max == edges_max
 
 
 _D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]

@@ -21,20 +21,20 @@ def _uniform_machine(move_by_state):
     states = tuple(sorted(move_by_state))
     delta = {}
     for q, (p, mv) in move_by_state.items():
-        delta[(q, "x")] = Transition(q, "x", p, "x", mv)
-        delta[(q, LEFT_MARKER)] = Transition(q, LEFT_MARKER, q, LEFT_MARKER, "R")
-        delta[(q, RIGHT_MARKER)] = Transition(q, RIGHT_MARKER, q, RIGHT_MARKER, "L")
+        delta[(q, "x")] = Transition(p, "x", mv)
+        delta[(q, LEFT_MARKER)] = Transition(q, LEFT_MARKER, "R")
+        delta[(q, RIGHT_MARKER)] = Transition(q, RIGHT_MARKER, "L")
     return Automaton(mode=COUNTED, dlimit=DLimit.const(1), states=states,
                      input_alphabet=("x",), tape_alphabet=("x",), ranks={},
                      start_state=states[0], accepting=(), delta=delta)
 
 
 def _rand_map(rng, q):
-    return SegmentMap(q, tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
+    return SegmentMap(tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
 
 
 def all_q1_maps():
-    return [SegmentMap(1, (a, b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    return [SegmentMap((a, b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
 
 
 def test_cf_all_right_letter():
@@ -103,8 +103,8 @@ def test_transparent_map_is_identity():
 def test_two_cycle_composes_to_loop():
     # f sends both entries rightward in q, g bounces both entries leftward:
     # the head shuttles across the internal boundary forever
-    f = SegmentMap(1, (0, 0))
-    g = SegmentMap(1, (1, 1))
+    f = SegmentMap((0, 0))
+    g = SegmentMap((1, 1))
     r = compose_full(f, g)
     assert r.h.table == (-1, -1)
     assert oracle_compose(f, g)[0] == (-1, -1)
@@ -131,15 +131,16 @@ def test_memo_returns_the_walked_result_once_per_pair():
         q = 1 + rng.below(6)
         f, g = _rand_map(rng, q), _rand_map(rng, q)
         memo.run += 1
-        memo.walks = 0
+        memo.calls = memo.walks = 0
         r = compose_full(f, g, memo)
         plain = compose_full(f, g)
         assert (r.h, r.edges) == (plain.h, plain.edges)
         assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
         # a repeat request, even through equal but distinct maps, is a hit
-        again = compose_full(SegmentMap(q, tuple(f.table)), SegmentMap(q, tuple(g.table)), memo)
+        again = compose_full(SegmentMap(tuple(f.table)), SegmentMap(tuple(g.table)), memo)
         assert again is r
-        assert memo.walks == 1  # one distinct pair requested in this run
+        assert (memo.calls, memo.walks) == (2, 1)  # one distinct pair requested in this run
+        assert r.run == memo.run
 
 
 def test_compose_memo_stays_within_its_cap():
@@ -210,7 +211,7 @@ def _map_pairs(draw):
     """Two segment maps over |Q| in 1..8, 32 or 64; -1 entries are LOOP."""
     q = draw(st.one_of(st.integers(1, 8), st.sampled_from((32, 64))))
     entry = st.integers(-1, 2 * q - 1)
-    return tuple(SegmentMap(q, tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
+    return tuple(SegmentMap(tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
                  for _ in range(2))
 
 
@@ -227,8 +228,8 @@ def test_compose_steps_within_4q_and_matches_oracle(maps):
 
 
 def _loopy_map(rng, q):
-    return SegmentMap(q, tuple(-1 if rng.below(4) == 0 else rng.below(2 * q)
-                               for _ in range(2 * q)))
+    return SegmentMap(tuple(-1 if rng.below(4) == 0 else rng.below(2 * q)
+                            for _ in range(2 * q)))
 
 
 # Per |Q|: (sum of edges, digest of every h table and departure table).
@@ -270,7 +271,7 @@ def _bouncy_pair(rng, q):
     chains, and cycles among them."""
     def table(cross):
         return tuple((2 * rng.below(q) + (rng.below(4) == 0)) ^ cross for _ in range(2 * q))
-    return SegmentMap(q, table(0)), SegmentMap(q, table(1))
+    return SegmentMap(table(0)), SegmentMap(table(1))
 
 
 @pytest.mark.parametrize("q", [*range(1, 9), 32, 64])
@@ -300,8 +301,8 @@ def test_edge_witness_catches_a_walk_that_forgets_resolutions(monkeypatch):
     # every h entry funnels into crossing 0 or 1 of the chain 0, 1, ..., 2q-1,
     # which then leaves leftward: the h walk walks the chain once, 4q edges
     q = 8
-    f = SegmentMap(q, tuple(0 if c % 2 == 0 else min(c + 1, 2 * q - 1) for c in range(2 * q)))
-    g = SegmentMap(q, tuple(c + 1 if c % 2 == 0 else 1 for c in range(2 * q)))
+    f = SegmentMap(tuple(0 if c % 2 == 0 else min(c + 1, 2 * q - 1) for c in range(2 * q)))
+    g = SegmentMap(tuple(c + 1 if c % 2 == 0 else 1 for c in range(2 * q)))
     r = compose_full(f, g)
     assert r.h.table == oracle_compose(f, g)[0] == (2 * q - 1,) * (2 * q)
     assert r.edges == 4 * q

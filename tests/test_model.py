@@ -61,7 +61,7 @@ def _tiny(mode=RANKED, d=2, rows=None, ranks=None, tape=("a", "X"),
             else:
                 default_rows.append((q, s, q, s, "R"))
     for q, rd, p, wr, mv in default_rows + (rows or []):
-        delta[(q, rd)] = Transition(q, rd, p, wr, mv)
+        delta[(q, rd)] = Transition(p, wr, mv)
     return Automaton(mode=mode, dlimit=DLimit.const(d), states=states,
                      input_alphabet=inputs, tape_alphabet=tape, ranks=ranks,
                      start_state=start, accepting=accept, delta=delta)

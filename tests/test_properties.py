@@ -110,7 +110,7 @@ def _map_triples(draw):
     """Three random segment maps over one |Q| in 1..6; -1 entries are LOOP."""
     q = draw(st.integers(1, 6))
     entry = st.integers(-1, 2 * q - 1)
-    return tuple(SegmentMap(q, tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
+    return tuple(SegmentMap(tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
                  for _ in range(3))
 
 
