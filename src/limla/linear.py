@@ -61,19 +61,19 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     entry is set.  If the left neighbour is a map f, the two segments
     merge: when p points left the head is about to cross into f's segment,
     so p is rerouted through the departure table of (f, g); then g becomes
-    f composed with g and the neighbour is unlinked.  The right neighbour
-    is handled the same way afterwards, with the possibly rerouted p.  On
-    success fmap[i] holds the merged map, both its neighbours are letters
-    or markers, and the exit is the rerouted p.  The scan writes only fmap
-    and the links, so sym[i] keeps the letter the caller stored there.  A
-    departure that loops stops the scan at once with exit -1, leaving the
-    unmerged neighbour linked.  Every merge is one compose_full request on
-    the machine's compose_memo, which counts it.
+    f composed with g, and i is linked past the neighbour, whose map is
+    dropped.  The right neighbour is handled the same way afterwards, with
+    the possibly rerouted p.  On success fmap[i] holds the merged map, both
+    its neighbours are letters or markers, and the exit is the rerouted p.
+    The scan writes only fmap and the links, so sym[i] keeps the letter the
+    caller stored there.  A departure that loops stops the scan at once
+    with exit -1, leaving the unmerged neighbour linked.  Every merge is one
+    compose_full request on the machine's compose_memo, which counts it.
     """
-    fmap = tape.fmap
+    fmap, prev, nxt = tape.fmap, tape.prev, tape.nxt
     memo = tape.compiled.compose_memo
 
-    left = tape.prev[i]
+    left = prev[i]
     f = fmap[left]
     if f is not None:
         comp = compose_full(f, g, memo)
@@ -82,9 +82,11 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
             if p < 0:
                 return p
         g = comp.h
-        tape.unlink(left)
+        fmap[left] = None
+        left = prev[i] = prev[left]
+        nxt[left] = i
 
-    right = tape.nxt[i]
+    right = nxt[i]
     f = fmap[right]
     if f is not None:
         comp = compose_full(g, f, memo)
@@ -93,7 +95,9 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
             if p < 0:
                 return p
         g = comp.h
-        tape.unlink(right)
+        fmap[right] = None
+        right = nxt[i] = nxt[right]
+        prev[right] = i
 
     fmap[i] = g
     return p
@@ -194,14 +198,15 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     sym[pos] = w
                 if v + 1 >= limit or fixed[w]:
                     g = cf_cache.get(w) or cf_idx(c, w)
-                    if tr is not None:
+                    if tr is None:
+                        out = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
+                    else:
                         left, right = prev[pos], nxt[pos]
-                    out = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
-                    scans += 1
-                    if tr is not None:
+                        out = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
                         tr.append((steps, pos, state, s, w, mv, v >= limit, 1,
                                    prev[pos] != left, nxt[pos] != right,
                                    prev[pos] + 1, nxt[pos] - 1))
+                    scans += 1
                     if out < 0:
                         verdict, reason = REJECT, MAP_LOOP
                         break

@@ -125,13 +125,17 @@ class CompositionResult:
 
 class CompositionMemo(dict):
     """One machine's compositions, (f.table, g.table) -> CompositionResult,
-    and the counts of the current run: calls, every request; walks, the
-    distinct pairs requested; edges_max, the largest edges among them."""
+    walked on a miss, and the run's counts: calls, every request; walks,
+    the distinct pairs requested; edges_max, the largest edges among them."""
 
     __slots__ = ("run", "calls", "walks", "edges_max")
 
     def __init__(self):
         self.run = self.calls = self.walks = self.edges_max = 0
+
+    def __missing__(self, key):
+        r = self[key] = _walk_glued(*key)
+        return r
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = None
@@ -149,10 +153,7 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = No
     if memo is None:
         return _walk_glued(f.table, g.table)
     memo.calls += 1
-    key = (f.table, g.table)
-    r = memo.get(key)
-    if r is None:
-        r = memo[key] = _walk_glued(*key)
+    r = memo[f.table, g.table]
     if r.run != memo.run:
         r.run = memo.run
         memo.walks += 1

@@ -10,8 +10,9 @@ holds, or last held before it froze), visits, fmap, and the prev/nxt
 links.  A live interior cell is a letter while fmap[i] is None and a
 frozen segment described by fmap[i] otherwise; the markers never get a map.
 
-The tape holds no cache: its deletion scans share the composition memo of
-its compiled machine (see mapping.compose_full).
+The tape holds no cache and no merge code: linear.deletion_scan relinks
+it, sharing the composition memo of its compiled machine, which walks a
+missing pair on lookup (mapping.CompositionMemo.__missing__).
 """
 from __future__ import annotations
 
@@ -34,11 +35,3 @@ class ListTape:
         t.nxt = list(range(1, n + 3))
         t.compiled = c
         return t
-
-    def unlink(self, i: int) -> None:
-        """Remove interior cell i from the list; its index is never reused."""
-        p = self.prev[i]
-        nx = self.nxt[i]
-        self.nxt[p] = nx
-        self.prev[nx] = p
-        self.fmap[i] = None

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import limla.difftest as difftest_mod
 from limla.difftest import compare_run, random_words, step_budget, words_upto
 import limla.linear as linear_mod
 from limla.linear import SHADOW_MEMO_SLOTS, ShadowMismatch, deletion_scan, run_linear
@@ -56,13 +57,22 @@ def test_init_tape_word_layout():
 
 
 def test_unlink_relinks_and_marks_dead():
-    aut = _two_state_walker()
-    t = ListTape.from_word(aut, "xxx")
-    t.fmap[2] = cf(aut, "x")
-    t.unlink(2)
+    # deletion_scan unlinks each map neighbour it merges
+    aut = _right_runner()
+    t = ListTape.from_word(aut, "xxxxx")
+    g = cf(aut, "x")
+    t.fmap[2] = t.fmap[4] = g
+    assert deletion_scan(t, 3, 2 * 1 + RIGHT, g) >= 0
     assert t.nxt[1] == 3 and t.prev[3] == 1
-    assert t.fmap[2] is None  # its map is dropped with it
-    assert _live_cells(t) == [0, 1, 3, 4]
+    assert t.nxt[3] == 5 and t.prev[5] == 3
+    assert t.fmap[2] is None and t.fmap[4] is None  # their maps are dropped with them
+    assert _live_cells(t) == [0, 1, 3, 5, 6]
+    merged = t.fmap[3]
+    assert deletion_scan(t, 5, 2 * 1 + RIGHT, g) >= 0
+    assert t.nxt[1] == 5 and t.prev[5] == 1
+    assert t.fmap[3] is None and t.fmap[5] == compose_full(merged, g).h
+    assert _live_cells(t) == [0, 1, 5, 6]  # no dead index comes back
+    assert len(t.prev) == len(t.nxt) == len(t.fmap) == t.n + 2
 
 
 def _two_state_walker():
@@ -181,6 +191,26 @@ def test_verdicts_and_projections_match_naive_on_zoo():
         for word in words_upto(aut.input_alphabet, 6):
             div = compare_run(aut, word, shadow=True)
             assert div is None, (name, word, div and div.detail)
+
+
+def test_long_zoo_words_agree_with_naive(monkeypatch):
+    # scans on long words merge into left and into right neighbours, the two
+    # relinks of deletion_scan, and shadow checks the merged maps
+    real_run_linear = difftest_mod.run_linear
+    merges = set()
+
+    def recording_run(aut, word, **kwargs):
+        out = real_run_linear(aut, word, **kwargs)
+        merges.update(r[8:10] for r in out.trace if r[7] == 1)
+        return out
+
+    monkeypatch.setattr(difftest_mod, "run_linear", recording_run)
+    for name, build in ZOO.items():
+        aut = build()
+        for word in random_words(aut.input_alphabet, 4, 64, 256, 0x10A6):
+            div = compare_run(aut, word, shadow=True)
+            assert div is None, (name, len(word), div and div.detail)
+    assert {(True, False), (False, True)} <= merges
 
 
 def test_empty_word_projection_is_initial_record_only():
