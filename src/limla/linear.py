@@ -44,12 +44,15 @@ class ShadowMismatch(Exception):
 # would pass the cap empties the memo first.
 SHADOW_MEMO_SLOTS = 1 << 12
 
-# Cap on a machine's composition memo, in slots: 4|Q| per entry (h and its
-# departure list, which fills as scans ask for departures; its key tables are
-# maps the memo or cf_cache holds), at most about 70 bytes each.  Checked
-# only when a run ends, emptying a memo past the cap, so a run is never
-# evicted from and between runs the memo stays under 0.1 MB.
-COMPOSE_MEMO_SLOTS = 1 << 10
+# Cap on a machine's composition memo, in bytes.  An entry is charged
+# 32|Q| + 512: 8 bytes for each of the 2|Q| slots of h and of its departure
+# list (which fills as scans ask for departures; its key tables are maps the
+# memo or cf_cache holds), and 512 for the result object, its SegmentMap,
+# the key tuple and the dict slot.  Emptying a memo freed about 2,360 bytes
+# per entry at |Q| = 64 and 6,690 at |Q| = 200 (tracemalloc, CPython 3.11).
+# Checked only when a run ends, emptying a memo past the cap, so a run is
+# never evicted from and between runs the memo stays under 128 KB.
+COMPOSE_MEMO_BYTES = 1 << 17
 
 
 def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
@@ -258,7 +261,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             dr = mv
         pos = prev[pos] if dr else nxt[pos]
 
-    if 4 * nq * len(memo) > COMPOSE_MEMO_SLOTS:
+    if (32 * nq + 512) * len(memo) > COMPOSE_MEMO_BYTES:
         memo.clear()
     if verdict is None:
         raise BudgetExceeded(steps)

@@ -100,8 +100,9 @@ class CompositionResult:
     [2|Q|, 4|Q|].  departure(p) is the boundary departure table, resolved
     on first request per entry into a list that the h walk started; the
     result reads f's and g's tables themselves (with a memo, the key's), so
-    it holds 4|Q| slots of its own: h and that list.  In a memo, run is the
-    last run to request the result.
+    it holds 4|Q| slots of its own, 8 bytes each: 2|Q| in h and 2|Q| in that
+    list (linear.COMPOSE_MEMO_BYTES charges a memo entry these and 512 bytes
+    more).  In a memo, run is the last run to request the result.
     """
 
     __slots__ = ("h", "edges", "run", "_ft", "_gt", "_dep")

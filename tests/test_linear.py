@@ -265,12 +265,22 @@ def test_step_bound_on_zoo_runs():
             assert kinds.count((1, False)) == out.scans, (name, word)
 
 
-def test_no_adjacent_maps_assertion_active():
+def test_no_adjacent_maps_assertion_active(monkeypatch):
     # shadow mode re-checks the invariant after every scan; a full zoo sweep
     # exercising merges must never trip it
     aut = build_even_a_2dfa()
     for word in words_upto(aut.input_alphabet, 5):
         run_linear(aut, word, shadow=True)
+
+    # without shadow the engine asserts it itself: a scan that stores its
+    # map but merges no neighbour leaves two maps side by side
+    def unmerging_scan(tape, i, p, g):
+        tape.fmap[i] = g
+        return p
+
+    monkeypatch.setattr(linear_mod, "deletion_scan", unmerging_scan)
+    with pytest.raises(AssertionError):
+        run_linear(aut, "aa")
 
 
 def test_composition_memo_walks_each_pair_once():

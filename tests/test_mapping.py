@@ -1,17 +1,19 @@
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from limla.difftest import random_words, words_upto
-from limla.linear import COMPOSE_MEMO_SLOTS, run_linear
+from limla.linear import COMPOSE_MEMO_BYTES, run_linear
 import limla.mapping as mapping_mod
 from limla.outcome import BudgetExceeded
 from limla.mapping import (
     CompositionMemo, EmptySegment, SegmentMap, SizeMismatch,
     cf, compose_full, describe_segment, oracle_compose, transparent_map,
 )
-from limla.model import COUNTED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
+from limla.model import COUNTED, RANKED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
 from limla.rng import SplitMix64
 from limla.zoo import GenParams, build_anbn, random_automaton
 
@@ -143,31 +145,83 @@ def test_memo_returns_the_walked_result_once_per_pair():
         assert r.run == memo.run
 
 
+def _memo_bytes(q, entries):
+    """What run_linear charges a composition memo of that many entries."""
+    return (32 * q + 512) * entries
+
+
 def test_compose_memo_stays_within_its_cap():
     # after every run the memo is at most the cap, and only then is it
-    # emptied; large machines pass the cap within a few runs
+    # emptied; large machines pass the cap after a few long words
     cleared = 0
     for seed in range(16):
         q = (2, 3, 5, 32, 64)[seed % 5]
         aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
         memo = aut.compiled.compose_memo
-        words = list(words_upto(aut.input_alphabet, 6 if q < 32 else 3))
-        words += random_words(aut.input_alphabet, 8, 20, 64, seed)
+        if q < 32:
+            words = list(words_upto(aut.input_alphabet, 6))
+            words += random_words(aut.input_alphabet, 8, 20, 64, seed)
+        else:
+            words = list(words_upto(aut.input_alphabet, 3))
+            words += random_words(aut.input_alphabet, 16, 256, 512, seed)
         for word in words:
             before = len(memo)
             run_linear(aut, word)
-            assert 4 * q * len(memo) <= COMPOSE_MEMO_SLOTS
+            assert _memo_bytes(q, len(memo)) <= COMPOSE_MEMO_BYTES
             cleared += len(memo) < before
     assert cleared > 0
     # a run cut short by its step budget ends all the same
-    params = GenParams(64, 29, COUNTED, DLimit.const(2))
-    word = random_words(("a", "b"), 1, 64, 64, 29)[0]
+    params = GenParams(64, 69, COUNTED, DLimit.const(2))
+    word = random_words(("a", "b"), 1, 256, 256, 69)[0]
     full = run_linear(random_automaton(params), word)
-    assert 4 * 64 * full.compose_walks > COMPOSE_MEMO_SLOTS
+    assert _memo_bytes(64, full.compose_walks) > COMPOSE_MEMO_BYTES
     aut = random_automaton(params)
     with pytest.raises(BudgetExceeded):
         run_linear(aut, word, max_steps=full.steps - 1)
-    assert 4 * 64 * len(aut.compiled.compose_memo) <= COMPOSE_MEMO_SLOTS
+    assert _memo_bytes(64, len(aut.compiled.compose_memo)) <= COMPOSE_MEMO_BYTES
+
+
+def test_warm_large_machine_walks_no_pair_again(monkeypatch):
+    # a |Q| = 64 machine keeps the pairs of a run under the cap, so running
+    # the same word again walks nothing and reports the same counts
+    aut = random_automaton(GenParams(64, 34, RANKED, DLimit.const(3)))
+    word = random_words(aut.input_alphabet, 1, 512, 512, 34)[0]
+    first = run_linear(aut, word)
+    assert first.compose_walks > 4
+    walks = []
+    real = mapping_mod._walk_glued
+    monkeypatch.setattr(mapping_mod, "_walk_glued",
+                        lambda ft, gt: walks.append(1) or real(ft, gt))
+    second = run_linear(aut, word)
+    assert walks == []
+    assert second == first  # verdict, steps, moves, scans and the three counts
+
+
+def test_compose_memo_charge_covers_its_memory():
+    # the bytes a full memo frees when emptied are at most what run_linear
+    # charges it; every departure is resolved first, so each entry holds
+    # all it ever will
+    for q, seed in ((1, 0), (8, 3), (64, 2)):
+        tracemalloc.start()
+        try:
+            aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
+            memo = aut.compiled.compose_memo
+            for word in random_words(aut.input_alphabet, 16, 64, 512, seed):
+                run_linear(aut, word)
+            for r in memo.values():
+                for p in range(2 * q):
+                    r.departure(p)
+            r = None  # hold no entry past the clear
+            entries = len(memo)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            memo.clear()
+            gc.collect()
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries >= 4
+        assert 32 * q * entries < freed <= _memo_bytes(q, entries)
 
 
 def test_associativity():
