@@ -124,14 +124,18 @@ def cmd_run(args) -> int:
         trace_fp = _open_output(args.trace, "--trace")
         if trace_fp is None:
             return EXIT_USAGE
-    with trace_fp or contextlib.nullcontext():
-        try:
-            out = runner(aut, word, **kwargs)
-        except BudgetExceeded as e:
-            print(f"budget exceeded after {e.steps} steps", file=sys.stderr)
-            return EXIT_BUDGET
-        if trace_fp:
-            write_trace(aut, out, args.engine, trace_fp)
+    try:
+        with trace_fp or contextlib.nullcontext():
+            try:
+                out = runner(aut, word, **kwargs)
+            except BudgetExceeded as e:
+                print(f"budget exceeded after {e.steps} steps", file=sys.stderr)
+                return EXIT_BUDGET
+            if trace_fp:
+                write_trace(aut, out, args.engine, trace_fp)
+    except OSError as e:  # the trace's write or close, not the engine
+        print(f"error: --trace: {e}", file=sys.stderr)
+        return EXIT_USAGE
     print(out.verdict)
     print(f"steps {out.steps}")
     return EXIT_ACCEPT if out.accepted else EXIT_REJECT
@@ -168,13 +172,19 @@ def cmd_bench(args) -> int:
         out_fp = _open_output(args.out, "--out", newline="")
         if out_fp is None:
             return EXIT_USAGE
-    with out_fp or contextlib.nullcontext():
-        try:
-            rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        benchmod.write_csv(rows, out_fp or sys.stdout)
+    try:
+        with out_fp or contextlib.nullcontext():
+            try:
+                rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
+            except ValueError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return EXIT_USAGE
+            benchmod.write_csv(rows, out_fp or sys.stdout)
+    except OSError as e:
+        if out_fp is None:  # stdout failed, not --out
+            raise
+        print(f"error: --out: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_ACCEPT
 
 

@@ -26,14 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import LEFT_MARKER, RIGHT_MARKER, RANKED, RIGHT
+from .model import RIGHT
 
 
 class SizeMismatch(ValueError):
-    pass
-
-
-class EmptySegment(ValueError):
     pass
 
 
@@ -46,11 +42,6 @@ class SegmentMap:
     @property
     def q_count(self) -> int:
         return len(self.table) >> 1
-
-
-def transparent_map(q_count: int) -> SegmentMap:
-    """The two-sided identity of composition: every entry passes straight through."""
-    return SegmentMap(tuple(range(2 * q_count)))
 
 
 def cf_idx(c, s: int) -> SegmentMap:
@@ -70,24 +61,6 @@ def cf_idx(c, s: int) -> SegmentMap:
     return m
 
 
-def _frozen_letter_index(aut, letter: str) -> int:
-    c = aut.compiled
-    if letter in (LEFT_MARKER, RIGHT_MARKER):
-        raise ValueError("markers do not describe segments")
-    i = c.sym_index.get(letter)
-    if i is None or i >= c.n_letters:
-        raise ValueError(f"unknown tape letter {letter!r}")
-    rank = aut.ranks.get(letter, 0)
-    if aut.mode == RANKED and rank != aut.dlimit.k:
-        raise ValueError(f"letter {letter!r} has rank {rank}, not frozen")
-    return i
-
-
-def cf(aut, letter: str) -> SegmentMap:
-    """Map describing a single frozen cell holding the given letter."""
-    return cf_idx(aut.compiled, _frozen_letter_index(aut, letter))
-
-
 # Marks in a composition's departure list, which otherwise holds resolved
 # exits (-1 = LOOP): a crossing not yet walked, and one on the current walk.
 _UNSEEN, _ON_PATH = -3, -2
@@ -99,10 +72,10 @@ class CompositionResult:
     h is the composed map and edges the h walk's loop iterations, in
     [2|Q|, 4|Q|].  departure(p) is the boundary departure table, resolved
     on first request per entry into a list that the h walk started; the
-    result reads f's and g's tables themselves (with a memo, the key's), so
-    it holds 4|Q| slots of its own, 8 bytes each: 2|Q| in h and 2|Q| in that
-    list (linear.COMPOSE_MEMO_BYTES charges a memo entry these and 512 bytes
-    more).  In a memo, run is the last run to request the result.
+    result reads the tables of its memo key themselves, so it holds 4|Q|
+    slots of its own, 8 bytes each: 2|Q| in h and 2|Q| in that list
+    (linear.COMPOSE_MEMO_BYTES charges a memo entry these and 512 bytes
+    more).  run is the last run of the memo to request the result.
     """
 
     __slots__ = ("h", "edges", "run", "_ft", "_gt", "_dep")
@@ -139,20 +112,17 @@ class CompositionMemo(dict):
         return r
 
 
-def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo | None = None
-                 ) -> CompositionResult:
+def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> CompositionResult:
     """Compose adjacent segment maps; the result also answers departures.
 
     The result depends on the two tables alone: maps over one machine form
-    a finite monoid.  So with a memo (the machine's compose_memo), only the
-    first request for a pair ever reaches the walk and every later one, in
-    this run or a later one, returns the same CompositionResult, with every
-    departure an earlier request resolved.  The memo counts every request
-    in memo.calls, and a pair's first request in the current run (memo.run,
-    stamped on the result) in memo.walks and memo.edges_max.
+    a finite monoid.  So in memo, which is always given (the machine's
+    compose_memo), only the first request for a pair reaches the walk and
+    every later one, in this run or a later one, returns the same
+    CompositionResult, with every departure an earlier request resolved.
+    The memo counts every request in memo.calls, and a pair's first request
+    in this run (memo.run, stamped on the result) in walks and edges_max.
     """
-    if memo is None:
-        return _walk_glued(f.table, g.table)
     memo.calls += 1
     r = memo[f.table, g.table]
     if r.run != memo.run:
@@ -224,7 +194,7 @@ def describe_indices(c, idxs) -> list:
 
     Walks the head from each of the 2|Q| entries with a per-entry
     (position, state) visited set; a repeat means the head never leaves.
-    Independent of composition, which makes it the oracle for cf and for
+    Independent of composition, which makes it the oracle for cf_idx and for
     the coalescing done by the linear engine.
     """
     q = c.n_states
@@ -256,15 +226,6 @@ def describe_indices(c, idxs) -> list:
                     break
         table.append(out)
     return table
-
-
-def describe_segment(aut, letters) -> SegmentMap:
-    """Map describing a non-empty sequence of frozen letters, by direct walk."""
-    letters = list(letters)
-    if not letters:
-        raise EmptySegment("a described segment holds at least one letter")
-    idxs = [_frozen_letter_index(aut, tok) for tok in letters]
-    return SegmentMap(tuple(describe_indices(aut.compiled, idxs)))
 
 
 def oracle_compose(f: SegmentMap, g: SegmentMap):

@@ -150,7 +150,6 @@ class CompiledAutomaton:
     n_letters: int
     width: int
     sym_names: tuple
-    sym_index: dict
     input_index: dict        # input token -> symbol index (word_indices)
     start_idx: int
     accepting: list
@@ -207,7 +206,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
     from .mapping import CompositionMemo
     return CompiledAutomaton(
         n_states=len(states), n_letters=lo, width=width,
-        sym_names=sym_names, sym_index=sym_index,
+        sym_names=sym_names,
         input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
         start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,

@@ -12,7 +12,7 @@ import pytest
 from limla.bench import doubling_ratios, fit_scaling, run_bench
 from limla.difftest import DiffStats, compare_run, random_words, step_budget, words_upto
 from limla.linear import run_linear
-from limla.mapping import SegmentMap, cf, compose_full, describe_segment, oracle_compose, transparent_map
+from limla.mapping import CompositionMemo, SegmentMap, cf_idx, compose_full, describe_indices, oracle_compose
 from limla.model import DLimit, REJECT, validate_automaton
 from limla.naive import run_naive
 from limla.rng import SplitMix64
@@ -79,7 +79,7 @@ def test_criterion_2_algebra_oracle():
     for _ in range(10_000):
         q = 1 + rng.below(6)
         f, g = _random_map(rng, q), _random_map(rng, q)
-        r = compose_full(f, g)
+        r = compose_full(f, g, CompositionMemo())
         oh, od = oracle_compose(f, g)
         assert r.h.table == oh
         assert tuple(map(r.departure, range(2 * q))) == od
@@ -87,10 +87,11 @@ def test_criterion_2_algebra_oracle():
     for _ in range(1_000):
         q = 1 + rng.below(6)
         f, g, h = (_random_map(rng, q) for _ in range(3))
-        assert compose_full(compose_full(f, g).h, h).h == \
-               compose_full(f, compose_full(g, h).h).h
-        t = transparent_map(q)
-        assert compose_full(t, f).h == f and compose_full(f, t).h == f
+        memo = CompositionMemo()
+        assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
+               compose_full(f, compose_full(g, h, memo).h, memo).h
+        t = SegmentMap(tuple(range(2 * q)))
+        assert compose_full(t, f, memo).h == f and compose_full(f, t, memo).h == f
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     print(f"\ncriterion 2: PASS  10^4 compose+departure vs oracle, 10^3 associativity, "
@@ -105,15 +106,16 @@ def test_criterion_3_homomorphism():
         aut = random_automaton(GenParams(
             state_count=1 + rng.below(5), seed=rng.next_u64(),
             dlimit=DLimit.const(d), tape_per_rank=2))
-        frozen = [t for t in aut.tape_alphabet if aut.ranks[t] == d]
+        c = aut.compiled
+        frozen = [i for i, t in enumerate(aut.tape_alphabet) if aut.ranks[t] == d]
         for _ in range(100):
             seg = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(8))]
-            m = cf(aut, seg[0])
-            for tok in seg[1:]:
-                r = compose_full(m, cf(aut, tok))
-                assert r.edges <= 4 * aut.compiled.n_states
+            m = cf_idx(c, seg[0])
+            for i in seg[1:]:
+                r = compose_full(m, cf_idx(c, i), CompositionMemo())
+                assert r.edges <= 4 * c.n_states
                 m = r.h
-            assert m == describe_segment(aut, seg)
+            assert m == SegmentMap(tuple(describe_indices(c, seg)))
             checked += 1
     assert checked == 10_000
     print(f"\ncriterion 3: PASS  fold of single-cell maps equals brute-force "
@@ -183,7 +185,7 @@ def test_criterion_7_composition_complexity_witness(diff_results):
     rng = SplitMix64(0x7E57)
     for _ in range(2_000):
         q = 6
-        r = compose_full(_random_map(rng, q), _random_map(rng, q))
+        r = compose_full(_random_map(rng, q), _random_map(rng, q), CompositionMemo())
         assert r.edges <= 8 * q
     print("\ncriterion 7: PASS  composition walk stayed within 8*|Q| edge "
           "traversals on every call")

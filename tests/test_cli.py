@@ -114,10 +114,16 @@ def test_run_budget_exit_code(capsys):
 
 def test_run_unwritable_trace_is_usage_error(monkeypatch, capsys):
     # the destination is checked before the engine runs
-    monkeypatch.setattr("limla.cli.run_linear", lambda *a, **k: pytest.fail("engine ran"))
-    assert main(["run", ANBN, "--input", "ab", "--trace", "/nonexistent/dir/t.jsonl"]) == 2
+    with monkeypatch.context() as m:
+        m.setattr("limla.cli.run_linear", lambda *a, **k: pytest.fail("engine ran"))
+        assert main(["run", ANBN, "--input", "ab", "--trace", "/nonexistent/dir/t.jsonl"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --trace:") and "Traceback" not in err
+    if os.path.exists("/dev/full"):
+        # a trace that opens but cannot be written is no verdict either
+        assert main(["run", ANBN, "--input", "ab", "--trace", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --trace:") and captured.out == ""
 
 
 def test_run_negative_max_steps_is_usage_error(capsys):
@@ -128,9 +134,13 @@ def test_run_negative_max_steps_is_usage_error(capsys):
 
 
 def test_bench_unwritable_out_is_usage_error(capsys):
-    assert main(["bench", ANBN, "--lengths", "4", "--out", "/nonexistent/x.csv"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: --out:") and captured.out == ""
+    paths = ["/nonexistent/x.csv"]
+    if os.path.exists("/dev/full"):
+        paths.append("/dev/full")  # opens, but every write fails
+    for path in paths:
+        assert main(["bench", ANBN, "--lengths", "4", "--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out:") and captured.out == ""
 
 
 def test_bench_negative_length_is_usage_error(capsys):

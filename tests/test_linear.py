@@ -11,7 +11,7 @@ from limla.difftest import compare_run, random_words, step_budget, words_upto
 import limla.linear as linear_mod
 from limla.linear import SHADOW_MEMO_SLOTS, ShadowMismatch, deletion_scan, run_linear
 import limla.mapping as mapping_mod
-from limla.mapping import SegmentMap, cf, compose_full
+from limla.mapping import CompositionMemo, SegmentMap, cf_idx, compose_full
 from limla.model import (
     ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, RANKED, REJECT, RIGHT,
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER, word_indices,
@@ -60,7 +60,7 @@ def test_unlink_relinks_and_marks_dead():
     # deletion_scan unlinks each map neighbour it merges
     aut = _right_runner()
     t = ListTape.from_word(aut, "xxxxx")
-    g = cf(aut, "x")
+    g = cf_idx(aut.compiled, 0)  # the letter x
     t.fmap[2] = t.fmap[4] = g
     assert deletion_scan(t, 3, 2 * 1 + RIGHT, g) >= 0
     assert t.nxt[1] == 3 and t.prev[3] == 1
@@ -70,7 +70,7 @@ def test_unlink_relinks_and_marks_dead():
     merged = t.fmap[3]
     assert deletion_scan(t, 5, 2 * 1 + RIGHT, g) >= 0
     assert t.nxt[1] == 5 and t.prev[5] == 1
-    assert t.fmap[3] is None and t.fmap[5] == compose_full(merged, g).h
+    assert t.fmap[3] is None and t.fmap[5] == compose_full(merged, g, CompositionMemo()).h
     assert _live_cells(t) == [0, 1, 5, 6]  # no dead index comes back
     assert len(t.prev) == len(t.nxt) == len(t.fmap) == t.n + 2
 
@@ -112,7 +112,7 @@ def _scan(t, i, p, g):
 def test_deletion_scan_no_neighbours():
     aut = _two_state_walker()
     t = ListTape.from_word(aut, "xxx")
-    g = cf(aut, "x")
+    g = cf_idx(aut.compiled, 0)  # the letter x
     letters = list(t.sym)
     out, calls, edges = _scan(t, 2, 2 * 0 + RIGHT, g)
     assert out == 2 * 0 + RIGHT
@@ -127,14 +127,14 @@ def test_deletion_scan_no_neighbours():
 def test_deletion_scan_left_merge_no_departure_when_heading_right():
     aut = _two_state_walker()
     t = ListTape.from_word(aut, "xxx")
-    g = cf(aut, "x")
+    g = cf_idx(aut.compiled, 0)  # the letter x
     t.fmap[1] = g
     out, calls, edges = _scan(t, 2, 2 * 1 + RIGHT, g)
     assert out >= 0 and calls == 1
-    assert edges == compose_full(g, g).edges
+    assert edges == compose_full(g, g, CompositionMemo()).edges
     assert _live_cells(t) == [0, 2, 3, 4] and t.fmap[1] is None  # merged left only
     assert out == 2 * 1 + RIGHT  # no departure taken
-    assert t.fmap[2] == compose_full(g, g).h
+    assert t.fmap[2] == compose_full(g, g, CompositionMemo()).h
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 2)
 
 
@@ -157,17 +157,19 @@ def _right_runner():
 def test_deletion_scan_three_way_merge():
     aut = _right_runner()
     t = ListTape.from_word(aut, "xxx")
-    g = cf(aut, "x")
+    g = cf_idx(aut.compiled, 0)  # the letter x
     t.fmap[1] = g
     t.fmap[3] = g
     # heading left into the left map: the departure bounces the head back
     # rightward, so the second departure is taken on the merged map too
     out, calls, edges = _scan(t, 2, 2 * 0 + LEFT, g)
     assert out >= 0 and calls == 2
-    assert edges == max(compose_full(g, g).edges, compose_full(compose_full(g, g).h, g).edges)
+    memo = CompositionMemo()
+    gg = compose_full(g, g, memo)
+    assert edges == max(gg.edges, compose_full(gg.h, g, memo).edges)
     assert t.fmap[1] is None and t.fmap[3] is None  # both merged
     assert out == 2 * 1 + RIGHT
-    want = compose_full(compose_full(g, g).h, g).h
+    want = compose_full(gg.h, g, memo).h
     assert t.fmap[2] == want
     assert _live_cells(t) == [0, 2, 4]
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 3)
@@ -176,12 +178,12 @@ def test_deletion_scan_three_way_merge():
 def test_deletion_scan_rejects_on_loop_departure():
     aut = _two_state_walker()
     t = ListTape.from_word(aut, "xx")
-    g = cf(aut, "x")
+    g = cf_idx(aut.compiled, 0)  # the letter x
     t.fmap[1] = g
     # entering leftward in state u: u bounces right, v bounces back left, a cycle
     out, calls, edges = _scan(t, 2, 2 * 0 + LEFT, g)
     assert out < 0 and calls == 1
-    assert edges == compose_full(g, g).edges
+    assert edges == compose_full(g, g, CompositionMemo()).edges
     assert t.fmap[1] == g and t.nxt[1] == 2  # the looping neighbour stays linked
 
 

@@ -27,9 +27,10 @@ def test_detector_flags_only_unread_names():
 
 
 def test_no_unused_imports():
-    # __init__.py exists to re-export, so its imports are exempt
-    found = [f"{path.name}:{line}: {name}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+    # the package's __init__.py exists to re-export, so its imports are exempt
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+             if path != SRC / "__init__.py"
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
 
@@ -38,9 +39,6 @@ def test_no_unused_imports():
 # "module.Class.member" for a method or field; every entry states why it stays.
 KEPT_FOR_TESTS = {
     "mapping.oracle_compose": "oracle: plain path-following reference for compose_full",
-    "mapping.describe_segment": "oracle: token-form brute-force description of a segment",
-    "mapping.cf": "oracle: token-form single-cell map, checked against describe_segment",
-    "mapping.transparent_map": "the identity of composition, for the monoid-law tests",
     "bench.fit_scaling": "step-growth tooling: log-log slope of step counts against n",
     "bench.doubling_ratios": "step-growth tooling: step ratios over doubled lengths",
     "bench.ScalingFit.slope": "step-growth tooling: log-log slope of step counts against n",

@@ -10,8 +10,8 @@ from limla.linear import COMPOSE_MEMO_BYTES, run_linear
 import limla.mapping as mapping_mod
 from limla.outcome import BudgetExceeded
 from limla.mapping import (
-    CompositionMemo, EmptySegment, SegmentMap, SizeMismatch,
-    cf, compose_full, describe_segment, oracle_compose, transparent_map,
+    CompositionMemo, SegmentMap, SizeMismatch,
+    cf_idx, compose_full, describe_indices, oracle_compose,
 )
 from limla.model import COUNTED, RANKED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
 from limla.rng import SplitMix64
@@ -41,7 +41,7 @@ def all_q1_maps():
 
 def test_cf_all_right_letter():
     aut = _uniform_machine({"p": ("p", "R"), "q": ("q", "R")})
-    m = cf(aut, "x")
+    m = cf_idx(aut.compiled, 0)  # the letter x
     for qi in range(2):
         assert m.table[2 * qi + RIGHT] == 2 * qi + RIGHT
         assert m.table[2 * qi + LEFT] == 2 * qi + RIGHT
@@ -49,7 +49,7 @@ def test_cf_all_right_letter():
 
 def test_cf_all_left_letter():
     aut = _uniform_machine({"p": ("p", "L"), "q": ("q", "L")})
-    m = cf(aut, "x")
+    m = cf_idx(aut.compiled, 0)  # the letter x
     for qi in range(2):
         assert m.table[2 * qi + RIGHT] == 2 * qi + LEFT
         assert m.table[2 * qi + LEFT] == 2 * qi + LEFT
@@ -58,20 +58,12 @@ def test_cf_all_left_letter():
 def test_cf_of_anbn_frozen_letter_matches_delta():
     aut = build_anbn()
     c = aut.compiled
-    m = cf(aut, "B")
+    m = cf_idx(c, c.sym_names.index("B"))
     for qi, q in enumerate(aut.states):
         t = aut.delta[(q, "B")]
         want = 2 * aut.states.index(t.to_state) + (RIGHT if t.move == "R" else LEFT)
         assert m.table[2 * qi + RIGHT] == want
         assert m.table[2 * qi + LEFT] == want
-
-
-def test_cf_rejects_unfrozen_or_marker():
-    aut = build_anbn()
-    with pytest.raises(ValueError):
-        cf(aut, "a1")  # rank 1 < 2
-    with pytest.raises(ValueError):
-        cf(aut, LEFT_MARKER)
 
 
 def test_cf_never_loops_and_ignores_direction():
@@ -80,26 +72,27 @@ def test_cf_never_loops_and_ignores_direction():
         aut = random_automaton(GenParams(state_count=1 + rng.below(5),
                                          seed=rng.next_u64(), tape_per_rank=2))
         d = aut.dlimit.k
-        for tok in aut.tape_alphabet:
+        for i, tok in enumerate(aut.tape_alphabet):
             if aut.ranks[tok] != d:
                 continue
-            m = cf(aut, tok)
+            m = cf_idx(aut.compiled, i)
             assert all(v >= 0 for v in m.table)
             assert all(m.table[2 * s] == m.table[2 * s + 1] for s in range(m.q_count))
 
 
 def test_transparent_map_is_identity():
-    t1 = transparent_map(1)
+    # the map whose every entry passes straight through is the identity
+    t1 = SegmentMap((0, 1))
     for f in all_q1_maps():
-        assert compose_full(t1, f).h == f
-        assert compose_full(f, t1).h == f
+        assert compose_full(t1, f, CompositionMemo()).h == f
+        assert compose_full(f, t1, CompositionMemo()).h == f
     rng = SplitMix64(23)
     for _ in range(300):
         q = 1 + rng.below(6)
         f = _rand_map(rng, q)
-        t = transparent_map(q)
-        assert compose_full(t, f).h == f
-        assert compose_full(f, t).h == f
+        t = SegmentMap(tuple(range(2 * q)))
+        assert compose_full(t, f, CompositionMemo()).h == f
+        assert compose_full(f, t, CompositionMemo()).h == f
 
 
 def test_two_cycle_composes_to_loop():
@@ -107,7 +100,7 @@ def test_two_cycle_composes_to_loop():
     # the head shuttles across the internal boundary forever
     f = SegmentMap((0, 0))
     g = SegmentMap((1, 1))
-    r = compose_full(f, g)
+    r = compose_full(f, g, CompositionMemo())
     assert r.h.table == (-1, -1)
     assert oracle_compose(f, g)[0] == (-1, -1)
     # the boundary departure is the same forced cycle
@@ -119,7 +112,7 @@ def test_compose_matches_oracle_randomized():
     for _ in range(3000):
         q = 1 + rng.below(6)
         f, g = _rand_map(rng, q), _rand_map(rng, q)
-        r = compose_full(f, g)
+        r = compose_full(f, g, CompositionMemo())
         oh, od = oracle_compose(f, g)
         assert r.h.table == oh
         assert tuple(map(r.departure, range(2 * q))) == od
@@ -135,7 +128,7 @@ def test_memo_returns_the_walked_result_once_per_pair():
         memo.run += 1
         memo.calls = memo.walks = 0
         r = compose_full(f, g, memo)
-        plain = compose_full(f, g)
+        plain = compose_full(f, g, CompositionMemo())
         assert (r.h, r.edges) == (plain.h, plain.edges)
         assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
         # a repeat request, even through equal but distinct maps, is a hit
@@ -228,24 +221,26 @@ def test_associativity():
     for f in all_q1_maps():
         for g in all_q1_maps():
             for h in all_q1_maps():
-                assert compose_full(compose_full(f, g).h, h).h == \
-                       compose_full(f, compose_full(g, h).h).h
+                memo = CompositionMemo()
+                assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
+                       compose_full(f, compose_full(g, h, memo).h, memo).h
     rng = SplitMix64(41)
     for _ in range(500):
         q = 1 + rng.below(6)
         f, g, h = (_rand_map(rng, q) for _ in range(3))
-        assert compose_full(compose_full(f, g).h, h).h == \
-               compose_full(f, compose_full(g, h).h).h
+        memo = CompositionMemo()
+        assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
+               compose_full(f, compose_full(g, h, memo).h, memo).h
 
 
 def test_departure_through_transparent_part():
     rng = SplitMix64(53)
     for _ in range(200):
         q = 1 + rng.below(6)
-        t = transparent_map(q)
+        t = SegmentMap(tuple(range(2 * q)))
         g = _rand_map(rng, q)
-        tg = compose_full(t, g)
-        gt = compose_full(g, t)
+        tg = compose_full(t, g, CompositionMemo())
+        gt = compose_full(g, t, CompositionMemo())
         for s in range(q):
             # crossing rightward into g behaves exactly like g
             assert tg.departure(2 * s) == g.table[2 * s]
@@ -254,10 +249,11 @@ def test_departure_through_transparent_part():
 
 
 def test_size_mismatch():
+    f, g = SegmentMap((0, 1)), SegmentMap((0, 1, 2, 3))
     with pytest.raises(SizeMismatch):
-        compose_full(transparent_map(1), transparent_map(2))
+        compose_full(f, g, CompositionMemo())
     with pytest.raises(SizeMismatch):
-        oracle_compose(transparent_map(1), transparent_map(2))
+        oracle_compose(f, g)
 
 
 @st.composite
@@ -273,7 +269,7 @@ def _map_pairs(draw):
 @given(_map_pairs())
 def test_compose_steps_within_4q_and_matches_oracle(maps):
     f, g = maps
-    r = compose_full(f, g)
+    r = compose_full(f, g, CompositionMemo())
     # one step per h entry, plus one per crossing walked; kept resolutions
     # walk each crossing at most once
     q = f.q_count
@@ -313,10 +309,10 @@ def test_compose_kernel_golden(q):
     for _ in range(200):
         f, g = _loopy_map(rng, q), _loopy_map(rng, q)
         for a, b in ((f, g), (m, f)):
-            r = compose_full(a, b)
+            r = compose_full(a, b, CompositionMemo())
             digest.update(repr((r.h.table, tuple(map(r.departure, range(2 * q))))).encode())
             edges += r.edges
-        m = compose_full(m, f).h
+        m = compose_full(m, f, CompositionMemo()).h
     assert (edges, digest.hexdigest()[:16]) == _KERNEL_GOLDEN[q]
 
 
@@ -339,7 +335,7 @@ def test_departures_resolve_lazily_in_any_order(q):
         else:
             f, g = (_loopy_map if i % 3 else _rand_map)(rng, q), _loopy_map(rng, q)
         want_h, want_dep = oracle_compose(f, g)
-        r = compose_full(f, g)
+        r = compose_full(f, g, CompositionMemo())
         edges = r.edges
         order = list(range(2 * q))
         for k in range(len(order) - 1, 0, -1):
@@ -357,7 +353,7 @@ def test_edge_witness_catches_a_walk_that_forgets_resolutions(monkeypatch):
     q = 8
     f = SegmentMap(tuple(0 if c % 2 == 0 else min(c + 1, 2 * q - 1) for c in range(2 * q)))
     g = SegmentMap(tuple(c + 1 if c % 2 == 0 else 1 for c in range(2 * q)))
-    r = compose_full(f, g)
+    r = compose_full(f, g, CompositionMemo())
     assert r.h.table == oracle_compose(f, g)[0] == (2 * q - 1,) * (2 * q)
     assert r.edges == 4 * q
 
@@ -373,52 +369,73 @@ def test_edge_witness_catches_a_walk_that_forgets_resolutions(monkeypatch):
         return -1, len(seen)
 
     monkeypatch.setattr(mapping_mod, "_cross", forgetful)
-    r = compose_full(f, g)
+    r = compose_full(f, g, CompositionMemo())
     assert r.h.table == (2 * q - 1,) * (2 * q)
     # past criterion 7's and DiffStats' 8|Q| too, not only the 4|Q| bound
     assert r.edges > 8 * q
 
 
+def _described(c, idxs):
+    return SegmentMap(tuple(describe_indices(c, idxs)))
+
+
+def _anbn_frozen():
+    """anbn's compiled form and the indices of its frozen letters A and B."""
+    c = build_anbn().compiled
+    return c, [c.sym_names.index(tok) for tok in ("A", "B")]
+
+
 def test_describe_single_cell_is_cf():
-    aut = build_anbn()
-    for tok in ("A", "B"):
-        assert describe_segment(aut, [tok]) == cf(aut, tok)
+    c, frozen = _anbn_frozen()
+    for i in frozen:
+        assert _described(c, [i]) == cf_idx(c, i)
 
 
 def test_describe_pair_is_composition():
-    aut = build_anbn()
-    for u in ("A", "B"):
-        for v in ("A", "B"):
-            assert describe_segment(aut, [u, v]) == \
-                   compose_full(cf(aut, u), cf(aut, v)).h
+    c, frozen = _anbn_frozen()
+    for u in frozen:
+        for v in frozen:
+            assert _described(c, [u, v]) == \
+                   compose_full(cf_idx(c, u), cf_idx(c, v), CompositionMemo()).h
 
 
 def test_fold_of_cf_equals_describe_over_anbn_letters():
-    aut = build_anbn()
+    c, frozen = _anbn_frozen()
     rng = SplitMix64(71)
     for _ in range(300):
-        seg = [("A", "B")[rng.below(2)] for _ in range(1 + rng.below(8))]
-        m = cf(aut, seg[0])
-        for tok in seg[1:]:
-            m = compose_full(m, cf(aut, tok)).h
-        assert m == describe_segment(aut, seg)
+        seg = [frozen[rng.below(2)] for _ in range(1 + rng.below(8))]
+        m = cf_idx(c, seg[0])
+        for i in seg[1:]:
+            m = compose_full(m, cf_idx(c, i), CompositionMemo()).h
+        assert m == _described(c, seg)
 
 
-def test_homomorphism_on_random_machines():
-    rng = SplitMix64(83)
+def _frozen_samples(rng):
+    """(compiled machine, its frozen letter indices): 30 ranked random
+    machines with their rank-d letters, then 30 counted ones over every
+    d-limit, in which every letter can freeze."""
     for _ in range(30):
         d = 1 + rng.below(3)
         aut = random_automaton(GenParams(state_count=1 + rng.below(5),
                                          seed=rng.next_u64(),
                                          dlimit=DLimit.const(d), tape_per_rank=2))
-        frozen = [t for t in aut.tape_alphabet if aut.ranks[t] == d]
+        yield aut.compiled, [i for i, t in enumerate(aut.tape_alphabet) if aut.ranks[t] == d]
+    limits = (DLimit.const(1), DLimit.const(2), DLimit("log2"), DLimit("sqrt"), DLimit("id"))
+    for k in range(30):
+        c = random_automaton(GenParams(state_count=1 + rng.below(5), seed=rng.next_u64(),
+                                       mode=COUNTED, dlimit=limits[k % len(limits)])).compiled
+        yield c, list(range(c.n_letters))
+
+
+def test_homomorphism_on_random_machines():
+    rng = SplitMix64(83)
+    for c, frozen in _frozen_samples(rng):
         for _ in range(20):
             u = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(4))]
             v = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(4))]
-            assert compose_full(describe_segment(aut, u), describe_segment(aut, v)).h \
-                == describe_segment(aut, u + v)
-
-
-def test_empty_segment_rejected():
-    with pytest.raises(EmptySegment):
-        describe_segment(build_anbn(), [])
+            assert compose_full(_described(c, u), _described(c, v), CompositionMemo()).h \
+                == _described(c, u + v)
+            m = cf_idx(c, u[0])
+            for i in u[1:] + v:
+                m = compose_full(m, cf_idx(c, i), CompositionMemo()).h
+            assert m == _described(c, u + v)

@@ -164,7 +164,7 @@ def test_accepting_normalized_to_declaration_order():
 def test_word_indices_accepts_only_input_tokens():
     aut = ZOO["anbn"]()
     c = aut.compiled
-    assert word_indices(aut, "abba") == [c.sym_index[t] for t in "abba"]
+    assert word_indices(aut, "abba") == [c.sym_names.index(t) for t in "abba"]
     assert word_indices(aut, ("a", "b")) == word_indices(aut, "ab")
     # tape letters and markers are symbols but not input
     for word, bad in (("abc", "c"), (("a", "a1"), "a1"), (("|>",), "|>"), ((1,), "1")):

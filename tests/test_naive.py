@@ -53,7 +53,7 @@ def test_anbn_ab_regular_trace_golden():
     out = run_naive(aut, "ab", trace=True)
     assert out.verdict == ACCEPT
     want = [(aut.states.index(q), pos, -1, -1, -1) if rd is None else
-            (aut.states.index(q), pos, c.sym_index[rd], c.sym_index[wr],
+            (aut.states.index(q), pos, c.sym_names.index(rd), c.sym_names.index(wr),
              RIGHT if mv == "R" else LEFT)
             for q, pos, rd, wr, mv in ANBN_AB_REGULAR]
     assert regular_projection(aut, out) == want

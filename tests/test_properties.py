@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limla.fmt import FormatError, parse_machine, serialize_machine
-from limla.mapping import SegmentMap, compose_full, oracle_compose, transparent_map
+from limla.mapping import CompositionMemo, SegmentMap, compose_full, oracle_compose
 from limla.model import COUNTED, DLimit, RANKED
 from limla.zoo import GenParams, random_automaton
 
@@ -118,7 +118,7 @@ def _map_triples(draw):
 @given(_map_triples())
 def test_compose_agrees_with_oracle(maps):
     f, g, _ = maps
-    r = compose_full(f, g)
+    r = compose_full(f, g, CompositionMemo())
     assert (r.h.table, tuple(map(r.departure, range(2 * f.q_count)))) == oracle_compose(f, g)
 
 
@@ -126,13 +126,15 @@ def test_compose_agrees_with_oracle(maps):
 @given(_map_triples())
 def test_compose_is_associative(maps):
     f, g, h = maps
-    assert compose_full(compose_full(f, g).h, h).h == compose_full(f, compose_full(g, h).h).h
+    memo = CompositionMemo()
+    assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
+        compose_full(f, compose_full(g, h, memo).h, memo).h
 
 
 @settings(max_examples=200, **_SETTINGS)
 @given(_map_triples())
 def test_transparent_map_is_two_sided_identity(maps):
     f = maps[0]
-    t = transparent_map(f.q_count)
-    assert compose_full(t, f).h == f
-    assert compose_full(f, t).h == f
+    t = SegmentMap(tuple(range(2 * f.q_count)))
+    assert compose_full(t, f, CompositionMemo()).h == f
+    assert compose_full(f, t, CompositionMemo()).h == f
