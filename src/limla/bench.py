@@ -60,8 +60,8 @@ def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
     if kind == "random":
         if not alphabet:
             raise ValueError("random generator needs a non-empty input alphabet")
-        rng = SplitMix64(seed + length)
-        return tuple(alphabet[rng.below(len(alphabet))] for _ in range(length))
+        k = len(alphabet)
+        return tuple([alphabet[v % k] for v in SplitMix64(seed + length).take(length)])
     raise ValueError(f"unknown generator {kind!r}")
 
 

@@ -179,12 +179,13 @@ def cmd_bench(args) -> int:
             except ValueError as e:
                 print(f"error: {e}", file=sys.stderr)
                 return EXIT_USAGE
-            benchmod.write_csv(rows, out_fp or sys.stdout)
-    except OSError as e:
-        if out_fp is None:  # stdout failed, not --out
-            raise
+            if out_fp is not None:
+                benchmod.write_csv(rows, out_fp)
+    except OSError as e:  # the CSV's write or close
         print(f"error: --out: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if out_fp is None:
+        benchmod.write_csv(rows, sys.stdout)
     return EXIT_ACCEPT
 
 
@@ -331,9 +332,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the interpreter's
+    flush at exit drops what could not be written instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as e:  # the commands handle their own files: this is stdout
+        print(f"error: stdout: {e}", file=sys.stderr)
+        _silence_stdout()
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .model import ACCEPT, d_of
 from .linear import ShadowMismatch, run_linear
 from .naive import run_naive
 from .outcome import regular_projection
-from .rng import SplitMix64
+from .rng import BLOCK, SplitMix64
 
 
 @dataclass
@@ -44,12 +44,24 @@ def words_upto(alphabet, maxlen: int):
 
 
 def random_words(alphabet, count: int, min_len: int, max_len: int, seed: int):
+    """count seeded words, each of min_len to max_len letters.
+
+    Each word draws its length (when lengths can vary), then its letters,
+    from one stream taken a chunk at a time: a block, or the most the words
+    can need when that is less.  The rng is local, so draws taken and never
+    read change no word.
+    """
     alphabet = tuple(alphabet)
+    k = len(alphabet)
     rng = SplitMix64(seed)
+    chunk = max(1, min(count * (max_len + 1), BLOCK))
+    draws = itertools.chain.from_iterable(iter(lambda: rng.take(chunk), None))
     out = []
     for _ in range(count):
-        length = min_len + rng.below(max_len - min_len + 1) if max_len > min_len else min_len
-        out.append(tuple(alphabet[rng.below(len(alphabet))] for _ in range(length)))
+        length = min_len
+        if max_len > min_len:
+            length += next(draws) % (max_len - min_len + 1)
+        out.append(tuple([alphabet[v % k] for v in itertools.islice(draws, length)]))
     return out
 
 

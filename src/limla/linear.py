@@ -26,6 +26,7 @@ cells, unlike letters, react to it.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 
 from .model import ACCEPT, LOOP_DETECTED, MAP_LOOP, REJECT, RIGHT, visit_limit
 from .mapping import cf_idx, compose_full, describe_indices
@@ -50,8 +51,11 @@ SHADOW_MEMO_SLOTS = 1 << 12
 # memo or cf_cache holds), and 512 for the result object, its SegmentMap,
 # the key tuple and the dict slot.  Emptying a memo freed about 2,360 bytes
 # per entry at |Q| = 64 and 6,690 at |Q| = 200 (tracemalloc, CPython 3.11).
-# Checked only when a run ends, emptying a memo past the cap, so a run is
-# never evicted from and between runs the memo stays under 128 KB.
+# Checked only when a run ends, so a run is never evicted from; a memo past
+# the cap loses its oldest entries, in insertion order, until it is back
+# under the cap, and between runs its entries charge at most 128 KB.  The key
+# of a kept entry may still hold an evicted entry's table, which is not
+# charged: at most two per entry, of 16|Q| + 56 bytes each.
 COMPOSE_MEMO_BYTES = 1 << 17
 
 
@@ -261,8 +265,10 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             dr = mv
         pos = prev[pos] if dr else nxt[pos]
 
-    if (32 * nq + 512) * len(memo) > COMPOSE_MEMO_BYTES:
-        memo.clear()
+    excess = len(memo) - COMPOSE_MEMO_BYTES // (32 * nq + 512)
+    if excess > 0:
+        for key in list(islice(memo, excess)):
+            del memo[key]
     if verdict is None:
         raise BudgetExceeded(steps)
     return RunOutcome(

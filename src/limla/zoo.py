@@ -121,7 +121,6 @@ def random_automaton(p: GenParams) -> Automaton:
     if p.state_count * symbol_count(p) > MAX_TRANSITIONS:
         raise ValueError(f"the machine would have over {MAX_TRANSITIONS} transitions")
 
-    rng = SplitMix64(p.seed)
     states = tuple(f"q{i}" for i in range(p.state_count))
     input_syms = tuple(INPUT_LETTERS[:p.input_alphabet_size])
     ranks: dict = {}
@@ -140,7 +139,10 @@ def random_automaton(p: GenParams) -> Automaton:
             tape.append(f"y{j}")
     tape = tuple(tape)
 
-    accepting = tuple(s for s in states if rng.below(2) == 1)
+    # a bound on the draws: one per state, one per marker transition and at
+    # most three per letter transition; the surplus is never read
+    draw = iter(SplitMix64(p.seed).take(p.state_count * 3 * (1 + len(tape)))).__next__
+    accepting = tuple(s for s in states if draw() % 2 == 1)
 
     by_rank_above: dict = {}
     if p.mode == RANKED:
@@ -151,7 +153,7 @@ def random_automaton(p: GenParams) -> Automaton:
     delta = {}
     for q in states:
         for s in tape + (LEFT_MARKER, RIGHT_MARKER):
-            to = states[rng.below(p.state_count)]
+            to = states[draw() % p.state_count]
             if s == LEFT_MARKER:
                 wr, mv = s, "R"
             elif s == RIGHT_MARKER:
@@ -159,12 +161,12 @@ def random_automaton(p: GenParams) -> Automaton:
             else:
                 if p.mode == RANKED and ranks[s] < p.dlimit.k:
                     cands = by_rank_above[ranks[s]]
-                    wr = cands[rng.below(len(cands))]
+                    wr = cands[draw() % len(cands)]
                 elif p.mode == RANKED:
                     wr = s
                 else:
-                    wr = tape[rng.below(len(tape))]
-                mv = "R" if rng.below(2) == 0 else "L"
+                    wr = tape[draw() % len(tape)]
+                mv = "R" if draw() % 2 == 0 else "L"
             delta[(q, s)] = Transition(to, wr, mv)
 
     return Automaton(

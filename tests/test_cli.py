@@ -1,9 +1,12 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import limla
 from limla.cli import main
 from limla.fmt import parse_machine
 from limla.model import word_indices
@@ -124,6 +127,21 @@ def test_run_unwritable_trace_is_usage_error(monkeypatch, capsys):
         assert main(["run", ANBN, "--input", "ab", "--trace", "/dev/full"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --trace:") and captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ("1", ""))  # print fails, or the final flush
+@pytest.mark.parametrize("args", (["run", ANBN, "--input", "ab"], ["check", ANBN]))
+def test_full_stdout_is_usage_error(args, unbuffered):
+    # a verdict that cannot be written is not a verdict: exit 2, not reject's 1
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(pathlib.Path(limla.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "limla", *args], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    # one line, and no second report from the interpreter's flush at exit
+    assert done.stderr.startswith("error: stdout: ") and done.stderr.count("\n") == 1
 
 
 def test_run_negative_max_steps_is_usage_error(capsys):

@@ -144,9 +144,10 @@ def _memo_bytes(q, entries):
 
 
 def test_compose_memo_stays_within_its_cap():
-    # after every run the memo is at most the cap, and only then is it
-    # emptied; large machines pass the cap after a few long words
-    cleared = 0
+    # after every run the memo is at most the cap, and only then are entries
+    # evicted, down to a full memo; large machines pass the cap after a few
+    # long words
+    evicted = 0
     for seed in range(16):
         q = (2, 3, 5, 32, 64)[seed % 5]
         aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
@@ -158,11 +159,13 @@ def test_compose_memo_stays_within_its_cap():
             words = list(words_upto(aut.input_alphabet, 3))
             words += random_words(aut.input_alphabet, 16, 256, 512, seed)
         for word in words:
-            before = len(memo)
+            before = set(memo)
             run_linear(aut, word)
             assert _memo_bytes(q, len(memo)) <= COMPOSE_MEMO_BYTES
-            cleared += len(memo) < before
-    assert cleared > 0
+            if not before <= memo.keys():
+                evicted += 1
+                assert _memo_bytes(q, len(memo) + 1) > COMPOSE_MEMO_BYTES
+    assert evicted > 0
     # a run cut short by its step budget ends all the same
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
     word = random_words(("a", "b"), 1, 256, 256, 69)[0]
@@ -172,6 +175,27 @@ def test_compose_memo_stays_within_its_cap():
     with pytest.raises(BudgetExceeded):
         run_linear(aut, word, max_steps=full.steps - 1)
     assert _memo_bytes(64, len(aut.compiled.compose_memo)) <= COMPOSE_MEMO_BYTES
+
+
+def test_run_past_the_cap_keeps_the_newest_pairs(monkeypatch):
+    # one run requests 71 pairs, more than the 51 the cap holds at |Q| = 64;
+    # evicting only the oldest leaves the rest for the next run of the word
+    params = GenParams(64, 69, COUNTED, DLimit.const(2))
+    word = random_words(("a", "b"), 1, 256, 256, 69)[0]
+    cold = run_linear(random_automaton(params), word)
+    assert cold.compose_walks == 71
+    aut = random_automaton(params)
+    memo = aut.compiled.compose_memo
+    run_linear(aut, word)
+    walks = []
+    real = mapping_mod._walk_glued
+    monkeypatch.setattr(mapping_mod, "_walk_glued",
+                        lambda ft, gt: walks.append(1) or real(ft, gt))
+    for _ in range(2):
+        walks.clear()
+        assert run_linear(aut, word) == cold
+        assert 0 < len(walks) < 71
+        assert 0 < _memo_bytes(64, len(memo)) <= COMPOSE_MEMO_BYTES
 
 
 def test_warm_large_machine_walks_no_pair_again(monkeypatch):
