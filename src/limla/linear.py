@@ -26,7 +26,6 @@ cells, unlike letters, react to it.
 from __future__ import annotations
 
 import sys
-from itertools import islice
 
 from .model import ACCEPT, LOOP_DETECTED, MAP_LOOP, REJECT, RIGHT, visit_limit
 from .mapping import cf_idx, compose_full, describe_indices
@@ -45,17 +44,21 @@ class ShadowMismatch(Exception):
 # would pass the cap empties the memo first.
 SHADOW_MEMO_SLOTS = 1 << 12
 
-# Cap on a machine's composition memo, in bytes.  An entry is charged
-# 32|Q| + 512: 8 bytes for each of the 2|Q| slots of h and of its departure
-# list (which fills as scans ask for departures; its key tables are maps the
-# memo or cf_cache holds), and 512 for the result object, its SegmentMap,
-# the key tuple and the dict slot.  Emptying a memo freed about 2,360 bytes
-# per entry at |Q| = 64 and 6,690 at |Q| = 200 (tracemalloc, CPython 3.11).
-# Checked only when a run ends, so a run is never evicted from; a memo past
-# the cap loses its oldest entries, in insertion order, until it is back
-# under the cap, and between runs its entries charge at most 128 KB.  The key
-# of a kept entry may still hold an evicted entry's table, which is not
-# charged: at most two per entry, of 16|Q| + 56 bytes each.
+# Cap on a machine's composition memo with its intern table, in bytes.  An
+# interned table is charged 16|Q| + 144: 8 bytes for each of its 2|Q| slots,
+# and 144 for the tuple header, its SegmentMap and the intern table's dict
+# slot.  An entry is charged 16|Q| + 320: 8 bytes for each of the 2|Q| slots
+# of its departure list (which fills as scans ask for departures), and 320
+# for the list header, the result object, its key (a tuple of two ints) and
+# the dict slot.  An entry's h and key tables are interned tables, charged
+# once however many entries share them.  Checked only when a run ends, so a
+# run is never evicted from; a memo past the cap loses its oldest entries,
+# in insertion order, until the kept entries and the tables that they and
+# cf_cache hold charge at most the cap, and the intern table is trimmed to
+# those tables, so between runs the charge covers everything the memo
+# keeps alive.  cf_cache's tables are charged but never evicted.  Emptying
+# a memo and its intern table freed about 94% of their charge at |Q| = 64
+# and 200 (tracemalloc, CPython 3.11).
 COMPOSE_MEMO_BYTES = 1 << 17
 
 
@@ -265,10 +268,9 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             dr = mv
         pos = prev[pos] if dr else nxt[pos]
 
-    excess = len(memo) - COMPOSE_MEMO_BYTES // (32 * nq + 512)
-    if excess > 0:
-        for key in list(islice(memo, excess)):
-            del memo[key]
+    entry, table = 16 * nq + 320, 16 * nq + 144
+    if len(memo) * entry + len(memo.maps) * table > COMPOSE_MEMO_BYTES:
+        memo.evict(COMPOSE_MEMO_BYTES, entry, table, cf_cache.values())
     if verdict is None:
         raise BudgetExceeded(steps)
     return RunOutcome(

@@ -20,11 +20,14 @@ only the crossings that h passes through; the rest of the departure table
 is resolved entry by entry when a deletion scan first asks for it.  Both
 share one list of resolutions, so a composition costs O(|Q|) however many
 departures are read.  Maps are immutable values, so a machine can memoize
-their compositions.
+their compositions: its CompositionMemo interns each distinct table once
+and keys a composition on the identities of the two interned tables, so a
+repeated request costs one subscript at any |Q|.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .model import RIGHT
 
@@ -45,7 +48,8 @@ class SegmentMap:
 
 
 def cf_idx(c, s: int) -> SegmentMap:
-    """Single-cell map for the letter with symbol index s (cached per machine)."""
+    """Single-cell map for the letter with symbol index s (cached per machine,
+    and interned in its compose_memo)."""
     m = c.cf_cache.get(s)
     if m is None:
         w = c.width
@@ -56,8 +60,7 @@ def cf_idx(c, s: int) -> SegmentMap:
             out = 2 * to_tab[k] + mv_tab[k]
             tab[2 * q] = out      # one step always leaves a one-cell segment,
             tab[2 * q + 1] = out  # so the entry side is irrelevant
-        m = SegmentMap(tuple(tab))
-        c.cf_cache[s] = m
+        m = c.cf_cache[s] = c.compose_memo.intern(SegmentMap(tuple(tab)))
     return m
 
 
@@ -71,11 +74,10 @@ class CompositionResult:
 
     h is the composed map and edges the h walk's loop iterations, in
     [2|Q|, 4|Q|].  departure(p) is the boundary departure table, resolved
-    on first request per entry into a list that the h walk started; the
-    result reads the tables of its memo key themselves, so it holds 4|Q|
-    slots of its own, 8 bytes each: 2|Q| in h and 2|Q| in that list
-    (linear.COMPOSE_MEMO_BYTES charges a memo entry these and 512 bytes
-    more).  run is the last run of the memo to request the result.
+    on first request per entry into a list that the h walk started.  In a
+    memo, h and the tables of the key are interned maps, which the result
+    reads and so keeps alive; its own slots are the 2|Q| of that list.
+    run is the last run of the memo to request the result.
     """
 
     __slots__ = ("h", "edges", "run", "_ft", "_gt", "_dep")
@@ -98,18 +100,49 @@ class CompositionResult:
 
 
 class CompositionMemo(dict):
-    """One machine's compositions, (f.table, g.table) -> CompositionResult,
-    walked on a miss, and the run's counts: calls, every request; walks,
-    the distinct pairs requested; edges_max, the largest edges among them."""
+    """One machine's compositions and the maps they are made of.
 
-    __slots__ = ("run", "calls", "walks", "edges_max")
+    maps interns the machine's tables: each distinct table maps to the one
+    canonical SegmentMap that holds it.  cf_idx and every walk's h go
+    through it, so within a machine each distinct table is one tuple
+    object.  Entries are keyed on (id(ft), id(gt)), the identities of the
+    two canonical tables, and each entry is the CompositionResult, which
+    holds those tables: a key's ids cannot be reused while its entry lives.
+    Also the run's counts: calls, every request; walks, the distinct pairs
+    requested; edges_max, the largest edges among them.
+    """
+
+    __slots__ = ("run", "calls", "walks", "edges_max", "maps")
 
     def __init__(self):
         self.run = self.calls = self.walks = self.edges_max = 0
+        self.maps = {}
 
-    def __missing__(self, key):
-        r = self[key] = _walk_glued(*key)
-        return r
+    def intern(self, m: SegmentMap) -> SegmentMap:
+        """The canonical map equal to m, which becomes canonical if none is."""
+        return self.maps.setdefault(m.table, m)
+
+    def evict(self, cap: int, entry: int, table: int, held) -> None:
+        """Drop the oldest entries, in insertion order, until the kept
+        entries, at entry bytes each, and the distinct tables that they and
+        the maps in held use, at table bytes each, charge at most cap; then
+        trim the intern table to those tables.  Interned tables are
+        canonical, so their identities tell them apart."""
+        keep = {id(m.table) for m in held}
+        charge = len(keep) * table
+        kept = 0
+        for r in reversed(self.values()):
+            new = {id(r._ft), id(r._gt), id(r.h.table)} - keep
+            charge += entry + len(new) * table
+            if charge > cap:
+                break
+            keep |= new
+            kept += 1
+        for key in list(islice(self, len(self) - kept)):
+            del self[key]
+        maps = self.maps
+        for t in [t for t in maps if id(t) not in keep]:
+            del maps[t]
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> CompositionResult:
@@ -120,11 +153,23 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> Composi
     compose_memo), only the first request for a pair reaches the walk and
     every later one, in this run or a later one, returns the same
     CompositionResult, with every departure an earlier request resolved.
-    The memo counts every request in memo.calls, and a pair's first request
-    in this run (memo.run, stamped on the result) in walks and edges_max.
+    A request on interned maps, as every map of a run is, hits on the
+    tables' identities without hashing them.  Any other request, such as
+    one on an equal copy of an interned map, interns both maps and looks
+    again, and only then walks, so equal tables share one entry.  The memo
+    counts every request in memo.calls, and a pair's first request in this
+    run (memo.run, stamped on the result) in walks and edges_max.
     """
     memo.calls += 1
-    r = memo[f.table, g.table]
+    try:
+        r = memo[id(f.table), id(g.table)]
+    except KeyError:
+        ft, gt = memo.intern(f).table, memo.intern(g).table
+        key = id(ft), id(gt)
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = _walk_glued(ft, gt)
+            r.h = memo.intern(r.h)
     if r.run != memo.run:
         r.run = memo.run
         memo.walks += 1

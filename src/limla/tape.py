@@ -11,8 +11,8 @@ links.  A live interior cell is a letter while fmap[i] is None and a
 frozen segment described by fmap[i] otherwise; the markers never get a map.
 
 The tape holds no cache and no merge code: linear.deletion_scan relinks
-it, sharing the composition memo of its compiled machine, which walks a
-missing pair on lookup (mapping.CompositionMemo.__missing__).
+it, sharing the composition memo of its compiled machine
+(mapping.CompositionMemo), whose interned maps are the ones fmap holds.
 """
 from __future__ import annotations
 

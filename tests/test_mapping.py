@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from limla.difftest import random_words, words_upto
 from limla.linear import COMPOSE_MEMO_BYTES, run_linear
+import limla.linear as linear_mod
 import limla.mapping as mapping_mod
 from limla.outcome import BudgetExceeded
 from limla.mapping import (
@@ -33,6 +34,15 @@ def _uniform_machine(move_by_state):
 
 def _rand_map(rng, q):
     return SegmentMap(tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
+
+
+def _shuffled(rng, n):
+    """range(n) in a seeded random order (Fisher-Yates)."""
+    order = list(range(n))
+    for k in range(n - 1, 0, -1):
+        j = rng.below(k + 1)
+        order[k], order[j] = order[j], order[k]
+    return order
 
 
 def all_q1_maps():
@@ -131,22 +141,47 @@ def test_memo_returns_the_walked_result_once_per_pair():
         plain = compose_full(f, g, CompositionMemo())
         assert (r.h, r.edges) == (plain.h, plain.edges)
         assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
-        # a repeat request, even through equal but distinct maps, is a hit
-        again = compose_full(SegmentMap(tuple(f.table)), SegmentMap(tuple(g.table)), memo)
+        # a repeat request, even through equal tables that are distinct
+        # objects (tuple() of a tuple would return the same one), is a hit
+        again = compose_full(SegmentMap(tuple(list(f.table))),
+                             SegmentMap(tuple(list(g.table))), memo)
         assert again is r
         assert (memo.calls, memo.walks) == (2, 1)  # one distinct pair requested in this run
         assert r.run == memo.run
 
 
-def _memo_bytes(q, entries):
-    """What run_linear charges a composition memo of that many entries."""
-    return (32 * q + 512) * entries
+def _memo_bytes(q, entries, tables):
+    """What run_linear charges a composition memo of that many entries and
+    an intern table of that many tables."""
+    return (16 * q + 320) * entries + (16 * q + 144) * tables
 
 
-def test_compose_memo_stays_within_its_cap():
-    # after every run the memo is at most the cap, and only then are entries
-    # evicted, down to a full memo; large machines pass the cap after a few
-    # long words
+def _charge(memo, q):
+    return _memo_bytes(q, len(memo), len(memo.maps))
+
+
+def _count_evictions(monkeypatch):
+    """A list that gains an item each time a memo evicts."""
+    evictions = []
+    real_evict = CompositionMemo.evict
+    monkeypatch.setattr(CompositionMemo, "evict",
+                        lambda self, *a: evictions.append(1) or real_evict(self, *a))
+    return evictions
+
+
+def _held_tables(c):
+    """The identities of the tables that the machine's memo entries and
+    cf_cache keep alive."""
+    held = {id(m.table) for m in c.cf_cache.values()}
+    for r in c.compose_memo.values():
+        held |= {id(r._ft), id(r._gt), id(r.h.table)}
+    return held
+
+
+def test_compose_memo_stays_within_its_cap(monkeypatch):
+    # after every run the memo and its intern table are at most the cap, and
+    # only then are entries evicted, down to a full memo; large machines pass
+    # the cap after a few long words
     evicted = 0
     for seed in range(16):
         q = (2, 3, 5, 32, 64)[seed % 5]
@@ -161,25 +196,30 @@ def test_compose_memo_stays_within_its_cap():
         for word in words:
             before = set(memo)
             run_linear(aut, word)
-            assert _memo_bytes(q, len(memo)) <= COMPOSE_MEMO_BYTES
+            assert _charge(memo, q) <= COMPOSE_MEMO_BYTES
             if not before <= memo.keys():
                 evicted += 1
-                assert _memo_bytes(q, len(memo) + 1) > COMPOSE_MEMO_BYTES
+                # the next older entry, with at most three tables of its
+                # own, did not fit; and no table outlives what holds it
+                assert _charge(memo, q) + _memo_bytes(q, 1, 3) > COMPOSE_MEMO_BYTES
+                assert {id(t) for t in memo.maps} == _held_tables(aut.compiled)
     assert evicted > 0
     # a run cut short by its step budget ends all the same
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
     word = random_words(("a", "b"), 1, 256, 256, 69)[0]
     full = run_linear(random_automaton(params), word)
-    assert _memo_bytes(64, full.compose_walks) > COMPOSE_MEMO_BYTES
     aut = random_automaton(params)
+    evictions = _count_evictions(monkeypatch)
     with pytest.raises(BudgetExceeded):
         run_linear(aut, word, max_steps=full.steps - 1)
-    assert _memo_bytes(64, len(aut.compiled.compose_memo)) <= COMPOSE_MEMO_BYTES
+    assert evictions == [1]  # the cut run passed the cap
+    assert _charge(aut.compiled.compose_memo, 64) <= COMPOSE_MEMO_BYTES
 
 
 def test_run_past_the_cap_keeps_the_newest_pairs(monkeypatch):
-    # one run requests 71 pairs, more than the 51 the cap holds at |Q| = 64;
-    # evicting only the oldest leaves the rest for the next run of the word
+    # one run requests 71 pairs, more than the cap holds at |Q| = 64 with
+    # their tables; evicting only the oldest leaves the rest for the next
+    # run of the word
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
     word = random_words(("a", "b"), 1, 256, 256, 69)[0]
     cold = run_linear(random_automaton(params), word)
@@ -195,7 +235,7 @@ def test_run_past_the_cap_keeps_the_newest_pairs(monkeypatch):
         walks.clear()
         assert run_linear(aut, word) == cold
         assert 0 < len(walks) < 71
-        assert 0 < _memo_bytes(64, len(memo)) <= COMPOSE_MEMO_BYTES
+        assert 0 < _charge(memo, 64) <= COMPOSE_MEMO_BYTES
 
 
 def test_warm_large_machine_walks_no_pair_again(monkeypatch):
@@ -215,30 +255,92 @@ def test_warm_large_machine_walks_no_pair_again(monkeypatch):
 
 
 def test_compose_memo_charge_covers_its_memory():
-    # the bytes a full memo frees when emptied are at most what run_linear
-    # charges it; every departure is resolved first, so each entry holds
-    # all it ever will
-    for q, seed in ((1, 0), (8, 3), (64, 2)):
+    # the bytes a memo and its intern table free when both are emptied are
+    # at most what run_linear charges them; every departure is resolved
+    # first, so each entry holds all it ever will
+    for params, lengths, passes in (
+        (GenParams(1, 0, COUNTED, DLimit.const(2)), (64, 512), 1),
+        (GenParams(8, 3, COUNTED, DLimit.const(2)), (64, 512), 1),
+        (GenParams(64, 2, COUNTED, DLimit.const(2)), (64, 512), 1),
+        # partial evictions: kept entries share tables with evicted ones
+        (GenParams(64, 34, RANKED, DLimit.const(3)), (256, 512), 3),
+    ):
+        q = params.state_count
         tracemalloc.start()
         try:
-            aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
-            memo = aut.compiled.compose_memo
-            for word in random_words(aut.input_alphabet, 16, 64, 512, seed):
-                run_linear(aut, word)
+            aut = random_automaton(params)
+            c = aut.compiled
+            memo = c.compose_memo
+            words = random_words(aut.input_alphabet, 16, *lengths, params.seed)
+            for _ in range(passes):
+                for word in words:
+                    run_linear(aut, word)
+            assert {id(t) for t in memo.maps} == _held_tables(c)
             for r in memo.values():
                 for p in range(2 * q):
                     r.departure(p)
             r = None  # hold no entry past the clear
-            entries = len(memo)
+            entries, tables = len(memo), len(memo.maps)
+            own = tables - len({id(m) for m in c.cf_cache.values()})
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             memo.clear()
+            memo.maps.clear()
             gc.collect()
             freed = before - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert entries >= 4
-        assert 32 * q * entries < freed <= _memo_bytes(q, entries)
+        # each entry frees its departure list, each table not in cf_cache
+        # its slots
+        assert 16 * q * (entries + own) < freed <= _memo_bytes(q, entries, tables)
+
+
+class _CountingTable(tuple):
+    hashes = 0
+
+    def __hash__(self):
+        _CountingTable.hashes += 1
+        return tuple.__hash__(self)
+
+
+@pytest.mark.parametrize("q", [2, 64])
+def test_memo_hit_hashes_no_table(q):
+    # the first request interns f and g; every later one on them is a
+    # subscript on the identities of their tables
+    rng = SplitMix64(41 + q)
+    f = SegmentMap(_CountingTable(_rand_map(rng, q).table))
+    g = SegmentMap(_CountingTable(_rand_map(rng, q).table))
+    memo = CompositionMemo()
+    r = compose_full(f, g, memo)
+    before = _CountingTable.hashes
+    for _ in range(100):
+        assert compose_full(f, g, memo) is r
+    assert _CountingTable.hashes == before
+    assert (memo.calls, memo.walks) == (101, 1)
+
+
+def test_memo_evicting_every_run_stays_exact(monkeypatch):
+    # with a cap so small that every run evicts, tables die between runs and
+    # new ones may take their ids; no stale key may answer for a new table
+    params = GenParams(64, 34, RANKED, DLimit.const(3))
+    aut = random_automaton(params)
+    memo = aut.compiled.compose_memo
+    words = random_words(aut.input_alphabet, 10, 256, 512, 34)
+    cold = [run_linear(random_automaton(params), w) for w in words]
+    cap = _memo_bytes(64, 8, 8)
+    monkeypatch.setattr(linear_mod, "COMPOSE_MEMO_BYTES", cap)
+    evictions = _count_evictions(monkeypatch)
+    rng = SplitMix64(34)
+    for i in range(30):
+        assert run_linear(aut, words[i % 10]) == cold[i % 10]
+        assert len(evictions) == i + 1
+        assert 0 < _charge(memo, 64) <= cap
+        for r in memo.values():
+            f, g = SegmentMap(r._ft), SegmentMap(r._gt)
+            oh, od = oracle_compose(f, g)
+            assert r.h.table == oh
+            assert all(r.departure(p) == od[p] for p in _shuffled(rng, 128))
 
 
 def test_associativity():
@@ -361,10 +463,7 @@ def test_departures_resolve_lazily_in_any_order(q):
         want_h, want_dep = oracle_compose(f, g)
         r = compose_full(f, g, CompositionMemo())
         edges = r.edges
-        order = list(range(2 * q))
-        for k in range(len(order) - 1, 0, -1):
-            j = rng.below(k + 1)
-            order[k], order[j] = order[j], order[k]
+        order = _shuffled(rng, 2 * q)
         for p in order[:rng.below(2 * q + 1)]:
             assert r.departure(p) == want_dep[p]
         assert [r.departure(p) for p in reversed(order)] == [want_dep[p] for p in reversed(order)]
