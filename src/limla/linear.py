@@ -45,20 +45,23 @@ class ShadowMismatch(Exception):
 SHADOW_MEMO_SLOTS = 1 << 12
 
 # Cap on a machine's composition memo with its intern table, in bytes.  An
-# interned table is charged 16|Q| + 144: 8 bytes for each of its 2|Q| slots,
-# and 144 for the tuple header, its SegmentMap and the intern table's dict
-# slot.  An entry is charged 16|Q| + 320: 8 bytes for each of the 2|Q| slots
-# of its departure list (which fills as scans ask for departures), and 320
-# for the list header, the result object, its key (a tuple of two ints) and
-# the dict slot.  An entry's h and key tables are interned tables, charged
-# once however many entries share them.  Checked only when a run ends, so a
-# run is never evicted from; a memo past the cap loses its oldest entries,
-# in insertion order, until the kept entries and the tables that they and
-# cf_cache hold charge at most the cap, and the intern table is trimmed to
-# those tables, so between runs the charge covers everything the memo
-# keeps alive.  cf_cache's tables are charged but never evicted.  Emptying
-# a memo and its intern table freed about 94% of their charge at |Q| = 64
-# and 200 (tracemalloc, CPython 3.11).
+# interned map is charged 16|Q| + 216: 8 bytes for each of the 2|Q| slots of
+# its table, and 216 for the tuple header, the SegmentMap, its empty row
+# dict and the intern table's dict slot.  An entry is charged 16|Q| + 416:
+# 8 bytes for each of the 2|Q| slots of its departure list (which fills as
+# scans ask for departures), and 416 for the list header, the result
+# object, its memo key (a tuple of two maps), the memo's dict slot and its
+# slot in the left map's row, whose first entry allocates the row's key
+# table of 160 bytes.  An entry's h and key maps are interned maps, charged
+# once however many entries share them.  Checked only when a run ends, so
+# a run is never evicted from; a memo past the cap loses its oldest
+# entries, in insertion order, with their row entries, until the kept
+# entries and the maps that they and cf_cache hold charge at most the cap,
+# and the intern table is trimmed to those maps, so between runs the
+# charge covers everything the memo keeps alive.  cf_cache's maps are
+# charged but never evicted.  Emptying a memo, its rows and its intern
+# table freed 88-93% of their charge at |Q| = 64 and 200 (tracemalloc,
+# CPython 3.11).
 COMPOSE_MEMO_BYTES = 1 << 17
 
 
@@ -268,7 +271,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             dr = mv
         pos = prev[pos] if dr else nxt[pos]
 
-    entry, table = 16 * nq + 320, 16 * nq + 144
+    entry, table = 16 * nq + 416, 16 * nq + 216
     if len(memo) * entry + len(memo.maps) * table > COMPOSE_MEMO_BYTES:
         memo.evict(COMPOSE_MEMO_BYTES, entry, table, cf_cache.values())
     if verdict is None:

@@ -19,14 +19,14 @@ table's indices.  One marked walk builds the composed map h, resolving
 only the crossings that h passes through; the rest of the departure table
 is resolved entry by entry when a deletion scan first asks for it.  Both
 share one list of resolutions, so a composition costs O(|Q|) however many
-departures are read.  Maps are immutable values, so a machine can memoize
-their compositions: its CompositionMemo interns each distinct table once
-and keys a composition on the identities of the two interned tables, so a
-repeated request costs one subscript at any |Q|.
+departures are read.  A composition depends on the two tables alone, so
+a machine can memoize it: its CompositionMemo interns each distinct table
+as one canonical map, and each canonical map keeps its compositions in its
+own row, keyed on the right map, so a repeated request costs one dict
+lookup by identity at any |Q|.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .model import RIGHT
@@ -36,11 +36,21 @@ class SizeMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class SegmentMap:
-    """Total map over the 2|Q| directed states, its table; -1 encodes LOOP."""
+    """Total map over the 2|Q| directed states, its table; -1 encodes LOOP.
 
-    table: tuple
+    Equality and hashing are identity, so a dict keyed on a map hashes no
+    table: compare tables to compare what two maps describe.  row holds the
+    map's compositions, right map -> CompositionResult.  Only a map that a
+    CompositionMemo interns gets entries there, and its row belongs to that
+    memo, so a machine's maps are composed through the machine's memo.
+    """
+
+    __slots__ = ("table", "row")
+
+    def __init__(self, table: tuple):
+        self.table = table
+        self.row = {}
 
     @property
     def q_count(self) -> int:
@@ -75,8 +85,8 @@ class CompositionResult:
     h is the composed map and edges the h walk's loop iterations, in
     [2|Q|, 4|Q|].  departure(p) is the boundary departure table, resolved
     on first request per entry into a list that the h walk started.  In a
-    memo, h and the tables of the key are interned maps, which the result
-    reads and so keeps alive; its own slots are the 2|Q| of that list.
+    memo, h is an interned map and the tables the result reads are those
+    of the interned f and g, so its own slots are the 2|Q| of that list.
     run is the last run of the memo to request the result.
     """
 
@@ -104,10 +114,10 @@ class CompositionMemo(dict):
 
     maps interns the machine's tables: each distinct table maps to the one
     canonical SegmentMap that holds it.  cf_idx and every walk's h go
-    through it, so within a machine each distinct table is one tuple
-    object.  Entries are keyed on (id(ft), id(gt)), the identities of the
-    two canonical tables, and each entry is the CompositionResult, which
-    holds those tables: a key's ids cannot be reused while its entry lives.
+    through it, so within a machine each distinct table is one map.  The
+    composition of canonical maps f and g lives in f.row[g]; the memo
+    itself maps (f, g) to the same result, in the insertion order that
+    evict reads, so the rows of the interned maps hold exactly its entries.
     Also the run's counts: calls, every request; walks, the distinct pairs
     requested; edges_max, the largest edges among them.
     """
@@ -123,25 +133,27 @@ class CompositionMemo(dict):
         return self.maps.setdefault(m.table, m)
 
     def evict(self, cap: int, entry: int, table: int, held) -> None:
-        """Drop the oldest entries, in insertion order, until the kept
-        entries, at entry bytes each, and the distinct tables that they and
-        the maps in held use, at table bytes each, charge at most cap; then
-        trim the intern table to those tables.  Interned tables are
-        canonical, so their identities tell them apart."""
-        keep = {id(m.table) for m in held}
+        """Drop the oldest entries, in insertion order, with their row
+        entries, until the kept entries, at entry bytes each, and the
+        distinct maps that they and the maps in held use, at table bytes
+        each, charge at most cap; then trim the intern table to those maps.
+        A trimmed map's row is empty then: every row entry is a kept entry,
+        whose maps are kept."""
+        keep = set(held)
         charge = len(keep) * table
         kept = 0
-        for r in reversed(self.values()):
-            new = {id(r._ft), id(r._gt), id(r.h.table)} - keep
+        for (f, g), r in reversed(self.items()):
+            new = {f, g, r.h} - keep
             charge += entry + len(new) * table
             if charge > cap:
                 break
             keep |= new
             kept += 1
-        for key in list(islice(self, len(self) - kept)):
-            del self[key]
+        for f, g in list(islice(self, len(self) - kept)):
+            del self[f, g]
+            del f.row[g]
         maps = self.maps
-        for t in [t for t in maps if id(t) not in keep]:
+        for t in [t for t, m in maps.items() if m not in keep]:
             del maps[t]
 
 
@@ -153,22 +165,21 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> Composi
     compose_memo), only the first request for a pair reaches the walk and
     every later one, in this run or a later one, returns the same
     CompositionResult, with every departure an earlier request resolved.
-    A request on interned maps, as every map of a run is, hits on the
-    tables' identities without hashing them.  Any other request, such as
-    one on an equal copy of an interned map, interns both maps and looks
-    again, and only then walks, so equal tables share one entry.  The memo
+    A request on interned maps, as every map of a run is, hits in f's row
+    without hashing a table.  Any other request, such as one on an equal
+    copy of an interned map, interns both maps and looks again in the
+    canonical row, and only then walks, storing the result there alone, so
+    equal tables share one entry and a copy's row stays empty.  The memo
     counts every request in memo.calls, and a pair's first request in this
     run (memo.run, stamped on the result) in walks and edges_max.
     """
     memo.calls += 1
-    try:
-        r = memo[id(f.table), id(g.table)]
-    except KeyError:
-        ft, gt = memo.intern(f).table, memo.intern(g).table
-        key = id(ft), id(gt)
-        r = memo.get(key)
+    r = f.row.get(g)
+    if r is None:
+        fc, gc = memo.intern(f), memo.intern(g)
+        r = fc.row.get(gc)
         if r is None:
-            r = memo[key] = _walk_glued(ft, gt)
+            r = fc.row[gc] = memo[fc, gc] = _walk_glued(fc.table, gc.table)
             r.h = memo.intern(r.h)
     if r.run != memo.run:
         r.run = memo.run

@@ -12,7 +12,9 @@ frozen segment described by fmap[i] otherwise; the markers never get a map.
 
 The tape holds no cache and no merge code: linear.deletion_scan relinks
 it, sharing the composition memo of its compiled machine
-(mapping.CompositionMemo), whose interned maps are the ones fmap holds.
+(mapping.CompositionMemo).  fmap holds only maps that memo interns, and
+each of them keeps its compositions in its own row, so a merge of two
+neighbours finds its result in the left map's row.
 """
 from __future__ import annotations
 

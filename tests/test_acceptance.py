@@ -88,10 +88,11 @@ def test_criterion_2_algebra_oracle():
         q = 1 + rng.below(6)
         f, g, h = (_random_map(rng, q) for _ in range(3))
         memo = CompositionMemo()
-        assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
-               compose_full(f, compose_full(g, h, memo).h, memo).h
+        assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
+               compose_full(f, compose_full(g, h, memo).h, memo).h.table
         t = SegmentMap(tuple(range(2 * q)))
-        assert compose_full(t, f, memo).h == f and compose_full(f, t, memo).h == f
+        assert compose_full(t, f, memo).h.table == f.table
+        assert compose_full(f, t, memo).h.table == f.table
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     print(f"\ncriterion 2: PASS  10^4 compose+departure vs oracle, 10^3 associativity, "
@@ -112,10 +113,10 @@ def test_criterion_3_homomorphism():
             seg = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(8))]
             m = cf_idx(c, seg[0])
             for i in seg[1:]:
-                r = compose_full(m, cf_idx(c, i), CompositionMemo())
+                r = compose_full(m, cf_idx(c, i), c.compose_memo)
                 assert r.edges <= 4 * c.n_states
                 m = r.h
-            assert m == SegmentMap(tuple(describe_indices(c, seg)))
+            assert m.table == tuple(describe_indices(c, seg))
             checked += 1
     assert checked == 10_000
     print(f"\ncriterion 3: PASS  fold of single-cell maps equals brute-force "

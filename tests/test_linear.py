@@ -70,7 +70,7 @@ def test_unlink_relinks_and_marks_dead():
     merged = t.fmap[3]
     assert deletion_scan(t, 5, 2 * 1 + RIGHT, g) >= 0
     assert t.nxt[1] == 5 and t.prev[5] == 1
-    assert t.fmap[3] is None and t.fmap[5] == compose_full(merged, g, CompositionMemo()).h
+    assert t.fmap[3] is None and t.fmap[5].table == _walked(merged, g).h.table
     assert _live_cells(t) == [0, 1, 5, 6]  # no dead index comes back
     assert len(t.prev) == len(t.nxt) == len(t.fmap) == t.n + 2
 
@@ -99,6 +99,12 @@ def test_map_loop_reason():
     assert naive.verdict == REJECT  # reasons differ, verdicts agree
 
 
+def _walked(f, g):
+    """The composition of f and g by a walk of its own: equal copies in a
+    fresh memo, whatever the rows of f and g hold."""
+    return compose_full(SegmentMap(f.table), SegmentMap(g.table), CompositionMemo())
+
+
 def _scan(t, i, p, g):
     """deletion_scan, with the compositions it requested and the largest edges
     among those the run requested, both read from the machine's compose_memo."""
@@ -119,7 +125,7 @@ def test_deletion_scan_no_neighbours():
     assert (calls, edges) == (0, 0)
     assert _live_cells(t) == [0, 1, 2, 3, 4]  # nothing merged
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (2, 2)
-    assert t.fmap[2] == g
+    assert t.fmap[2] is g
     assert t.fmap[1] is None and t.fmap[3] is None  # the neighbours stay letters
     assert t.sym == letters  # the scan writes no letter
 
@@ -131,10 +137,10 @@ def test_deletion_scan_left_merge_no_departure_when_heading_right():
     t.fmap[1] = g
     out, calls, edges = _scan(t, 2, 2 * 1 + RIGHT, g)
     assert out >= 0 and calls == 1
-    assert edges == compose_full(g, g, CompositionMemo()).edges
+    assert edges == _walked(g, g).edges
     assert _live_cells(t) == [0, 2, 3, 4] and t.fmap[1] is None  # merged left only
     assert out == 2 * 1 + RIGHT  # no departure taken
-    assert t.fmap[2] == compose_full(g, g, CompositionMemo()).h
+    assert t.fmap[2].table == _walked(g, g).h.table
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 2)
 
 
@@ -164,13 +170,11 @@ def test_deletion_scan_three_way_merge():
     # rightward, so the second departure is taken on the merged map too
     out, calls, edges = _scan(t, 2, 2 * 0 + LEFT, g)
     assert out >= 0 and calls == 2
-    memo = CompositionMemo()
-    gg = compose_full(g, g, memo)
-    assert edges == max(gg.edges, compose_full(gg.h, g, memo).edges)
+    gg = _walked(g, g)
+    assert edges == max(gg.edges, _walked(gg.h, g).edges)
     assert t.fmap[1] is None and t.fmap[3] is None  # both merged
     assert out == 2 * 1 + RIGHT
-    want = compose_full(gg.h, g, memo).h
-    assert t.fmap[2] == want
+    assert t.fmap[2].table == _walked(gg.h, g).h.table
     assert _live_cells(t) == [0, 2, 4]
     assert (t.prev[2] + 1, t.nxt[2] - 1) == (1, 3)
 
@@ -183,8 +187,8 @@ def test_deletion_scan_rejects_on_loop_departure():
     # entering leftward in state u: u bounces right, v bounces back left, a cycle
     out, calls, edges = _scan(t, 2, 2 * 0 + LEFT, g)
     assert out < 0 and calls == 1
-    assert edges == compose_full(g, g, CompositionMemo()).edges
-    assert t.fmap[1] == g and t.nxt[1] == 2  # the looping neighbour stays linked
+    assert edges == _walked(g, g).edges
+    assert t.fmap[1] is g and t.nxt[1] == 2  # the looping neighbour stays linked
 
 
 def test_verdicts_and_projections_match_naive_on_zoo():

@@ -94,15 +94,15 @@ def test_transparent_map_is_identity():
     # the map whose every entry passes straight through is the identity
     t1 = SegmentMap((0, 1))
     for f in all_q1_maps():
-        assert compose_full(t1, f, CompositionMemo()).h == f
-        assert compose_full(f, t1, CompositionMemo()).h == f
+        assert compose_full(t1, f, CompositionMemo()).h.table == f.table
+        assert compose_full(f, t1, CompositionMemo()).h.table == f.table
     rng = SplitMix64(23)
     for _ in range(300):
         q = 1 + rng.below(6)
         f = _rand_map(rng, q)
         t = SegmentMap(tuple(range(2 * q)))
-        assert compose_full(t, f, CompositionMemo()).h == f
-        assert compose_full(f, t, CompositionMemo()).h == f
+        assert compose_full(t, f, CompositionMemo()).h.table == f.table
+        assert compose_full(f, t, CompositionMemo()).h.table == f.table
 
 
 def test_two_cycle_composes_to_loop():
@@ -138,22 +138,28 @@ def test_memo_returns_the_walked_result_once_per_pair():
         memo.run += 1
         memo.calls = memo.walks = 0
         r = compose_full(f, g, memo)
-        plain = compose_full(f, g, CompositionMemo())
-        assert (r.h, r.edges) == (plain.h, plain.edges)
+        plain = compose_full(SegmentMap(f.table), SegmentMap(g.table), CompositionMemo())
+        assert (r.h.table, r.edges) == (plain.h.table, plain.edges)
         assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
         # a repeat request, even through equal tables that are distinct
         # objects (tuple() of a tuple would return the same one), is a hit
-        again = compose_full(SegmentMap(tuple(list(f.table))),
-                             SegmentMap(tuple(list(g.table))), memo)
+        f2, g2 = SegmentMap(tuple(list(f.table))), SegmentMap(tuple(list(g.table)))
+        again = compose_full(f2, g2, memo)
         assert again is r
         assert (memo.calls, memo.walks) == (2, 1)  # one distinct pair requested in this run
         assert r.run == memo.run
+        # a miss through copies is stored in the canonical row alone, where
+        # the canonical maps find it; the copies' rows stay empty
+        back = compose_full(g2, f2, memo)
+        assert compose_full(memo.intern(g2), memo.intern(f2), memo) is back
+        assert not f2.row and not g2.row
+    _assert_rows_are_the_memo(memo)
 
 
 def _memo_bytes(q, entries, tables):
     """What run_linear charges a composition memo of that many entries and
     an intern table of that many tables."""
-    return (16 * q + 320) * entries + (16 * q + 144) * tables
+    return (16 * q + 416) * entries + (16 * q + 216) * tables
 
 
 def _charge(memo, q):
@@ -169,13 +175,46 @@ def _count_evictions(monkeypatch):
     return evictions
 
 
-def _held_tables(c):
-    """The identities of the tables that the machine's memo entries and
-    cf_cache keep alive."""
-    held = {id(m.table) for m in c.cf_cache.values()}
-    for r in c.compose_memo.values():
-        held |= {id(r._ft), id(r._gt), id(r.h.table)}
+def _held_maps(c):
+    """The maps that the machine's memo entries and cf_cache keep alive."""
+    held = set(c.cf_cache.values())
+    for (f, g), r in c.compose_memo.items():
+        held |= {f, g, r.h}
     return held
+
+
+def _assert_rows_are_the_memo(memo):
+    """The rows of the interned maps hold exactly the memo's entries, each
+    keyed on interned maps."""
+    maps = memo.maps
+    assert {(f, g): r for f in maps.values() for g, r in f.row.items()} == memo
+    assert all(maps.get(g.table) is g for _, g in memo)
+
+
+def _row_check(monkeypatch, memo):
+    """A check to call after each run: _assert_rows_are_the_memo, and no
+    other map holds a row entry, neither one made since the last check that
+    is not interned (an equal copy) nor one since dropped from the intern
+    table.  Every map made in mapping is recorded."""
+    made = []
+
+    class Recorded(SegmentMap):
+        def __init__(self, table):
+            super().__init__(table)
+            made.append(self)
+
+    monkeypatch.setattr(mapping_mod, "SegmentMap", Recorded)
+    interned = list(memo.maps.values())
+
+    def check():
+        nonlocal interned
+        _assert_rows_are_the_memo(memo)
+        now = list(memo.maps.values())
+        canonical = set(now)
+        assert not any(m.row for m in interned + made if m not in canonical)
+        interned = now
+        made.clear()
+    return check
 
 
 def test_compose_memo_stays_within_its_cap(monkeypatch):
@@ -187,6 +226,7 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
         q = (2, 3, 5, 32, 64)[seed % 5]
         aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
         memo = aut.compiled.compose_memo
+        rows_ok = _row_check(monkeypatch, memo)
         if q < 32:
             words = list(words_upto(aut.input_alphabet, 6))
             words += random_words(aut.input_alphabet, 8, 20, 64, seed)
@@ -197,12 +237,13 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
             before = set(memo)
             run_linear(aut, word)
             assert _charge(memo, q) <= COMPOSE_MEMO_BYTES
+            rows_ok()
             if not before <= memo.keys():
                 evicted += 1
                 # the next older entry, with at most three tables of its
                 # own, did not fit; and no table outlives what holds it
                 assert _charge(memo, q) + _memo_bytes(q, 1, 3) > COMPOSE_MEMO_BYTES
-                assert {id(t) for t in memo.maps} == _held_tables(aut.compiled)
+                assert set(memo.maps.values()) == _held_maps(aut.compiled)
     assert evicted > 0
     # a run cut short by its step budget ends all the same
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
@@ -255,9 +296,9 @@ def test_warm_large_machine_walks_no_pair_again(monkeypatch):
 
 
 def test_compose_memo_charge_covers_its_memory():
-    # the bytes a memo and its intern table free when both are emptied are
-    # at most what run_linear charges them; every departure is resolved
-    # first, so each entry holds all it ever will
+    # the bytes a memo, its rows and its intern table free when all are
+    # emptied are at most what run_linear charges them; every departure is
+    # resolved first, so each entry holds all it ever will
     for params, lengths, passes in (
         (GenParams(1, 0, COUNTED, DLimit.const(2)), (64, 512), 1),
         (GenParams(8, 3, COUNTED, DLimit.const(2)), (64, 512), 1),
@@ -275,15 +316,17 @@ def test_compose_memo_charge_covers_its_memory():
             for _ in range(passes):
                 for word in words:
                     run_linear(aut, word)
-            assert {id(t) for t in memo.maps} == _held_tables(c)
+            assert set(memo.maps.values()) == _held_maps(c)
             for r in memo.values():
                 for p in range(2 * q):
                     r.departure(p)
             r = None  # hold no entry past the clear
             entries, tables = len(memo), len(memo.maps)
-            own = tables - len({id(m) for m in c.cf_cache.values()})
+            own = tables - len(set(c.cf_cache.values()))
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
+            for m in memo.maps.values():
+                m.row.clear()
             memo.clear()
             memo.maps.clear()
             gc.collect()
@@ -307,7 +350,7 @@ class _CountingTable(tuple):
 @pytest.mark.parametrize("q", [2, 64])
 def test_memo_hit_hashes_no_table(q):
     # the first request interns f and g; every later one on them is a
-    # subscript on the identities of their tables
+    # lookup in f's row, keyed on g by identity
     rng = SplitMix64(41 + q)
     f = SegmentMap(_CountingTable(_rand_map(rng, q).table))
     g = SegmentMap(_CountingTable(_rand_map(rng, q).table))
@@ -321,8 +364,9 @@ def test_memo_hit_hashes_no_table(q):
 
 
 def test_memo_evicting_every_run_stays_exact(monkeypatch):
-    # with a cap so small that every run evicts, tables die between runs and
-    # new ones may take their ids; no stale key may answer for a new table
+    # with a cap so small that every run evicts, maps leave the intern table
+    # between runs and their tables come back as new maps; every entry left
+    # must still be exact, and only the interned maps' rows may hold it
     params = GenParams(64, 34, RANKED, DLimit.const(3))
     aut = random_automaton(params)
     memo = aut.compiled.compose_memo
@@ -331,11 +375,13 @@ def test_memo_evicting_every_run_stays_exact(monkeypatch):
     cap = _memo_bytes(64, 8, 8)
     monkeypatch.setattr(linear_mod, "COMPOSE_MEMO_BYTES", cap)
     evictions = _count_evictions(monkeypatch)
+    rows_ok = _row_check(monkeypatch, memo)
     rng = SplitMix64(34)
     for i in range(30):
         assert run_linear(aut, words[i % 10]) == cold[i % 10]
         assert len(evictions) == i + 1
         assert 0 < _charge(memo, 64) <= cap
+        rows_ok()
         for r in memo.values():
             f, g = SegmentMap(r._ft), SegmentMap(r._gt)
             oh, od = oracle_compose(f, g)
@@ -348,15 +394,15 @@ def test_associativity():
         for g in all_q1_maps():
             for h in all_q1_maps():
                 memo = CompositionMemo()
-                assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
-                       compose_full(f, compose_full(g, h, memo).h, memo).h
+                assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
+                       compose_full(f, compose_full(g, h, memo).h, memo).h.table
     rng = SplitMix64(41)
     for _ in range(500):
         q = 1 + rng.below(6)
         f, g, h = (_rand_map(rng, q) for _ in range(3))
         memo = CompositionMemo()
-        assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
-               compose_full(f, compose_full(g, h, memo).h, memo).h
+        assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
+               compose_full(f, compose_full(g, h, memo).h, memo).h.table
 
 
 def test_departure_through_transparent_part():
@@ -492,14 +538,15 @@ def test_edge_witness_catches_a_walk_that_forgets_resolutions(monkeypatch):
         return -1, len(seen)
 
     monkeypatch.setattr(mapping_mod, "_cross", forgetful)
-    r = compose_full(f, g, CompositionMemo())
+    # f's row holds the true result, so the faulty walk runs on fresh copies
+    r = compose_full(SegmentMap(f.table), SegmentMap(g.table), CompositionMemo())
     assert r.h.table == (2 * q - 1,) * (2 * q)
     # past criterion 7's and DiffStats' 8|Q| too, not only the 4|Q| bound
     assert r.edges > 8 * q
 
 
 def _described(c, idxs):
-    return SegmentMap(tuple(describe_indices(c, idxs)))
+    return tuple(describe_indices(c, idxs))
 
 
 def _anbn_frozen():
@@ -511,7 +558,7 @@ def _anbn_frozen():
 def test_describe_single_cell_is_cf():
     c, frozen = _anbn_frozen()
     for i in frozen:
-        assert _described(c, [i]) == cf_idx(c, i)
+        assert _described(c, [i]) == cf_idx(c, i).table
 
 
 def test_describe_pair_is_composition():
@@ -519,7 +566,7 @@ def test_describe_pair_is_composition():
     for u in frozen:
         for v in frozen:
             assert _described(c, [u, v]) == \
-                   compose_full(cf_idx(c, u), cf_idx(c, v), CompositionMemo()).h
+                   compose_full(cf_idx(c, u), cf_idx(c, v), c.compose_memo).h.table
 
 
 def test_fold_of_cf_equals_describe_over_anbn_letters():
@@ -529,8 +576,8 @@ def test_fold_of_cf_equals_describe_over_anbn_letters():
         seg = [frozen[rng.below(2)] for _ in range(1 + rng.below(8))]
         m = cf_idx(c, seg[0])
         for i in seg[1:]:
-            m = compose_full(m, cf_idx(c, i), CompositionMemo()).h
-        assert m == _described(c, seg)
+            m = compose_full(m, cf_idx(c, i), c.compose_memo).h
+        assert m.table == _described(c, seg)
 
 
 def _frozen_samples(rng):
@@ -556,9 +603,9 @@ def test_homomorphism_on_random_machines():
         for _ in range(20):
             u = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(4))]
             v = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(4))]
-            assert compose_full(_described(c, u), _described(c, v), CompositionMemo()).h \
-                == _described(c, u + v)
+            f, g = SegmentMap(_described(c, u)), SegmentMap(_described(c, v))
+            assert compose_full(f, g, CompositionMemo()).h.table == _described(c, u + v)
             m = cf_idx(c, u[0])
             for i in u[1:] + v:
-                m = compose_full(m, cf_idx(c, i), CompositionMemo()).h
-            assert m == _described(c, u + v)
+                m = compose_full(m, cf_idx(c, i), c.compose_memo).h
+            assert m.table == _described(c, u + v)

@@ -127,8 +127,8 @@ def test_compose_agrees_with_oracle(maps):
 def test_compose_is_associative(maps):
     f, g, h = maps
     memo = CompositionMemo()
-    assert compose_full(compose_full(f, g, memo).h, h, memo).h == \
-        compose_full(f, compose_full(g, h, memo).h, memo).h
+    assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
+        compose_full(f, compose_full(g, h, memo).h, memo).h.table
 
 
 @settings(max_examples=200, **_SETTINGS)
@@ -136,5 +136,5 @@ def test_compose_is_associative(maps):
 def test_transparent_map_is_two_sided_identity(maps):
     f = maps[0]
     t = SegmentMap(tuple(range(2 * f.q_count)))
-    assert compose_full(t, f, CompositionMemo()).h == f
-    assert compose_full(f, t, CompositionMemo()).h == f
+    assert compose_full(t, f, CompositionMemo()).h.table == f.table
+    assert compose_full(f, t, CompositionMemo()).h.table == f.table
