@@ -44,26 +44,6 @@ class ShadowMismatch(Exception):
 # would pass the cap empties the memo first.
 SHADOW_MEMO_SLOTS = 1 << 12
 
-# Cap on a machine's composition memo with its intern table, in bytes.  An
-# interned map is charged 16|Q| + 216: 8 bytes for each of the 2|Q| slots of
-# its table, and 216 for the tuple header, the SegmentMap, its empty row
-# dict and the intern table's dict slot.  An entry is charged 16|Q| + 416:
-# 8 bytes for each of the 2|Q| slots of its departure list (which fills as
-# scans ask for departures), and 416 for the list header, the result
-# object, its memo key (a tuple of two maps), the memo's dict slot and its
-# slot in the left map's row, whose first entry allocates the row's key
-# table of 160 bytes.  An entry's h and key maps are interned maps, charged
-# once however many entries share them.  Checked only when a run ends, so
-# a run is never evicted from; a memo past the cap loses its oldest
-# entries, in insertion order, with their row entries, until the kept
-# entries and the maps that they and cf_cache hold charge at most the cap,
-# and the intern table is trimmed to those maps, so between runs the
-# charge covers everything the memo keeps alive.  cf_cache's maps are
-# charged but never evicted.  Emptying a memo, its rows and its intern
-# table freed 88-93% of their charge at |Q| = 64 and 200 (tracemalloc,
-# CPython 3.11).
-COMPOSE_MEMO_BYTES = 1 << 17
-
 
 def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     """Freeze-time coalescing at cell i; returns the exit.
@@ -164,8 +144,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     c = aut.compiled
     tape = ListTape.from_word(aut, word)
     memo = c.compose_memo
-    memo.run += 1
-    memo.calls = memo.walks = memo.edges_max = 0
+    memo.start_run()
     n = tape.n
     sym = tape.sym
     visits = tape.visits
@@ -178,7 +157,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     to_tab, wr_tab, mv_tab = c.to_tab, c.wr_tab, c.mv_tab
     accepting = c.accepting
     fixed = c.fixed
-    cf_cache = c.cf_cache
+    cf = memo.cf
     limit = visit_limit(aut, n)
     budget = sys.maxsize if max_steps is None else max_steps
 
@@ -210,7 +189,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                 if w != s:
                     sym[pos] = w
                 if v + 1 >= limit or fixed[w]:
-                    g = cf_cache.get(w) or cf_idx(c, w)
+                    g = cf.get(w) or cf_idx(c, w)
                     if tr is None:
                         out = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
                     else:
@@ -271,9 +250,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             dr = mv
         pos = prev[pos] if dr else nxt[pos]
 
-    entry, table = 16 * nq + 416, 16 * nq + 216
-    if len(memo) * entry + len(memo.maps) * table > COMPOSE_MEMO_BYTES:
-        memo.evict(COMPOSE_MEMO_BYTES, entry, table, cf_cache.values())
+    memo.end_run(nq)
     if verdict is None:
         raise BudgetExceeded(steps)
     return RunOutcome(

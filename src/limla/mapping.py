@@ -23,13 +23,23 @@ departures are read.  A composition depends on the two tables alone, so
 a machine can memoize it: its CompositionMemo interns each distinct table
 as one canonical map, and each canonical map keeps its compositions in its
 own row, keyed on the right map, so a repeated request costs one dict
-lookup by identity at any |Q|.
+lookup by identity at any |Q|.  The rows are the memo's one record of its
+compositions; it also keeps the monoid's generators and its byte cap.
 """
 from __future__ import annotations
 
-from itertools import islice
-
 from .model import RIGHT
+
+# Cap on a machine's composition memo in bytes, applied as a run ends
+# (CompositionMemo.end_run).  An interned map is charged 16|Q| + 216: 8
+# bytes per slot of its table, and 216 for the tuple header, the SegmentMap,
+# its empty row dict and its intern table slot.  An entry is charged
+# 16|Q| + 256: 8 bytes per slot of its departure list, and 256 for the list
+# header, the result object and its row slot (a row's first allocates its
+# 160-byte key table).  A map is charged once however many entries share it;
+# the generators are charged but never evicted.  Emptying the rows and the
+# intern table freed 62-95% of the charge (tracemalloc, CPython 3.11).
+COMPOSE_MEMO_BYTES = 1 << 17
 
 
 class SizeMismatch(ValueError):
@@ -58,9 +68,10 @@ class SegmentMap:
 
 
 def cf_idx(c, s: int) -> SegmentMap:
-    """Single-cell map for the letter with symbol index s (cached per machine,
-    and interned in its compose_memo)."""
-    m = c.cf_cache.get(s)
+    """Single-cell map for the letter with symbol index s: a generator of the
+    machine's compose_memo, kept in its cf and interned."""
+    memo = c.compose_memo
+    m = memo.cf.get(s)
     if m is None:
         w = c.width
         tab = [0] * (2 * c.n_states)
@@ -70,7 +81,7 @@ def cf_idx(c, s: int) -> SegmentMap:
             out = 2 * to_tab[k] + mv_tab[k]
             tab[2 * q] = out      # one step always leaves a one-cell segment,
             tab[2 * q + 1] = out  # so the entry side is irrelevant
-        m = c.cf_cache[s] = c.compose_memo.intern(SegmentMap(tuple(tab)))
+        m = memo.cf[s] = memo.intern(SegmentMap(tuple(tab)))
     return m
 
 
@@ -87,7 +98,7 @@ class CompositionResult:
     on first request per entry into a list that the h walk started.  In a
     memo, h is an interned map and the tables the result reads are those
     of the interned f and g, so its own slots are the 2|Q| of that list.
-    run is the last run of the memo to request the result.
+    run is the last run of the memo to request it; evict keeps by it.
     """
 
     __slots__ = ("h", "edges", "run", "_ft", "_gt", "_dep")
@@ -109,52 +120,64 @@ class CompositionResult:
         return v
 
 
-class CompositionMemo(dict):
-    """One machine's compositions and the maps they are made of.
+class CompositionMemo:
+    """One machine's compositions, their maps and the generators.
 
     maps interns the machine's tables: each distinct table maps to the one
-    canonical SegmentMap that holds it.  cf_idx and every walk's h go
-    through it, so within a machine each distinct table is one map.  The
-    composition of canonical maps f and g lives in f.row[g]; the memo
-    itself maps (f, g) to the same result, in the insertion order that
-    evict reads, so the rows of the interned maps hold exactly its entries.
-    Also the run's counts: calls, every request; walks, the distinct pairs
-    requested; edges_max, the largest edges among them.
+    canonical SegmentMap that holds it.  cf holds the generators, symbol
+    index -> single-cell map (cf_idx).  Those and every walk's h are
+    interned, so within a machine each distinct table is one map.  The
+    composition of canonical maps f and g lives in f.row[g] alone: the rows
+    of the interned maps are the memo, and entries counts them.  A run is
+    bracketed by start_run and end_run, which applies the cap, and counts
+    calls, every request; walks, the distinct pairs requested; edges_max,
+    the largest edges among them.
     """
 
-    __slots__ = ("run", "calls", "walks", "edges_max", "maps")
+    __slots__ = ("run", "calls", "walks", "edges_max", "entries", "maps", "cf")
 
     def __init__(self):
-        self.run = self.calls = self.walks = self.edges_max = 0
-        self.maps = {}
+        self.run = self.calls = self.walks = self.edges_max = self.entries = 0
+        self.maps, self.cf = {}, {}
 
     def intern(self, m: SegmentMap) -> SegmentMap:
         """The canonical map equal to m, which becomes canonical if none is."""
         return self.maps.setdefault(m.table, m)
 
-    def evict(self, cap: int, entry: int, table: int, held) -> None:
-        """Drop the oldest entries, in insertion order, with their row
-        entries, until the kept entries, at entry bytes each, and the
-        distinct maps that they and the maps in held use, at table bytes
-        each, charge at most cap; then trim the intern table to those maps.
-        A trimmed map's row is empty then: every row entry is a kept entry,
-        whose maps are kept."""
-        keep = set(held)
+    def start_run(self) -> None:
+        """Number a new run and zero its counts."""
+        self.run += 1
+        self.calls = self.walks = self.edges_max = 0
+
+    def end_run(self, nq: int) -> None:
+        """Close a run on nq states: past COMPOSE_MEMO_BYTES, evict."""
+        entry, table = 16 * nq + 256, 16 * nq + 216
+        if self.entries * entry + len(self.maps) * table > COMPOSE_MEMO_BYTES:
+            self.evict(COMPOSE_MEMO_BYTES, entry, table)
+
+    def evict(self, cap: int, entry: int, table: int) -> None:
+        """Keep row entries, latest run first and in row order within a run,
+        while they, at entry bytes each, and the distinct maps that they and
+        cf use, at table bytes each, charge at most cap; drop the rest from
+        their rows and trim the intern table to those maps, whose rows then
+        hold every kept entry and nothing else."""
+        keep = set(self.cf.values())
         charge = len(keep) * table
+        order = sorted(((f, g, r) for f in self.maps.values() for g, r in f.row.items()),
+                       key=lambda e: e[2].run, reverse=True)
         kept = 0
-        for (f, g), r in reversed(self.items()):
+        for f, g, r in order:
             new = {f, g, r.h} - keep
             charge += entry + len(new) * table
             if charge > cap:
                 break
             keep |= new
             kept += 1
-        for f, g in list(islice(self, len(self) - kept)):
-            del self[f, g]
+        for f, g, _ in order[kept:]:
             del f.row[g]
-        maps = self.maps
-        for t in [t for t, m in maps.items() if m not in keep]:
-            del maps[t]
+        self.entries = kept
+        for t in [t for t, m in self.maps.items() if m not in keep]:
+            del self.maps[t]
 
 
 def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> CompositionResult:
@@ -168,10 +191,11 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> Composi
     A request on interned maps, as every map of a run is, hits in f's row
     without hashing a table.  Any other request, such as one on an equal
     copy of an interned map, interns both maps and looks again in the
-    canonical row, and only then walks, storing the result there alone, so
-    equal tables share one entry and a copy's row stays empty.  The memo
-    counts every request in memo.calls, and a pair's first request in this
-    run (memo.run, stamped on the result) in walks and edges_max.
+    canonical row, and only then walks, storing the result in that row
+    alone, its one record, so equal tables share one entry and a copy's row
+    stays empty.  The memo counts every request in memo.calls, a miss in
+    entries, and a pair's first request in this run (memo.run, stamped on
+    the result) in walks and edges_max.
     """
     memo.calls += 1
     r = f.row.get(g)
@@ -179,8 +203,9 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> Composi
         fc, gc = memo.intern(f), memo.intern(g)
         r = fc.row.get(gc)
         if r is None:
-            r = fc.row[gc] = memo[fc, gc] = _walk_glued(fc.table, gc.table)
+            r = fc.row[gc] = _walk_glued(fc.table, gc.table)
             r.h = memo.intern(r.h)
+            memo.entries += 1
     if r.run != memo.run:
         r.run = memo.run
         memo.walks += 1

@@ -157,8 +157,7 @@ class CompiledAutomaton:
     wr_tab: list
     mv_tab: list
     fixed: list              # symbol -> a cell holding it takes no more writes
-    cf_cache: dict
-    compose_memo: CompositionMemo    # see mapping.CompositionMemo
+    compose_memo: CompositionMemo    # maps, their compositions and generators (mapping)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
     shadow_slots: int = 0    # letters plus table entries held in shadow_cache
 
@@ -210,7 +209,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
         start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
-        fixed=fixed, cf_cache={}, compose_memo=CompositionMemo(), shadow_cache={},
+        fixed=fixed, compose_memo=CompositionMemo(), shadow_cache={},
     )
 
 

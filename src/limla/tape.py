@@ -11,10 +11,9 @@ links.  A live interior cell is a letter while fmap[i] is None and a
 frozen segment described by fmap[i] otherwise; the markers never get a map.
 
 The tape holds no cache and no merge code: linear.deletion_scan relinks
-it, sharing the composition memo of its compiled machine
-(mapping.CompositionMemo).  fmap holds only maps that memo interns, and
-each of them keeps its compositions in its own row, so a merge of two
-neighbours finds its result in the left map's row.
+it, composing in its machine's mapping.CompositionMemo.  fmap holds only
+maps that memo interns, whose rows are its one record of compositions, so
+a merge of two neighbours finds its result in the left map's row.
 """
 from __future__ import annotations
 

@@ -436,9 +436,10 @@ def test_compose_memo_is_invisible_in_outcomes(monkeypatch):
             run_linear(warm_aut, w, shadow=True)
         run_linear(warm_aut, word, shadow=True)
         if resolve_all:
-            for r in warm_aut.compiled.compose_memo.values():
-                for p in range(2 * len(warm_aut.states)):
-                    r.departure(p)
+            for f in warm_aut.compiled.compose_memo.maps.values():
+                for r in f.row.values():
+                    for p in range(2 * len(warm_aut.states)):
+                        r.departure(p)
         walks.clear()
         warm = run_linear(warm_aut, word, trace=True, shadow=True)
         assert walks == []  # every composition the run asked for came from the memo

@@ -229,3 +229,29 @@ def test_engines_take_the_freeze_rule_from_the_model():
     found = {name: freeze_fact_reads((SRC / name).read_text(encoding="utf-8"))
              for name in ("naive.py", "linear.py")}
     assert found == {"naive.py": [], "linear.py": []}
+
+
+# The composition memo's store, its cap and its charges are facts of
+# mapping.py alone: the linear engine opens and ends a run on the memo and
+# reads its generators, cf, and nothing else of it.
+MEMO_INTERNALS = frozenset({"maps", "row", "entries", "evict", "intern", "COMPOSE_MEMO_BYTES"})
+MEMO_CHARGES = frozenset({216, 256})  # the per-entry and per-map bytes over 16|Q|
+
+
+def memo_internal_reads(source: str) -> list:
+    """The names of MEMO_INTERNALS that a module reads, and the charges it spells."""
+    tree = ast.parse(source)
+    charges = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and type(node.value) is int and node.value in MEMO_CHARGES}
+    return sorted(read_names(tree) & MEMO_INTERNALS) + sorted(charges)
+
+
+def test_the_memo_is_mapping_facts_alone():
+    assert memo_internal_reads("from .mapping import COMPOSE_MEMO_BYTES\n"
+                               "if len(memo.maps) * (16 * q + 216) > COMPOSE_MEMO_BYTES:\n"
+                               "    memo.evict(f.row, memo.entries)\n") == [
+        "COMPOSE_MEMO_BYTES", "entries", "evict", "maps", "row", 216]
+    assert memo_internal_reads((SRC / "linear.py").read_text(encoding="utf-8")) == []
+    defining = [path.name for path in sorted(SRC.glob("*.py"))
+                if "COMPOSE_MEMO_BYTES" in defined_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert defining == ["mapping.py"]

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limla.difftest import random_words, words_upto
-from limla.linear import COMPOSE_MEMO_BYTES, run_linear
-import limla.linear as linear_mod
+from limla.linear import run_linear
 import limla.mapping as mapping_mod
 from limla.outcome import BudgetExceeded
 from limla.mapping import (
-    CompositionMemo, SegmentMap, SizeMismatch,
+    COMPOSE_MEMO_BYTES, CompositionMemo, SegmentMap, SizeMismatch,
     cf_idx, compose_full, describe_indices, oracle_compose,
 )
 from limla.model import COUNTED, RANKED, DLimit, LEFT, RIGHT, Transition, Automaton, LEFT_MARKER, RIGHT_MARKER
@@ -157,13 +156,19 @@ def test_memo_returns_the_walked_result_once_per_pair():
 
 
 def _memo_bytes(q, entries, tables):
-    """What run_linear charges a composition memo of that many entries and
-    an intern table of that many tables."""
-    return (16 * q + 416) * entries + (16 * q + 216) * tables
+    """What a composition memo is charged for that many entries and an
+    intern table of that many tables."""
+    return (16 * q + 256) * entries + (16 * q + 216) * tables
+
+
+def _entries(memo):
+    """The memo's compositions, (f, g) -> result, read from the rows of its
+    interned maps."""
+    return {(f, g): r for f in memo.maps.values() for g, r in f.row.items()}
 
 
 def _charge(memo, q):
-    return _memo_bytes(q, len(memo), len(memo.maps))
+    return _memo_bytes(q, len(_entries(memo)), len(memo.maps))
 
 
 def _count_evictions(monkeypatch):
@@ -176,19 +181,19 @@ def _count_evictions(monkeypatch):
 
 
 def _held_maps(c):
-    """The maps that the machine's memo entries and cf_cache keep alive."""
-    held = set(c.cf_cache.values())
-    for (f, g), r in c.compose_memo.items():
+    """The maps that the machine's memo entries and generators keep alive."""
+    held = set(c.compose_memo.cf.values())
+    for (f, g), r in _entries(c.compose_memo).items():
         held |= {f, g, r.h}
     return held
 
 
 def _assert_rows_are_the_memo(memo):
-    """The rows of the interned maps hold exactly the memo's entries, each
-    keyed on interned maps."""
+    """The memo counts exactly the row entries of its interned maps, and
+    each is keyed on an interned map."""
     maps = memo.maps
-    assert {(f, g): r for f in maps.values() for g, r in f.row.items()} == memo
-    assert all(maps.get(g.table) is g for _, g in memo)
+    assert memo.entries == sum(len(f.row) for f in maps.values())
+    assert all(maps.get(g.table) is g for _, g in _entries(memo))
 
 
 def _row_check(monkeypatch, memo):
@@ -234,14 +239,15 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
             words = list(words_upto(aut.input_alphabet, 3))
             words += random_words(aut.input_alphabet, 16, 256, 512, seed)
         for word in words:
-            before = set(memo)
+            before = _entries(memo).keys()
             run_linear(aut, word)
             assert _charge(memo, q) <= COMPOSE_MEMO_BYTES
             rows_ok()
-            if not before <= memo.keys():
+            if not before <= _entries(memo).keys():
                 evicted += 1
-                # the next older entry, with at most three tables of its
-                # own, did not fit; and no table outlives what holds it
+                # the next entry in eviction order, with at most three
+                # tables of its own, did not fit; and no table outlives
+                # what holds it
                 assert _charge(memo, q) + _memo_bytes(q, 1, 3) > COMPOSE_MEMO_BYTES
                 assert set(memo.maps.values()) == _held_maps(aut.compiled)
     assert evicted > 0
@@ -259,8 +265,8 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
 
 def test_run_past_the_cap_keeps_the_newest_pairs(monkeypatch):
     # one run requests 71 pairs, more than the cap holds at |Q| = 64 with
-    # their tables; evicting only the oldest leaves the rest for the next
-    # run of the word
+    # their tables; evicting only those that do not fit leaves the rest for
+    # the next run of the word
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
     word = random_words(("a", "b"), 1, 256, 256, 69)[0]
     cold = run_linear(random_automaton(params), word)
@@ -277,6 +283,35 @@ def test_run_past_the_cap_keeps_the_newest_pairs(monkeypatch):
         assert run_linear(aut, word) == cold
         assert 0 < len(walks) < 71
         assert 0 < _charge(memo, 64) <= COMPOSE_MEMO_BYTES
+
+
+def test_eviction_keeps_the_most_recently_requested_entries(monkeypatch):
+    # a |Q| = 64 machine passes the cap on most runs of a word list whose
+    # runs share pairs; each eviction keeps entries by the run that last
+    # requested them, the ending run's first, and drops only older ones
+    aut = random_automaton(GenParams(64, 2, COUNTED, DLimit.const(2)))
+    cuts = []
+    real_evict = CompositionMemo.evict
+
+    def evict(self, *a):
+        runs = {key: r.run for key, r in _entries(self).items()}
+        real_evict(self, *a)
+        after = _entries(self).keys()
+        cuts.append((self.run, [runs[key] for key in after],
+                     [run for key, run in runs.items() if key not in after]))
+
+    monkeypatch.setattr(CompositionMemo, "evict", evict)
+    for word in random_words(aut.input_alphabet, 12, 64, 256, 2) * 2:
+        run_linear(aut, word)
+    mixed = 0
+    for run, kept, dropped in cuts:
+        assert dropped and kept
+        assert min(kept) >= max(dropped)
+        # the run's own entries come first: all of them are kept, or only they are
+        if run in dropped:
+            assert set(kept) == {run}
+        mixed += min(kept) < run
+    assert len(cuts) >= 5 and mixed > 0  # some cuts kept older entries too
 
 
 def test_warm_large_machine_walks_no_pair_again(monkeypatch):
@@ -317,25 +352,24 @@ def test_compose_memo_charge_covers_its_memory():
                 for word in words:
                     run_linear(aut, word)
             assert set(memo.maps.values()) == _held_maps(c)
-            for r in memo.values():
+            for r in _entries(memo).values():
                 for p in range(2 * q):
                     r.departure(p)
             r = None  # hold no entry past the clear
-            entries, tables = len(memo), len(memo.maps)
-            own = tables - len(set(c.cf_cache.values()))
+            entries, tables = memo.entries, len(memo.maps)
+            own = tables - len(set(memo.cf.values()))
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             for m in memo.maps.values():
                 m.row.clear()
-            memo.clear()
             memo.maps.clear()
             gc.collect()
             freed = before - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert entries >= 4
-        # each entry frees its departure list, each table not in cf_cache
-        # its slots
+        # each entry frees its departure list, each table that is not a
+        # generator its slots
         assert 16 * q * (entries + own) < freed <= _memo_bytes(q, entries, tables)
 
 
@@ -373,7 +407,7 @@ def test_memo_evicting_every_run_stays_exact(monkeypatch):
     words = random_words(aut.input_alphabet, 10, 256, 512, 34)
     cold = [run_linear(random_automaton(params), w) for w in words]
     cap = _memo_bytes(64, 8, 8)
-    monkeypatch.setattr(linear_mod, "COMPOSE_MEMO_BYTES", cap)
+    monkeypatch.setattr(mapping_mod, "COMPOSE_MEMO_BYTES", cap)
     evictions = _count_evictions(monkeypatch)
     rows_ok = _row_check(monkeypatch, memo)
     rng = SplitMix64(34)
@@ -382,7 +416,7 @@ def test_memo_evicting_every_run_stays_exact(monkeypatch):
         assert len(evictions) == i + 1
         assert 0 < _charge(memo, 64) <= cap
         rows_ok()
-        for r in memo.values():
+        for r in _entries(memo).values():
             f, g = SegmentMap(r._ft), SegmentMap(r._gt)
             oh, od = oracle_compose(f, g)
             assert r.h.table == oh

@@ -15,7 +15,9 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+import limla.linear as linear_mod
 import limla.mapping as mapping_mod
+import test_linear
 import test_mapping
 
 
@@ -28,14 +30,14 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = [
-    # evict drops entries from the memo but leaves them in the rows
+    # evict drops entries from its count but leaves them in the rows
     Mutant("evict-leaves-row-entries", mapping_mod,
-           "            del f.row[g]\n", "",
+           "            del f.row[g]\n", "            pass\n",
            test_mapping.test_memo_evicting_every_run_stays_exact),
     # a miss stores its walk in the row of the caller's map, which may be
     # an equal copy, rather than the canonical one
     Mutant("miss-stores-in-callers-row", mapping_mod,
-           "r = fc.row[gc] = memo[fc, gc]", "r = f.row[g] = memo[fc, gc]",
+           "r = fc.row[gc] = _walk_glued", "r = f.row[g] = _walk_glued",
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
     # evict keeps every interned map, whatever its entries
     Mutant("untrimmed-intern-table", mapping_mod,
@@ -45,6 +47,22 @@ CATALOGUE = [
     Mutant("miss-skips-interning", mapping_mod,
            "fc, gc = memo.intern(f), memo.intern(g)", "fc, gc = f, g",
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
+    # a miss stores its entry without counting it
+    Mutant("miss-leaves-entry-uncounted", mapping_mod,
+           "            memo.entries += 1\n", "",
+           test_mapping.test_memo_returns_the_walked_result_once_per_pair),
+    # evict keeps the least recently requested entries first
+    Mutant("evict-keeps-least-recent", mapping_mod,
+           "key=lambda e: e[2].run, reverse=True)", "key=lambda e: e[2].run)",
+           test_mapping.test_eviction_keeps_the_most_recently_requested_entries),
+    # a left merge leaves the merged neighbour's left cell linked to it
+    Mutant("scan-drops-left-relink", linear_mod,
+           "        nxt[left] = i\n", "",
+           test_linear.test_unlink_relinks_and_marks_dead),
+    # a right merge leaves the merged neighbour's right cell linked to it
+    Mutant("scan-drops-right-relink", linear_mod,
+           "        prev[right] = i\n", "",
+           test_linear.test_unlink_relinks_and_marks_dead),
 ]
 
 
