@@ -61,15 +61,14 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     The scan writes only fmap and the links, so sym[i] keeps the letter the
     caller stored there.  A departure that loops stops the scan at once
     with exit -1, leaving the unmerged neighbour linked.  Every merge is one
-    compose_full request on the machine's compose_memo, which counts it.
+    compose_full request, counted by the memo of the maps, the machine's.
     """
     fmap, prev, nxt = tape.fmap, tape.prev, tape.nxt
-    memo = tape.compiled.compose_memo
 
     left = prev[i]
     f = fmap[left]
     if f is not None:
-        comp = compose_full(f, g, memo)
+        comp = compose_full(f, g)
         if (p & 1) != RIGHT:  # heading left, into the merged territory
             p = comp.departure(p)
             if p < 0:
@@ -82,7 +81,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     right = nxt[i]
     f = fmap[right]
     if f is not None:
-        comp = compose_full(g, f, memo)
+        comp = compose_full(g, f)
         if (p & 1) == RIGHT:
             p = comp.departure(p)
             if p < 0:

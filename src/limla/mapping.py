@@ -20,25 +20,25 @@ only the crossings that h passes through; the rest of the departure table
 is resolved entry by entry when a deletion scan first asks for it.  Both
 share one list of resolutions, so a composition costs O(|Q|) however many
 departures are read.  A composition depends on the two tables alone, so
-a machine can memoize it: its CompositionMemo interns each distinct table
-as one canonical map, and each canonical map keeps its compositions in its
-own row, keyed on the right map, so a repeated request costs one dict
-lookup by identity at any |Q|.  The rows are the memo's one record of its
-compositions; it also keeps the monoid's generators and its byte cap.
+a machine can memoize it: its CompositionMemo makes every map, one per
+distinct table, and each map composes in that memo and keeps its
+compositions in its own row, keyed on the right map, so a repeated request
+costs one dict lookup by identity at any |Q|.  The rows are the memo's one
+record of its compositions; it also keeps the monoid's generators and cap.
 """
 from __future__ import annotations
 
 from .model import RIGHT
 
 # Cap on a machine's composition memo in bytes, applied as a run ends
-# (CompositionMemo.end_run).  An interned map is charged 16|Q| + 216: 8
-# bytes per slot of its table, and 216 for the tuple header, the SegmentMap,
-# its empty row dict and its intern table slot.  An entry is charged
+# (CompositionMemo.end_run).  A map is charged 16|Q| + 224: 8 bytes per
+# slot of its table, and 224 for the tuple header, the SegmentMap, its empty
+# row dict and its slot in the memo's maps.  An entry is charged
 # 16|Q| + 256: 8 bytes per slot of its departure list, and 256 for the list
 # header, the result object and its row slot (a row's first allocates its
 # 160-byte key table).  A map is charged once however many entries share it;
 # the generators are charged but never evicted.  Emptying the rows and the
-# intern table freed 62-95% of the charge (tracemalloc, CPython 3.11).
+# memo's maps freed 62-95% of the charge (tracemalloc, CPython 3.11).
 COMPOSE_MEMO_BYTES = 1 << 17
 
 
@@ -50,17 +50,18 @@ class SegmentMap:
     """Total map over the 2|Q| directed states, its table; -1 encodes LOOP.
 
     Equality and hashing are identity, so a dict keyed on a map hashes no
-    table: compare tables to compare what two maps describe.  row holds the
-    map's compositions, right map -> CompositionResult.  Only a map that a
-    CompositionMemo interns gets entries there, and its row belongs to that
-    memo, so a machine's maps are composed through the machine's memo.
+    table: compare tables to compare what two maps describe.  Only
+    CompositionMemo.canonical makes one, the one map of that memo for its
+    table; memo is that memo, where the map composes, and row holds the
+    map's compositions there, right map -> CompositionResult.
     """
 
-    __slots__ = ("table", "row")
+    __slots__ = ("table", "row", "memo")
 
-    def __init__(self, table: tuple):
+    def __init__(self, table: tuple, memo: "CompositionMemo"):
         self.table = table
         self.row = {}
+        self.memo = memo
 
     @property
     def q_count(self) -> int:
@@ -69,7 +70,7 @@ class SegmentMap:
 
 def cf_idx(c, s: int) -> SegmentMap:
     """Single-cell map for the letter with symbol index s: a generator of the
-    machine's compose_memo, kept in its cf and interned."""
+    machine's compose_memo, made by its canonical and kept in its cf."""
     memo = c.compose_memo
     m = memo.cf.get(s)
     if m is None:
@@ -81,7 +82,7 @@ def cf_idx(c, s: int) -> SegmentMap:
             out = 2 * to_tab[k] + mv_tab[k]
             tab[2 * q] = out      # one step always leaves a one-cell segment,
             tab[2 * q + 1] = out  # so the entry side is irrelevant
-        m = memo.cf[s] = memo.intern(SegmentMap(tuple(tab)))
+        m = memo.cf[s] = memo.canonical(tuple(tab))
     return m
 
 
@@ -93,11 +94,11 @@ _UNSEEN, _ON_PATH = -3, -2
 class CompositionResult:
     """A composition of adjacent maps f and g.
 
-    h is the composed map and edges the h walk's loop iterations, in
-    [2|Q|, 4|Q|].  departure(p) is the boundary departure table, resolved
-    on first request per entry into a list that the h walk started.  In a
-    memo, h is an interned map and the tables the result reads are those
-    of the interned f and g, so its own slots are the 2|Q| of that list.
+    h is the composed map, the memo's map of its table, and edges the h
+    walk's loop iterations, in [2|Q|, 4|Q|].  departure(p) is the boundary
+    departure table, resolved on first request per entry into a list that
+    the h walk started.  The tables the result reads are those of f and g,
+    so its own slots are the 2|Q| of that list.
     run is the last run of the memo to request it; evict keeps by it.
     """
 
@@ -123,12 +124,12 @@ class CompositionResult:
 class CompositionMemo:
     """One machine's compositions, their maps and the generators.
 
-    maps interns the machine's tables: each distinct table maps to the one
-    canonical SegmentMap that holds it.  cf holds the generators, symbol
-    index -> single-cell map (cf_idx).  Those and every walk's h are
-    interned, so within a machine each distinct table is one map.  The
-    composition of canonical maps f and g lives in f.row[g] alone: the rows
-    of the interned maps are the memo, and entries counts them.  A run is
+    maps holds the machine's maps, table -> the one SegmentMap of that
+    table, which canonical makes; each map points back at the memo, so a
+    dropped machine's memo is freed by the cyclic garbage collector.  cf
+    holds the generators, symbol index -> single-cell map (cf_idx).  The
+    composition of maps f and g lives in f.row[g] alone: the rows of the
+    memo's maps are the memo, and entries counts them.  A run is
     bracketed by start_run and end_run, which applies the cap, and counts
     calls, every request; walks, the distinct pairs requested; edges_max,
     the largest edges among them.
@@ -140,9 +141,12 @@ class CompositionMemo:
         self.run = self.calls = self.walks = self.edges_max = self.entries = 0
         self.maps, self.cf = {}, {}
 
-    def intern(self, m: SegmentMap) -> SegmentMap:
-        """The canonical map equal to m, which becomes canonical if none is."""
-        return self.maps.setdefault(m.table, m)
+    def canonical(self, table: tuple) -> SegmentMap:
+        """The one map of this memo for table, made on its first request."""
+        m = self.maps.get(table)
+        if m is None:
+            m = self.maps[table] = SegmentMap(table, self)
+        return m
 
     def start_run(self) -> None:
         """Number a new run and zero its counts."""
@@ -151,7 +155,7 @@ class CompositionMemo:
 
     def end_run(self, nq: int) -> None:
         """Close a run on nq states: past COMPOSE_MEMO_BYTES, evict."""
-        entry, table = 16 * nq + 256, 16 * nq + 216
+        entry, table = 16 * nq + 256, 16 * nq + 224
         if self.entries * entry + len(self.maps) * table > COMPOSE_MEMO_BYTES:
             self.evict(COMPOSE_MEMO_BYTES, entry, table)
 
@@ -159,7 +163,7 @@ class CompositionMemo:
         """Keep row entries, latest run first and in row order within a run,
         while they, at entry bytes each, and the distinct maps that they and
         cf use, at table bytes each, charge at most cap; drop the rest from
-        their rows and trim the intern table to those maps, whose rows then
+        their rows and trim maps to those maps, whose rows then
         hold every kept entry and nothing else."""
         keep = set(self.cf.values())
         charge = len(keep) * table
@@ -180,32 +184,27 @@ class CompositionMemo:
             del self.maps[t]
 
 
-def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> CompositionResult:
+def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
     """Compose adjacent segment maps; the result also answers departures.
 
     The result depends on the two tables alone: maps over one machine form
-    a finite monoid.  So in memo, which is always given (the machine's
-    compose_memo), only the first request for a pair reaches the walk and
-    every later one, in this run or a later one, returns the same
-    CompositionResult, with every departure an earlier request resolved.
-    A request on interned maps, as every map of a run is, hits in f's row
-    without hashing a table.  Any other request, such as one on an equal
-    copy of an interned map, interns both maps and looks again in the
-    canonical row, and only then walks, storing the result in that row
-    alone, its one record, so equal tables share one entry and a copy's row
-    stays empty.  The memo counts every request in memo.calls, a miss in
-    entries, and a pair's first request in this run (memo.run, stamped on
-    the result) in walks and edges_max.
+    a finite monoid, and f and g are maps of one memo, f.memo, the
+    machine's compose_memo, which holds one map per table.  So only the
+    first request for a pair reaches the walk, which stores the result in
+    f.row[g], its one record, with h the memo's map of its table.  Every
+    later request, in this run or a later one, hits there without hashing
+    a table and returns the same CompositionResult, with every departure
+    an earlier request resolved.  The memo counts every request in
+    memo.calls, a miss in entries, and a pair's first request in this run
+    (memo.run, stamped on the result) in walks and edges_max.
     """
+    memo = f.memo
     memo.calls += 1
     r = f.row.get(g)
     if r is None:
-        fc, gc = memo.intern(f), memo.intern(g)
-        r = fc.row.get(gc)
-        if r is None:
-            r = fc.row[gc] = _walk_glued(fc.table, gc.table)
-            r.h = memo.intern(r.h)
-            memo.entries += 1
+        h, edges, dep = _walk_glued(f.table, g.table)
+        r = f.row[g] = CompositionResult(memo.canonical(h), edges, f.table, g.table, dep)
+        memo.entries += 1
     if r.run != memo.run:
         r.run = memo.run
         memo.walks += 1
@@ -214,8 +213,9 @@ def compose_full(f: SegmentMap, g: SegmentMap, memo: CompositionMemo) -> Composi
     return r
 
 
-def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
-    """The composed map of the tables ft and gt, by one marked walk.
+def _walk_glued(ft: tuple, gt: tuple) -> tuple:
+    """The composed table of ft and gt, edges and the departure list, by
+    one marked walk.
 
     Entry 2q enters the left part and entry 2q+1 the right part; h takes
     that part's exit unless the exit crosses the seam (a left-part exit
@@ -240,7 +240,7 @@ def _walk_glued(ft: tuple, gt: tuple) -> CompositionResult:
                 v, k = _cross(ft, gt, dep, out)
                 hops += k
             h[c] = v
-    return CompositionResult(SegmentMap(tuple(h)), n + hops, ft, gt, dep)
+    return tuple(h), n + hops, dep
 
 
 def _cross(ft: tuple, gt: tuple, dep: list, c: int) -> tuple:

@@ -10,10 +10,10 @@ holds, or last held before it froze), visits, fmap, and the prev/nxt
 links.  A live interior cell is a letter while fmap[i] is None and a
 frozen segment described by fmap[i] otherwise; the markers never get a map.
 
-The tape holds no cache and no merge code: linear.deletion_scan relinks
-it, composing in its machine's mapping.CompositionMemo.  fmap holds only
-maps that memo interns, whose rows are its one record of compositions, so
-a merge of two neighbours finds its result in the left map's row.
+The tape holds no cache, no merge code and no machine: linear.deletion_scan
+relinks it.  fmap holds maps of the machine's mapping.CompositionMemo, each
+of which composes in that memo and keeps its compositions in its own row,
+so a merge of two neighbours finds its result in the left map's row.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .model import word_indices
 
 
 class ListTape:
-    __slots__ = ("n", "sym", "visits", "fmap", "prev", "nxt", "compiled")
+    __slots__ = ("n", "sym", "visits", "fmap", "prev", "nxt")
 
     @classmethod
     def from_word(cls, aut, word) -> "ListTape":
@@ -34,5 +34,4 @@ class ListTape:
         t.fmap = [None] * (n + 2)
         t.prev = list(range(-1, n + 1))
         t.nxt = list(range(1, n + 3))
-        t.compiled = c
         return t

@@ -12,7 +12,7 @@ import pytest
 from limla.bench import doubling_ratios, fit_scaling, run_bench
 from limla.difftest import DiffStats, compare_run, random_words, step_budget, words_upto
 from limla.linear import run_linear
-from limla.mapping import CompositionMemo, SegmentMap, cf_idx, compose_full, describe_indices, oracle_compose
+from limla.mapping import CompositionMemo, cf_idx, compose_full, describe_indices, oracle_compose
 from limla.model import DLimit, REJECT, validate_automaton
 from limla.naive import run_naive
 from limla.rng import SplitMix64
@@ -69,8 +69,8 @@ def test_criterion_1_differential_equivalence(diff_results):
           f"zoo x words<={ZOO_WORD_LEN}) in {diff_results['elapsed']:.1f}s")
 
 
-def _random_map(rng, q):
-    return SegmentMap(tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
+def _random_map(rng, q, memo):
+    return memo.canonical(tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
 
 
 def test_criterion_2_algebra_oracle():
@@ -78,21 +78,22 @@ def test_criterion_2_algebra_oracle():
     t0 = time.monotonic()
     for _ in range(10_000):
         q = 1 + rng.below(6)
-        f, g = _random_map(rng, q), _random_map(rng, q)
-        r = compose_full(f, g, CompositionMemo())
+        memo = CompositionMemo()
+        f, g = _random_map(rng, q, memo), _random_map(rng, q, memo)
+        r = compose_full(f, g)
         oh, od = oracle_compose(f, g)
         assert r.h.table == oh
         assert tuple(map(r.departure, range(2 * q))) == od
         assert 2 * q <= r.edges <= 4 * q
     for _ in range(1_000):
         q = 1 + rng.below(6)
-        f, g, h = (_random_map(rng, q) for _ in range(3))
         memo = CompositionMemo()
-        assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
-               compose_full(f, compose_full(g, h, memo).h, memo).h.table
-        t = SegmentMap(tuple(range(2 * q)))
-        assert compose_full(t, f, memo).h.table == f.table
-        assert compose_full(f, t, memo).h.table == f.table
+        f, g, h = (_random_map(rng, q, memo) for _ in range(3))
+        assert compose_full(compose_full(f, g).h, h).h.table == \
+               compose_full(f, compose_full(g, h).h).h.table
+        t = memo.canonical(tuple(range(2 * q)))
+        assert compose_full(t, f).h.table == f.table
+        assert compose_full(f, t).h.table == f.table
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     print(f"\ncriterion 2: PASS  10^4 compose+departure vs oracle, 10^3 associativity, "
@@ -113,7 +114,7 @@ def test_criterion_3_homomorphism():
             seg = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(8))]
             m = cf_idx(c, seg[0])
             for i in seg[1:]:
-                r = compose_full(m, cf_idx(c, i), c.compose_memo)
+                r = compose_full(m, cf_idx(c, i))
                 assert r.edges <= 4 * c.n_states
                 m = r.h
             assert m.table == tuple(describe_indices(c, seg))
@@ -186,7 +187,8 @@ def test_criterion_7_composition_complexity_witness(diff_results):
     rng = SplitMix64(0x7E57)
     for _ in range(2_000):
         q = 6
-        r = compose_full(_random_map(rng, q), _random_map(rng, q), CompositionMemo())
+        memo = CompositionMemo()
+        r = compose_full(_random_map(rng, q, memo), _random_map(rng, q, memo))
         assert r.edges <= 8 * q
     print("\ncriterion 7: PASS  composition walk stayed within 8*|Q| edge "
           "traversals on every call")

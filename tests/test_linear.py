@@ -11,7 +11,7 @@ from limla.difftest import compare_run, random_words, step_budget, words_upto
 import limla.linear as linear_mod
 from limla.linear import SHADOW_MEMO_SLOTS, ShadowMismatch, deletion_scan, run_linear
 import limla.mapping as mapping_mod
-from limla.mapping import CompositionMemo, SegmentMap, cf_idx, compose_full
+from limla.mapping import cf_idx, compose_full
 from limla.model import (
     ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, RANKED, REJECT, RIGHT,
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER, word_indices,
@@ -22,6 +22,7 @@ from limla.rng import SplitMix64
 from limla.tape import ListTape
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
+from test_mapping import _walked
 from trace_writes import write_profile
 
 
@@ -99,16 +100,10 @@ def test_map_loop_reason():
     assert naive.verdict == REJECT  # reasons differ, verdicts agree
 
 
-def _walked(f, g):
-    """The composition of f and g by a walk of its own: equal copies in a
-    fresh memo, whatever the rows of f and g hold."""
-    return compose_full(SegmentMap(f.table), SegmentMap(g.table), CompositionMemo())
-
-
 def _scan(t, i, p, g):
     """deletion_scan, with the compositions it requested and the largest edges
-    among those the run requested, both read from the machine's compose_memo."""
-    memo = t.compiled.compose_memo
+    among those the run requested, both read from the memo of g, the machine's."""
+    memo = g.memo
     calls = memo.calls
     out = deletion_scan(t, i, p, g)
     assert isinstance(out, int)
@@ -391,7 +386,7 @@ def test_shadow_mismatch_on_corrupted_map():
         if tape.fmap[i] is not None:
             table = list(tape.fmap[i].table)
             table[0] = -1 if table[0] >= 0 else 0
-            tape.fmap[i] = type(tape.fmap[i])(tuple(table))
+            tape.fmap[i] = g.memo.canonical(tuple(table))
         return res
 
     linear_mod.deletion_scan = corrupt
@@ -457,9 +452,9 @@ def test_shadow_memo_does_not_weaken_the_check(monkeypatch):
     # a word whose run composes and accepts, and its first composed pair
     seen = []
 
-    def record(f, g, memo=None):
+    def record(f, g):
         seen.append((f.table, g.table))
-        return compose_full(f, g, memo)
+        return compose_full(f, g)
 
     monkeypatch.setattr(linear_mod, "compose_full", record)
     for word in words:
@@ -470,14 +465,14 @@ def test_shadow_memo_does_not_weaken_the_check(monkeypatch):
         pytest.fail("no accepted word composes")
     bad_pair = seen[0]
 
-    def corrupt(f, g, memo=None):
-        r = compose_full(f, g, memo)
+    def corrupt(f, g):
+        r = compose_full(f, g)
         if (f.table, g.table) != bad_pair:
             return r
         table = list(r.h.table)
         table[0] = -1 if table[0] >= 0 else 0
         bad = copy.copy(r)  # the memo keeps the true result
-        bad.h = SegmentMap(tuple(table))
+        bad.h = f.memo.canonical(tuple(table))
         return bad
 
     monkeypatch.setattr(linear_mod, "compose_full", corrupt)

@@ -234,8 +234,8 @@ def test_engines_take_the_freeze_rule_from_the_model():
 # The composition memo's store, its cap and its charges are facts of
 # mapping.py alone: the linear engine opens and ends a run on the memo and
 # reads its generators, cf, and nothing else of it.
-MEMO_INTERNALS = frozenset({"maps", "row", "entries", "evict", "intern", "COMPOSE_MEMO_BYTES"})
-MEMO_CHARGES = frozenset({216, 256})  # the per-entry and per-map bytes over 16|Q|
+MEMO_INTERNALS = frozenset({"maps", "row", "entries", "evict", "canonical", "COMPOSE_MEMO_BYTES"})
+MEMO_CHARGES = frozenset({224, 256})  # the per-entry and per-map bytes over 16|Q|
 
 
 def memo_internal_reads(source: str) -> list:
@@ -248,10 +248,43 @@ def memo_internal_reads(source: str) -> list:
 
 def test_the_memo_is_mapping_facts_alone():
     assert memo_internal_reads("from .mapping import COMPOSE_MEMO_BYTES\n"
-                               "if len(memo.maps) * (16 * q + 216) > COMPOSE_MEMO_BYTES:\n"
+                               "if len(memo.maps) * (16 * q + 224) > COMPOSE_MEMO_BYTES:\n"
                                "    memo.evict(f.row, memo.entries)\n") == [
-        "COMPOSE_MEMO_BYTES", "entries", "evict", "maps", "row", 216]
+        "COMPOSE_MEMO_BYTES", "entries", "evict", "maps", "row", 224]
     assert memo_internal_reads((SRC / "linear.py").read_text(encoding="utf-8")) == []
     defining = [path.name for path in sorted(SRC.glob("*.py"))
                 if "COMPOSE_MEMO_BYTES" in defined_names(ast.parse(path.read_text(encoding="utf-8")))]
     assert defining == ["mapping.py"]
+
+
+# A map is made by its machine's memo, which keeps one map per table and
+# gives it the row its compositions go into: SegmentMap is called only in
+# CompositionMemo.canonical.
+def map_maker_calls(source: str) -> list:
+    """Where a module calls SegmentMap: for each call, the dotted names of the
+    classes and functions around it, or "<module>" outside any."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call) and "SegmentMap" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_maps_are_made_by_their_memo_alone():
+    assert map_maker_calls("m = SegmentMap(t, memo)\n"
+                           "class C:\n    def canonical(self, t):\n"
+                           "        return SegmentMap(t, self)\n"
+                           "def f(t):\n    return [mapping.SegmentMap(t) for _ in t]\n") == [
+        "<module>", "C.canonical", "f"]
+    found = {path.name: map_maker_calls(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {
+        "mapping.py": ["CompositionMemo.canonical"]}

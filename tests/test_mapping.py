@@ -31,8 +31,19 @@ def _uniform_machine(move_by_state):
                      start_state=states[0], accepting=(), delta=delta)
 
 
-def _rand_map(rng, q):
-    return SegmentMap(tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q)))
+def _rand_table(rng, q):
+    return tuple(rng.below(2 * q + 1) - 1 for _ in range(2 * q))
+
+
+def _rand_map(rng, q, memo):
+    return memo.canonical(_rand_table(rng, q))
+
+
+def _walked(f, g):
+    """The composition of f and g by a walk of its own: their tables in a
+    fresh memo, whatever the rows of f and g hold."""
+    m = CompositionMemo()
+    return compose_full(m.canonical(f.table), m.canonical(g.table))
 
 
 def _shuffled(rng, n):
@@ -44,8 +55,8 @@ def _shuffled(rng, n):
     return order
 
 
-def all_q1_maps():
-    return [SegmentMap((a, b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+def all_q1_maps(memo):
+    return [memo.canonical((a, b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
 
 
 def test_cf_all_right_letter():
@@ -91,25 +102,27 @@ def test_cf_never_loops_and_ignores_direction():
 
 def test_transparent_map_is_identity():
     # the map whose every entry passes straight through is the identity
-    t1 = SegmentMap((0, 1))
-    for f in all_q1_maps():
-        assert compose_full(t1, f, CompositionMemo()).h.table == f.table
-        assert compose_full(f, t1, CompositionMemo()).h.table == f.table
+    memo = CompositionMemo()
+    t1 = memo.canonical((0, 1))
+    for f in all_q1_maps(memo):
+        assert compose_full(t1, f).h.table == f.table
+        assert compose_full(f, t1).h.table == f.table
     rng = SplitMix64(23)
     for _ in range(300):
         q = 1 + rng.below(6)
-        f = _rand_map(rng, q)
-        t = SegmentMap(tuple(range(2 * q)))
-        assert compose_full(t, f, CompositionMemo()).h.table == f.table
-        assert compose_full(f, t, CompositionMemo()).h.table == f.table
+        memo = CompositionMemo()
+        f = _rand_map(rng, q, memo)
+        t = memo.canonical(tuple(range(2 * q)))
+        assert compose_full(t, f).h.table == f.table
+        assert compose_full(f, t).h.table == f.table
 
 
 def test_two_cycle_composes_to_loop():
     # f sends both entries rightward in q, g bounces both entries leftward:
     # the head shuttles across the internal boundary forever
-    f = SegmentMap((0, 0))
-    g = SegmentMap((1, 1))
-    r = compose_full(f, g, CompositionMemo())
+    memo = CompositionMemo()
+    f, g = memo.canonical((0, 0)), memo.canonical((1, 1))
+    r = compose_full(f, g)
     assert r.h.table == (-1, -1)
     assert oracle_compose(f, g)[0] == (-1, -1)
     # the boundary departure is the same forced cycle
@@ -120,8 +133,9 @@ def test_compose_matches_oracle_randomized():
     rng = SplitMix64(31)
     for _ in range(3000):
         q = 1 + rng.below(6)
-        f, g = _rand_map(rng, q), _rand_map(rng, q)
-        r = compose_full(f, g, CompositionMemo())
+        memo = CompositionMemo()
+        f, g = _rand_map(rng, q, memo), _rand_map(rng, q, memo)
+        r = compose_full(f, g)
         oh, od = oracle_compose(f, g)
         assert r.h.table == oh
         assert tuple(map(r.departure, range(2 * q))) == od
@@ -133,37 +147,52 @@ def test_memo_returns_the_walked_result_once_per_pair():
     memo = CompositionMemo()
     for _ in range(500):
         q = 1 + rng.below(6)
-        f, g = _rand_map(rng, q), _rand_map(rng, q)
+        f, g = _rand_map(rng, q, memo), _rand_map(rng, q, memo)
         memo.run += 1
         memo.calls = memo.walks = 0
-        r = compose_full(f, g, memo)
-        plain = compose_full(SegmentMap(f.table), SegmentMap(g.table), CompositionMemo())
+        r = compose_full(f, g)
+        plain = _walked(f, g)
         assert (r.h.table, r.edges) == (plain.h.table, plain.edges)
         assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
-        # a repeat request, even through equal tables that are distinct
-        # objects (tuple() of a tuple would return the same one), is a hit
-        f2, g2 = SegmentMap(tuple(list(f.table))), SegmentMap(tuple(list(g.table)))
-        again = compose_full(f2, g2, memo)
+        assert r.h is memo.canonical(r.h.table) and r.h.memo is memo
+        # equal tables that are distinct objects (tuple() of a tuple would
+        # return the same one) have the same map, so a repeat request is a hit
+        f2, g2 = memo.canonical(tuple(list(f.table))), memo.canonical(tuple(list(g.table)))
+        assert f2 is f and g2 is g
+        again = compose_full(f2, g2)
         assert again is r
         assert (memo.calls, memo.walks) == (2, 1)  # one distinct pair requested in this run
         assert r.run == memo.run
-        # a miss through copies is stored in the canonical row alone, where
-        # the canonical maps find it; the copies' rows stay empty
-        back = compose_full(g2, f2, memo)
-        assert compose_full(memo.intern(g2), memo.intern(f2), memo) is back
-        assert not f2.row and not g2.row
     _assert_rows_are_the_memo(memo)
 
 
+def test_maps_compose_in_their_own_memo():
+    # machine A's maps and machine B's maps of the same tables are distinct;
+    # composing A's changes A's counts and rows alone
+    rng = SplitMix64(43)
+    a, b = CompositionMemo(), CompositionMemo()
+    tables = [_rand_table(rng, 3) for _ in range(2)]
+    fa, ga = (a.canonical(t) for t in tables)
+    fb, gb = (b.canonical(t) for t in tables)
+    assert fa is not fb and (fa.memo, fb.memo) == (a, b)
+    r = compose_full(fa, ga)
+    assert (a.calls, a.entries, fa.row) == (1, 1, {ga: r})
+    assert r.h.memo is a and a.maps[r.h.table] is r.h
+    assert (b.calls, b.entries, fb.row, gb.row) == (0, 0, {}, {})
+    assert list(b.maps.values()) == [fb, gb]
+    assert compose_full(fb, gb) is not r
+    assert (a.calls, a.entries, fa.row, b.calls, b.entries) == (1, 1, {ga: r}, 1, 1)
+
+
 def _memo_bytes(q, entries, tables):
-    """What a composition memo is charged for that many entries and an
-    intern table of that many tables."""
-    return (16 * q + 256) * entries + (16 * q + 216) * tables
+    """What a composition memo is charged for that many entries and that
+    many maps."""
+    return (16 * q + 256) * entries + (16 * q + 224) * tables
 
 
 def _entries(memo):
     """The memo's compositions, (f, g) -> result, read from the rows of its
-    interned maps."""
+    maps."""
     return {(f, g): r for f in memo.maps.values() for g, r in f.row.items()}
 
 
@@ -189,8 +218,8 @@ def _held_maps(c):
 
 
 def _assert_rows_are_the_memo(memo):
-    """The memo counts exactly the row entries of its interned maps, and
-    each is keyed on an interned map."""
+    """The memo counts exactly the row entries of its maps, and each is
+    keyed on one of its maps."""
     maps = memo.maps
     assert memo.entries == sum(len(f.row) for f in maps.values())
     assert all(maps.get(g.table) is g for _, g in _entries(memo))
@@ -198,32 +227,32 @@ def _assert_rows_are_the_memo(memo):
 
 def _row_check(monkeypatch, memo):
     """A check to call after each run: _assert_rows_are_the_memo, and no
-    other map holds a row entry, neither one made since the last check that
-    is not interned (an equal copy) nor one since dropped from the intern
-    table.  Every map made in mapping is recorded."""
+    map that the memo no longer holds has a row entry, whether it was made
+    since the last check or held then.  Every map made in mapping is
+    recorded."""
     made = []
 
     class Recorded(SegmentMap):
-        def __init__(self, table):
-            super().__init__(table)
+        def __init__(self, table, memo):
+            super().__init__(table, memo)
             made.append(self)
 
     monkeypatch.setattr(mapping_mod, "SegmentMap", Recorded)
-    interned = list(memo.maps.values())
+    held = list(memo.maps.values())
 
     def check():
-        nonlocal interned
+        nonlocal held
         _assert_rows_are_the_memo(memo)
         now = list(memo.maps.values())
-        canonical = set(now)
-        assert not any(m.row for m in interned + made if m not in canonical)
-        interned = now
+        kept = set(now)
+        assert not any(m.row for m in held + made if m not in kept)
+        held = now
         made.clear()
     return check
 
 
 def test_compose_memo_stays_within_its_cap(monkeypatch):
-    # after every run the memo and its intern table are at most the cap, and
+    # after every run the memo and its maps are at most the cap, and
     # only then are entries evicted, down to a full memo; large machines pass
     # the cap after a few long words
     evicted = 0
@@ -331,7 +360,7 @@ def test_warm_large_machine_walks_no_pair_again(monkeypatch):
 
 
 def test_compose_memo_charge_covers_its_memory():
-    # the bytes a memo, its rows and its intern table free when all are
+    # the bytes a memo, its rows and its maps free when all are
     # emptied are at most what run_linear charges them; every departure is
     # resolved first, so each entry holds all it ever will
     for params, lengths, passes in (
@@ -383,24 +412,24 @@ class _CountingTable(tuple):
 
 @pytest.mark.parametrize("q", [2, 64])
 def test_memo_hit_hashes_no_table(q):
-    # the first request interns f and g; every later one on them is a
-    # lookup in f's row, keyed on g by identity
+    # making f and g hashes their tables; every request on them after the
+    # first is a lookup in f's row, keyed on g by identity
     rng = SplitMix64(41 + q)
-    f = SegmentMap(_CountingTable(_rand_map(rng, q).table))
-    g = SegmentMap(_CountingTable(_rand_map(rng, q).table))
     memo = CompositionMemo()
-    r = compose_full(f, g, memo)
+    f = memo.canonical(_CountingTable(_rand_table(rng, q)))
+    g = memo.canonical(_CountingTable(_rand_table(rng, q)))
+    r = compose_full(f, g)
     before = _CountingTable.hashes
     for _ in range(100):
-        assert compose_full(f, g, memo) is r
+        assert compose_full(f, g) is r
     assert _CountingTable.hashes == before
     assert (memo.calls, memo.walks) == (101, 1)
 
 
 def test_memo_evicting_every_run_stays_exact(monkeypatch):
-    # with a cap so small that every run evicts, maps leave the intern table
-    # between runs and their tables come back as new maps; every entry left
-    # must still be exact, and only the interned maps' rows may hold it
+    # with a cap so small that every run evicts, maps leave the memo between
+    # runs and their tables come back as new maps; every entry left must
+    # still be exact, and only the rows of the memo's maps may hold it
     params = GenParams(64, 34, RANKED, DLimit.const(3))
     aut = random_automaton(params)
     memo = aut.compiled.compose_memo
@@ -416,37 +445,38 @@ def test_memo_evicting_every_run_stays_exact(monkeypatch):
         assert len(evictions) == i + 1
         assert 0 < _charge(memo, 64) <= cap
         rows_ok()
+        spare = CompositionMemo()
         for r in _entries(memo).values():
-            f, g = SegmentMap(r._ft), SegmentMap(r._gt)
-            oh, od = oracle_compose(f, g)
+            oh, od = oracle_compose(spare.canonical(r._ft), spare.canonical(r._gt))
             assert r.h.table == oh
             assert all(r.departure(p) == od[p] for p in _shuffled(rng, 128))
 
 
 def test_associativity():
-    for f in all_q1_maps():
-        for g in all_q1_maps():
-            for h in all_q1_maps():
-                memo = CompositionMemo()
-                assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
-                       compose_full(f, compose_full(g, h, memo).h, memo).h.table
+    q1 = all_q1_maps(CompositionMemo())
+    for f in q1:
+        for g in q1:
+            for h in q1:
+                assert compose_full(compose_full(f, g).h, h).h.table == \
+                       compose_full(f, compose_full(g, h).h).h.table
     rng = SplitMix64(41)
     for _ in range(500):
         q = 1 + rng.below(6)
-        f, g, h = (_rand_map(rng, q) for _ in range(3))
         memo = CompositionMemo()
-        assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
-               compose_full(f, compose_full(g, h, memo).h, memo).h.table
+        f, g, h = (_rand_map(rng, q, memo) for _ in range(3))
+        assert compose_full(compose_full(f, g).h, h).h.table == \
+               compose_full(f, compose_full(g, h).h).h.table
 
 
 def test_departure_through_transparent_part():
     rng = SplitMix64(53)
     for _ in range(200):
         q = 1 + rng.below(6)
-        t = SegmentMap(tuple(range(2 * q)))
-        g = _rand_map(rng, q)
-        tg = compose_full(t, g, CompositionMemo())
-        gt = compose_full(g, t, CompositionMemo())
+        memo = CompositionMemo()
+        t = memo.canonical(tuple(range(2 * q)))
+        g = _rand_map(rng, q, memo)
+        tg = compose_full(t, g)
+        gt = compose_full(g, t)
         for s in range(q):
             # crossing rightward into g behaves exactly like g
             assert tg.departure(2 * s) == g.table[2 * s]
@@ -455,19 +485,22 @@ def test_departure_through_transparent_part():
 
 
 def test_size_mismatch():
-    f, g = SegmentMap((0, 1)), SegmentMap((0, 1, 2, 3))
+    memo = CompositionMemo()
+    f, g = memo.canonical((0, 1)), memo.canonical((0, 1, 2, 3))
     with pytest.raises(SizeMismatch):
-        compose_full(f, g, CompositionMemo())
+        compose_full(f, g)
     with pytest.raises(SizeMismatch):
         oracle_compose(f, g)
 
 
 @st.composite
 def _map_pairs(draw):
-    """Two segment maps over |Q| in 1..8, 32 or 64; -1 entries are LOOP."""
+    """Two segment maps over |Q| in 1..8, 32 or 64, in one fresh memo; -1
+    entries are LOOP."""
     q = draw(st.one_of(st.integers(1, 8), st.sampled_from((32, 64))))
     entry = st.integers(-1, 2 * q - 1)
-    return tuple(SegmentMap(tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
+    memo = CompositionMemo()
+    return tuple(memo.canonical(tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
                  for _ in range(2))
 
 
@@ -475,7 +508,7 @@ def _map_pairs(draw):
 @given(_map_pairs())
 def test_compose_steps_within_4q_and_matches_oracle(maps):
     f, g = maps
-    r = compose_full(f, g, CompositionMemo())
+    r = compose_full(f, g)
     # one step per h entry, plus one per crossing walked; kept resolutions
     # walk each crossing at most once
     q = f.q_count
@@ -483,9 +516,9 @@ def test_compose_steps_within_4q_and_matches_oracle(maps):
     assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
 
 
-def _loopy_map(rng, q):
-    return SegmentMap(tuple(-1 if rng.below(4) == 0 else rng.below(2 * q)
-                            for _ in range(2 * q)))
+def _loopy_map(rng, q, memo):
+    return memo.canonical(tuple(-1 if rng.below(4) == 0 else rng.below(2 * q)
+                                for _ in range(2 * q)))
 
 
 # Per |Q|: (sum of edges, digest of every h table and departure table).
@@ -511,23 +544,24 @@ def test_compose_kernel_golden(q):
     rng = SplitMix64(0x601D + q)
     digest = hashlib.sha256()
     edges = 0
-    m = _loopy_map(rng, q)
+    memo = CompositionMemo()
+    m = _loopy_map(rng, q, memo)
     for _ in range(200):
-        f, g = _loopy_map(rng, q), _loopy_map(rng, q)
+        f, g = _loopy_map(rng, q, memo), _loopy_map(rng, q, memo)
         for a, b in ((f, g), (m, f)):
-            r = compose_full(a, b, CompositionMemo())
+            r = _walked(a, b)
             digest.update(repr((r.h.table, tuple(map(r.departure, range(2 * q))))).encode())
             edges += r.edges
-        m = compose_full(m, f, CompositionMemo()).h
+        m = _walked(m, f).h
     assert (edges, digest.hexdigest()[:16]) == _KERNEL_GOLDEN[q]
 
 
-def _bouncy_pair(rng, q):
+def _bouncy_pair(rng, q, memo):
     """Maps whose exits mostly cross the seam between them: long crossing
     chains, and cycles among them."""
     def table(cross):
         return tuple((2 * rng.below(q) + (rng.below(4) == 0)) ^ cross for _ in range(2 * q))
-    return SegmentMap(table(0)), SegmentMap(table(1))
+    return memo.canonical(table(0)), memo.canonical(table(1))
 
 
 @pytest.mark.parametrize("q", [*range(1, 9), 32, 64])
@@ -536,12 +570,13 @@ def test_departures_resolve_lazily_in_any_order(q):
     # oracle's, and asking changes neither h nor the edge count
     rng = SplitMix64(0x1A2E + q)
     for i in range(60):
+        memo = CompositionMemo()
         if i % 3 == 2:
-            f, g = _bouncy_pair(rng, q)
+            f, g = _bouncy_pair(rng, q, memo)
         else:
-            f, g = (_loopy_map if i % 3 else _rand_map)(rng, q), _loopy_map(rng, q)
+            f, g = (_loopy_map if i % 3 else _rand_map)(rng, q, memo), _loopy_map(rng, q, memo)
         want_h, want_dep = oracle_compose(f, g)
-        r = compose_full(f, g, CompositionMemo())
+        r = compose_full(f, g)
         edges = r.edges
         order = _shuffled(rng, 2 * q)
         for p in order[:rng.below(2 * q + 1)]:
@@ -554,9 +589,10 @@ def test_edge_witness_catches_a_walk_that_forgets_resolutions(monkeypatch):
     # every h entry funnels into crossing 0 or 1 of the chain 0, 1, ..., 2q-1,
     # which then leaves leftward: the h walk walks the chain once, 4q edges
     q = 8
-    f = SegmentMap(tuple(0 if c % 2 == 0 else min(c + 1, 2 * q - 1) for c in range(2 * q)))
-    g = SegmentMap(tuple(c + 1 if c % 2 == 0 else 1 for c in range(2 * q)))
-    r = compose_full(f, g, CompositionMemo())
+    memo = CompositionMemo()
+    f = memo.canonical(tuple(0 if c % 2 == 0 else min(c + 1, 2 * q - 1) for c in range(2 * q)))
+    g = memo.canonical(tuple(c + 1 if c % 2 == 0 else 1 for c in range(2 * q)))
+    r = compose_full(f, g)
     assert r.h.table == oracle_compose(f, g)[0] == (2 * q - 1,) * (2 * q)
     assert r.edges == 4 * q
 
@@ -572,8 +608,8 @@ def test_edge_witness_catches_a_walk_that_forgets_resolutions(monkeypatch):
         return -1, len(seen)
 
     monkeypatch.setattr(mapping_mod, "_cross", forgetful)
-    # f's row holds the true result, so the faulty walk runs on fresh copies
-    r = compose_full(SegmentMap(f.table), SegmentMap(g.table), CompositionMemo())
+    # f's row holds the true result, so the faulty walk runs in a fresh memo
+    r = _walked(f, g)
     assert r.h.table == (2 * q - 1,) * (2 * q)
     # past criterion 7's and DiffStats' 8|Q| too, not only the 4|Q| bound
     assert r.edges > 8 * q
@@ -600,7 +636,7 @@ def test_describe_pair_is_composition():
     for u in frozen:
         for v in frozen:
             assert _described(c, [u, v]) == \
-                   compose_full(cf_idx(c, u), cf_idx(c, v), c.compose_memo).h.table
+                   compose_full(cf_idx(c, u), cf_idx(c, v)).h.table
 
 
 def test_fold_of_cf_equals_describe_over_anbn_letters():
@@ -610,7 +646,7 @@ def test_fold_of_cf_equals_describe_over_anbn_letters():
         seg = [frozen[rng.below(2)] for _ in range(1 + rng.below(8))]
         m = cf_idx(c, seg[0])
         for i in seg[1:]:
-            m = compose_full(m, cf_idx(c, i), c.compose_memo).h
+            m = compose_full(m, cf_idx(c, i)).h
         assert m.table == _described(c, seg)
 
 
@@ -637,9 +673,10 @@ def test_homomorphism_on_random_machines():
         for _ in range(20):
             u = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(4))]
             v = [frozen[rng.below(len(frozen))] for _ in range(1 + rng.below(4))]
-            f, g = SegmentMap(_described(c, u)), SegmentMap(_described(c, v))
-            assert compose_full(f, g, CompositionMemo()).h.table == _described(c, u + v)
+            memo = CompositionMemo()
+            f, g = memo.canonical(_described(c, u)), memo.canonical(_described(c, v))
+            assert compose_full(f, g).h.table == _described(c, u + v)
             m = cf_idx(c, u[0])
             for i in u[1:] + v:
-                m = compose_full(m, cf_idx(c, i), c.compose_memo).h
+                m = compose_full(m, cf_idx(c, i)).h
             assert m.table == _described(c, u + v)

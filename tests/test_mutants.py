@@ -7,6 +7,10 @@ code of the function that holds the site is swapped into the live function
 through monkeypatch, so every module that imported the function runs the
 mutant, and the original comes back when the test ends; no file is written.
 A change that moves a site updates its entry.
+
+A killer is a named tier-1 test, or the net slice: a slice of the
+differential net, with or without the shadow check, that the unmutated
+engines pass.
 """
 import ast
 import inspect
@@ -17,8 +21,52 @@ import pytest
 
 import limla.linear as linear_mod
 import limla.mapping as mapping_mod
+from limla.difftest import random_words, step_budget, words_upto
+from limla.linear import ShadowMismatch, run_linear
+from limla.model import COUNTED, DLimit
+from limla.naive import run_naive
+from limla.outcome import BudgetExceeded
+from limla.rng import SplitMix64
+from limla.zoo import GenParams, random_automaton
 import test_linear
 import test_mapping
+
+
+def _net_slice(shadow: bool) -> None:
+    """Both engines reach the same verdict, each run within its step budget,
+    on 60 random machines like criterion 1's over every word of up to 6
+    letters, then on 10 counted machines per growing d-limit over 10 words
+    of 16-64 letters each.  The machines are made afresh on every call, so
+    no memo keeps compositions from an earlier call."""
+    master = SplitMix64(0x5E7)
+    cases = []
+    for _ in range(60):
+        aut = random_automaton(GenParams(
+            state_count=1 + master.below(5), dlimit=DLimit.const(master.below(4)),
+            input_alphabet_size=2, tape_per_rank=1 + master.below(2), seed=master.next_u64()))
+        cases.append((aut, words_upto(aut.input_alphabet, 6)))
+    for kind in ("log2", "sqrt", "id"):
+        for _ in range(10):
+            seed = master.next_u64()
+            aut = random_automaton(GenParams(state_count=1 + master.below(5), seed=seed,
+                                             mode=COUNTED, dlimit=DLimit(kind)))
+            cases.append((aut, random_words(aut.input_alphabet, 10, 16, 64, seed)))
+    for aut, words in cases:
+        for word in words:
+            try:
+                got = run_linear(aut, word, shadow=shadow,
+                                 max_steps=step_budget(aut, len(word))).verdict
+            except (BudgetExceeded, ShadowMismatch) as e:
+                got = repr(e)
+            assert got == run_naive(aut, word).verdict, word
+
+
+def net_slice():
+    _net_slice(shadow=False)
+
+
+def net_slice_with_shadow():
+    _net_slice(shadow=True)
 
 
 class Mutant(NamedTuple):
@@ -34,27 +82,32 @@ CATALOGUE = [
     Mutant("evict-leaves-row-entries", mapping_mod,
            "            del f.row[g]\n", "            pass\n",
            test_mapping.test_memo_evicting_every_run_stays_exact),
-    # a miss stores its walk in the row of the caller's map, which may be
-    # an equal copy, rather than the canonical one
-    Mutant("miss-stores-in-callers-row", mapping_mod,
-           "r = fc.row[gc] = _walk_glued", "r = f.row[g] = _walk_glued",
-           test_mapping.test_memo_returns_the_walked_result_once_per_pair),
-    # evict keeps every interned map, whatever its entries
+    # evict keeps every map of the memo, whatever its entries
     Mutant("untrimmed-intern-table", mapping_mod,
            "if m not in keep]", "if False]",
            test_mapping.test_compose_memo_stays_within_its_cap),
-    # a miss walks the caller's maps without interning them
-    Mutant("miss-skips-interning", mapping_mod,
-           "fc, gc = memo.intern(f), memo.intern(g)", "fc, gc = f, g",
+    # canonical makes a second map for a table it already holds
+    Mutant("canonical-makes-a-second-map", mapping_mod,
+           "m = self.maps.get(table)", "m = None",
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
     # a miss stores its entry without counting it
     Mutant("miss-leaves-entry-uncounted", mapping_mod,
-           "            memo.entries += 1\n", "",
+           "        memo.entries += 1\n", "",
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
     # evict keeps the least recently requested entries first
     Mutant("evict-keeps-least-recent", mapping_mod,
            "key=lambda e: e[2].run, reverse=True)", "key=lambda e: e[2].run)",
            test_mapping.test_eviction_keeps_the_most_recently_requested_entries),
+    # the walk keeps the left part's entries for every h entry
+    Mutant("walk-keeps-left-entries", mapping_mod,
+           "    h[1::2] = gt[1::2]\n", "",
+           net_slice),
+    # _cross walks a cycle without its own-mark test and reports the mark,
+    # -2, as the exit; the engine reads any negative exit as LOOP, so only
+    # the shadow check tells
+    Mutant("cross-without-cycle-test", mapping_mod,
+           "            if v == _ON_PATH:\n                v = -1\n", "",
+           net_slice_with_shadow),
     # a left merge leaves the merged neighbour's left cell linked to it
     Mutant("scan-drops-left-relink", linear_mod,
            "        nxt[left] = i\n", "",
@@ -63,6 +116,23 @@ CATALOGUE = [
     Mutant("scan-drops-right-relink", linear_mod,
            "        prev[right] = i\n", "",
            test_linear.test_unlink_relinks_and_marks_dead),
+    # the right merge reroutes an exit that points left, not right
+    Mutant("scan-flips-right-departure-parity", linear_mod,
+           "        if (p & 1) == RIGHT:\n", "        if (p & 1) != RIGHT:\n",
+           net_slice),
+    # the stretch set survives letter visits, so a changed tape looks static
+    Mutant("stretch-not-cleared", linear_mod,
+           "            stretch.clear()\n", "",
+           net_slice),
+    # a map jump reads the entry of the other side
+    Mutant("map-jump-reads-other-side", linear_mod,
+           "out = f.table[2 * state + dr]", "out = f.table[2 * state + 1 - dr]",
+           net_slice),
+    # a cell freezes one visit after its last write; that visit writes
+    # nothing, so verdicts hold and only the scans tell
+    Mutant("freeze-one-visit-late", linear_mod,
+           "if v + 1 >= limit or fixed[w]:", "if v >= limit or fixed[w]:",
+           test_linear.test_even_a_interior_collapses_to_one_map),
 ]
 
 
@@ -96,3 +166,8 @@ def test_mutant_is_killed(monkeypatch, mutant):
     args = [monkeypatch] if "monkeypatch" in inspect.signature(mutant.killer).parameters else []
     with pytest.raises(AssertionError):
         mutant.killer(*args)
+
+
+@pytest.mark.parametrize("check", [net_slice, net_slice_with_shadow])
+def test_net_slice_passes_unmutated(check):
+    check()

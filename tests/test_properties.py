@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limla.fmt import FormatError, parse_machine, serialize_machine
-from limla.mapping import CompositionMemo, SegmentMap, compose_full, oracle_compose
+from limla.mapping import CompositionMemo, compose_full, oracle_compose
 from limla.model import COUNTED, DLimit, RANKED
 from limla.zoo import GenParams, random_automaton
 
@@ -107,10 +107,12 @@ def test_format_error_carries_the_line_number(limit, states, seed, data):
 
 @st.composite
 def _map_triples(draw):
-    """Three random segment maps over one |Q| in 1..6; -1 entries are LOOP."""
+    """Three random segment maps over one |Q| in 1..6, in one fresh memo;
+    -1 entries are LOOP."""
     q = draw(st.integers(1, 6))
     entry = st.integers(-1, 2 * q - 1)
-    return tuple(SegmentMap(tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
+    memo = CompositionMemo()
+    return tuple(memo.canonical(tuple(draw(st.lists(entry, min_size=2 * q, max_size=2 * q))))
                  for _ in range(3))
 
 
@@ -118,7 +120,7 @@ def _map_triples(draw):
 @given(_map_triples())
 def test_compose_agrees_with_oracle(maps):
     f, g, _ = maps
-    r = compose_full(f, g, CompositionMemo())
+    r = compose_full(f, g)
     assert (r.h.table, tuple(map(r.departure, range(2 * f.q_count)))) == oracle_compose(f, g)
 
 
@@ -126,15 +128,14 @@ def test_compose_agrees_with_oracle(maps):
 @given(_map_triples())
 def test_compose_is_associative(maps):
     f, g, h = maps
-    memo = CompositionMemo()
-    assert compose_full(compose_full(f, g, memo).h, h, memo).h.table == \
-        compose_full(f, compose_full(g, h, memo).h, memo).h.table
+    assert compose_full(compose_full(f, g).h, h).h.table == \
+        compose_full(f, compose_full(g, h).h).h.table
 
 
 @settings(max_examples=200, **_SETTINGS)
 @given(_map_triples())
 def test_transparent_map_is_two_sided_identity(maps):
     f = maps[0]
-    t = SegmentMap(tuple(range(2 * f.q_count)))
-    assert compose_full(t, f, CompositionMemo()).h.table == f.table
-    assert compose_full(f, t, CompositionMemo()).h.table == f.table
+    t = f.memo.canonical(tuple(range(2 * f.q_count)))
+    assert compose_full(t, f).h.table == f.table
+    assert compose_full(f, t).h.table == f.table
