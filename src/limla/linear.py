@@ -227,26 +227,22 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
         if f is not None:
             out = f.table[2 * state + dr]
             map_jumps += 1
-            steps += 1
-            if out < 0:
-                verdict, reason = REJECT, MAP_LOOP
-                break
-            if tr is not None:
-                tr.append((steps, pos, state, -2, -2, out & 1, True,
-                           2, False, False, -1, -1))
-            state = out >> 1
-            dr = out & 1
-        else:  # marker
+            s = -2
+        else:  # marker: its move, encoded as a map entry would be
             s = sym[pos]
             k = state * width + s
-            mv = mv_tab[k]
+            out = 2 * to_tab[k] + mv_tab[k]
             marker_moves += 1
-            steps += 1
-            if tr is not None:
-                tr.append((steps, pos, state, s, s, mv, False,
-                           0, False, False, -1, -1))
-            state = to_tab[k]
-            dr = mv
+        steps += 1
+        if out < 0:
+            verdict, reason = REJECT, MAP_LOOP
+            break
+        if tr is not None:
+            jump = f is not None
+            tr.append((steps, pos, state, s, s, out & 1, jump,
+                       2 * jump, False, False, -1, -1))
+        state = out >> 1
+        dr = out & 1
         pos = prev[pos] if dr else nxt[pos]
 
     memo.end_run(nq)

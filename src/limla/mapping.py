@@ -36,9 +36,10 @@ from .model import RIGHT
 # row dict and its slot in the memo's maps.  An entry is charged
 # 16|Q| + 256: 8 bytes per slot of its departure list, and 256 for the list
 # header, the result object and its row slot (a row's first allocates its
-# 160-byte key table).  A map is charged once however many entries share it;
-# the generators are charged but never evicted.  Emptying the rows and the
-# memo's maps freed 62-95% of the charge (tracemalloc, CPython 3.11).
+# 160-byte key table).  A map is charged once however many entries share it.
+# A memo past the cap keeps its generators and nothing else, as a freshly
+# compiled machine does; emptying the rows and the memo's maps freed 60-96%
+# of the charge (tracemalloc, CPython 3.11).
 COMPOSE_MEMO_BYTES = 1 << 17
 
 
@@ -99,7 +100,7 @@ class CompositionResult:
     departure table, resolved on first request per entry into a list that
     the h walk started.  The tables the result reads are those of f and g,
     so its own slots are the 2|Q| of that list.
-    run is the last run of the memo to request it; evict keeps by it.
+    run is the last run of the memo to request it; walks counts by it.
     """
 
     __slots__ = ("h", "edges", "run", "_ft", "_gt", "_dep")
@@ -130,9 +131,10 @@ class CompositionMemo:
     holds the generators, symbol index -> single-cell map (cf_idx).  The
     composition of maps f and g lives in f.row[g] alone: the rows of the
     memo's maps are the memo, and entries counts them.  A run is
-    bracketed by start_run and end_run, which applies the cap, and counts
-    calls, every request; walks, the distinct pairs requested; edges_max,
-    the largest edges among them.
+    bracketed by start_run and end_run, which applies the cap: a memo past
+    it drops every composition and every map but the generators.  A run
+    counts calls, every request; walks, the distinct pairs requested;
+    edges_max, the largest edges among them.
     """
 
     __slots__ = ("run", "calls", "walks", "edges_max", "entries", "maps", "cf")
@@ -154,34 +156,16 @@ class CompositionMemo:
         self.calls = self.walks = self.edges_max = 0
 
     def end_run(self, nq: int) -> None:
-        """Close a run on nq states: past COMPOSE_MEMO_BYTES, evict."""
+        """Close a run on nq states.  Past COMPOSE_MEMO_BYTES, start over from
+        the generators: every row is emptied, which breaks the cycles that
+        results and maps form, so reference counting frees what is dropped,
+        and maps keeps the generators alone."""
         entry, table = 16 * nq + 256, 16 * nq + 224
         if self.entries * entry + len(self.maps) * table > COMPOSE_MEMO_BYTES:
-            self.evict(COMPOSE_MEMO_BYTES, entry, table)
-
-    def evict(self, cap: int, entry: int, table: int) -> None:
-        """Keep row entries, latest run first and in row order within a run,
-        while they, at entry bytes each, and the distinct maps that they and
-        cf use, at table bytes each, charge at most cap; drop the rest from
-        their rows and trim maps to those maps, whose rows then
-        hold every kept entry and nothing else."""
-        keep = set(self.cf.values())
-        charge = len(keep) * table
-        order = sorted(((f, g, r) for f in self.maps.values() for g, r in f.row.items()),
-                       key=lambda e: e[2].run, reverse=True)
-        kept = 0
-        for f, g, r in order:
-            new = {f, g, r.h} - keep
-            charge += entry + len(new) * table
-            if charge > cap:
-                break
-            keep |= new
-            kept += 1
-        for f, g, _ in order[kept:]:
-            del f.row[g]
-        self.entries = kept
-        for t in [t for t, m in self.maps.items() if m not in keep]:
-            del self.maps[t]
+            for m in self.maps.values():
+                m.row.clear()
+            self.maps = {m.table: m for m in self.cf.values()}
+            self.entries = 0
 
 
 def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:

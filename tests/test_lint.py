@@ -234,7 +234,7 @@ def test_engines_take_the_freeze_rule_from_the_model():
 # The composition memo's store, its cap and its charges are facts of
 # mapping.py alone: the linear engine opens and ends a run on the memo and
 # reads its generators, cf, and nothing else of it.
-MEMO_INTERNALS = frozenset({"maps", "row", "entries", "evict", "canonical", "COMPOSE_MEMO_BYTES"})
+MEMO_INTERNALS = frozenset({"maps", "row", "entries", "canonical", "COMPOSE_MEMO_BYTES"})
 MEMO_CHARGES = frozenset({224, 256})  # the per-entry and per-map bytes over 16|Q|
 
 
@@ -249,8 +249,8 @@ def memo_internal_reads(source: str) -> list:
 def test_the_memo_is_mapping_facts_alone():
     assert memo_internal_reads("from .mapping import COMPOSE_MEMO_BYTES\n"
                                "if len(memo.maps) * (16 * q + 224) > COMPOSE_MEMO_BYTES:\n"
-                               "    memo.evict(f.row, memo.entries)\n") == [
-        "COMPOSE_MEMO_BYTES", "entries", "evict", "maps", "row", 224]
+                               "    empty(f.row, memo.entries)\n") == [
+        "COMPOSE_MEMO_BYTES", "entries", "maps", "row", 224]
     assert memo_internal_reads((SRC / "linear.py").read_text(encoding="utf-8")) == []
     defining = [path.name for path in sorted(SRC.glob("*.py"))
                 if "COMPOSE_MEMO_BYTES" in defined_names(ast.parse(path.read_text(encoding="utf-8")))]

@@ -200,15 +200,6 @@ def _charge(memo, q):
     return _memo_bytes(q, len(_entries(memo)), len(memo.maps))
 
 
-def _count_evictions(monkeypatch):
-    """A list that gains an item each time a memo evicts."""
-    evictions = []
-    real_evict = CompositionMemo.evict
-    monkeypatch.setattr(CompositionMemo, "evict",
-                        lambda self, *a: evictions.append(1) or real_evict(self, *a))
-    return evictions
-
-
 def _held_maps(c):
     """The maps that the machine's memo entries and generators keep alive."""
     held = set(c.compose_memo.cf.values())
@@ -225,42 +216,46 @@ def _assert_rows_are_the_memo(memo):
     assert all(maps.get(g.table) is g for _, g in _entries(memo))
 
 
-def _row_check(monkeypatch, memo):
-    """A check to call after each run: _assert_rows_are_the_memo, and no
-    map that the memo no longer holds has a row entry, whether it was made
-    since the last check or held then.  Every map made in mapping is
-    recorded."""
-    made = []
+def _run_ends(monkeypatch):
+    """A list that gains, as each run ends, the charge of its memo before
+    the cap applies and the maps that the memo held then."""
+    ends = []
+    real = CompositionMemo.end_run
 
-    class Recorded(SegmentMap):
-        def __init__(self, table, memo):
-            super().__init__(table, memo)
-            made.append(self)
+    def end_run(self, nq):
+        ends.append((_charge(self, nq), list(self.maps.values())))
+        real(self, nq)
 
-    monkeypatch.setattr(mapping_mod, "SegmentMap", Recorded)
-    held = list(memo.maps.values())
+    monkeypatch.setattr(CompositionMemo, "end_run", end_run)
+    return ends
 
-    def check():
-        nonlocal held
-        _assert_rows_are_the_memo(memo)
-        now = list(memo.maps.values())
-        kept = set(now)
-        assert not any(m.row for m in held + made if m not in kept)
-        held = now
-        made.clear()
-    return check
+
+def _assert_capped(memo, end):
+    """Check what a run's end left in memo, given end from _run_ends:
+    past the cap, the generators alone, no entry and no row in any map
+    that the memo held; under it, the maps that it held, untouched.
+    Returns whether the run passed the cap."""
+    charge, held = end
+    _assert_rows_are_the_memo(memo)
+    past = charge > mapping_mod.COMPOSE_MEMO_BYTES
+    if past:
+        assert memo.maps == {m.table: m for m in memo.cf.values()}
+        assert memo.entries == 0 and not any(m.row for m in held)
+    else:
+        assert list(memo.maps.values()) == held
+    return past
 
 
 def test_compose_memo_stays_within_its_cap(monkeypatch):
-    # after every run the memo and its maps are at most the cap, and
-    # only then are entries evicted, down to a full memo; large machines pass
-    # the cap after a few long words
+    # after every run the memo and its maps are at most the cap: a run that
+    # passes it leaves the generators alone, and any other run leaves the
+    # memo as it ended; large machines pass the cap after a few long words
+    ends = _run_ends(monkeypatch)
     evicted = 0
     for seed in range(16):
         q = (2, 3, 5, 32, 64)[seed % 5]
         aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
         memo = aut.compiled.compose_memo
-        rows_ok = _row_check(monkeypatch, memo)
         if q < 32:
             words = list(words_upto(aut.input_alphabet, 6))
             words += random_words(aut.input_alphabet, 8, 20, 64, seed)
@@ -268,79 +263,46 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
             words = list(words_upto(aut.input_alphabet, 3))
             words += random_words(aut.input_alphabet, 16, 256, 512, seed)
         for word in words:
-            before = _entries(memo).keys()
             run_linear(aut, word)
             assert _charge(memo, q) <= COMPOSE_MEMO_BYTES
-            rows_ok()
-            if not before <= _entries(memo).keys():
-                evicted += 1
-                # the next entry in eviction order, with at most three
-                # tables of its own, did not fit; and no table outlives
-                # what holds it
-                assert _charge(memo, q) + _memo_bytes(q, 1, 3) > COMPOSE_MEMO_BYTES
-                assert set(memo.maps.values()) == _held_maps(aut.compiled)
+            evicted += _assert_capped(memo, ends.pop())
     assert evicted > 0
     # a run cut short by its step budget ends all the same
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
     word = random_words(("a", "b"), 1, 256, 256, 69)[0]
     full = run_linear(random_automaton(params), word)
     aut = random_automaton(params)
-    evictions = _count_evictions(monkeypatch)
     with pytest.raises(BudgetExceeded):
         run_linear(aut, word, max_steps=full.steps - 1)
-    assert evictions == [1]  # the cut run passed the cap
-    assert _charge(aut.compiled.compose_memo, 64) <= COMPOSE_MEMO_BYTES
+    assert _assert_capped(aut.compiled.compose_memo, ends.pop())  # the cut run passed the cap
 
 
-def test_run_past_the_cap_keeps_the_newest_pairs(monkeypatch):
-    # one run requests 71 pairs, more than the cap holds at |Q| = 64 with
-    # their tables; evicting only those that do not fit leaves the rest for
-    # the next run of the word
+def test_run_past_the_cap_frees_what_it_drops():
+    # emptying the rows breaks every cycle among the maps and results that a
+    # run past the cap drops, so reference counting frees them as it ends,
+    # with the cyclic collector off; from its generators alone, this machine
+    # walks every pair of its word again and passes the cap again
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
     word = random_words(("a", "b"), 1, 256, 256, 69)[0]
-    cold = run_linear(random_automaton(params), word)
-    assert cold.compose_walks == 71
     aut = random_automaton(params)
     memo = aut.compiled.compose_memo
     run_linear(aut, word)
-    walks = []
-    real = mapping_mod._walk_glued
-    monkeypatch.setattr(mapping_mod, "_walk_glued",
-                        lambda ft, gt: walks.append(1) or real(ft, gt))
-    for _ in range(2):
-        walks.clear()
-        assert run_linear(aut, word) == cold
-        assert 0 < len(walks) < 71
-        assert 0 < _charge(memo, 64) <= COMPOSE_MEMO_BYTES
-
-
-def test_eviction_keeps_the_most_recently_requested_entries(monkeypatch):
-    # a |Q| = 64 machine passes the cap on most runs of a word list whose
-    # runs share pairs; each eviction keeps entries by the run that last
-    # requested them, the ending run's first, and drops only older ones
-    aut = random_automaton(GenParams(64, 2, COUNTED, DLimit.const(2)))
-    cuts = []
-    real_evict = CompositionMemo.evict
-
-    def evict(self, *a):
-        runs = {key: r.run for key, r in _entries(self).items()}
-        real_evict(self, *a)
-        after = _entries(self).keys()
-        cuts.append((self.run, [runs[key] for key in after],
-                     [run for key, run in runs.items() if key not in after]))
-
-    monkeypatch.setattr(CompositionMemo, "evict", evict)
-    for word in random_words(aut.input_alphabet, 12, 64, 256, 2) * 2:
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
         run_linear(aut, word)
-    mixed = 0
-    for run, kept, dropped in cuts:
-        assert dropped and kept
-        assert min(kept) >= max(dropped)
-        # the run's own entries come first: all of them are kept, or only they are
-        if run in dropped:
-            assert set(kept) == {run}
-        mixed += min(kept) < run
-    assert len(cuts) >= 5 and mixed > 0  # some cuts kept older entries too
+        after = tracemalloc.get_traced_memory()[0]
+        alive = {m for m in gc.get_objects() if type(m) is SegmentMap and m.memo is memo}
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert memo.walks == 71 and memo.entries == 0
+    assert alive == set(memo.maps.values()) == set(memo.cf.values())
+    # the run ended over the cap; what stays is the few kilobytes that the
+    # dict and list free lists keep for reuse
+    assert after - before < COMPOSE_MEMO_BYTES // 8
 
 
 def test_warm_large_machine_walks_no_pair_again(monkeypatch):
@@ -359,6 +321,18 @@ def test_warm_large_machine_walks_no_pair_again(monkeypatch):
     assert second == first  # verdict, steps, moves, scans and the three counts
 
 
+def _runs_under_the_cap(params, words):
+    """The words up to the last that a fresh machine of params runs, one
+    after another, with no run emptying its memo.  Each run composes, so
+    one ends with an entry unless the cap emptied the memo."""
+    aut = random_automaton(params)
+    for i, word in enumerate(words):
+        run_linear(aut, word)
+        if not aut.compiled.compose_memo.entries:
+            return words[:i]
+    return words
+
+
 def test_compose_memo_charge_covers_its_memory():
     # the bytes a memo, its rows and its maps free when all are
     # emptied are at most what run_linear charges them; every departure is
@@ -367,7 +341,7 @@ def test_compose_memo_charge_covers_its_memory():
         (GenParams(1, 0, COUNTED, DLimit.const(2)), (64, 512), 1),
         (GenParams(8, 3, COUNTED, DLimit.const(2)), (64, 512), 1),
         (GenParams(64, 2, COUNTED, DLimit.const(2)), (64, 512), 1),
-        # partial evictions: kept entries share tables with evicted ones
+        # runs that share pairs and tables, up to the last run under the cap
         (GenParams(64, 34, RANKED, DLimit.const(3)), (256, 512), 3),
     ):
         q = params.state_count
@@ -376,10 +350,9 @@ def test_compose_memo_charge_covers_its_memory():
             aut = random_automaton(params)
             c = aut.compiled
             memo = c.compose_memo
-            words = random_words(aut.input_alphabet, 16, *lengths, params.seed)
-            for _ in range(passes):
-                for word in words:
-                    run_linear(aut, word)
+            words = random_words(aut.input_alphabet, 16, *lengths, params.seed) * passes
+            for word in _runs_under_the_cap(params, words):
+                run_linear(aut, word)
             assert set(memo.maps.values()) == _held_maps(c)
             for r in _entries(memo).values():
                 for p in range(2 * q):
@@ -427,29 +400,18 @@ def test_memo_hit_hashes_no_table(q):
 
 
 def test_memo_evicting_every_run_stays_exact(monkeypatch):
-    # with a cap so small that every run evicts, maps leave the memo between
-    # runs and their tables come back as new maps; every entry left must
-    # still be exact, and only the rows of the memo's maps may hold it
+    # with a cap so small that every run empties the memo, each run starts
+    # from the generators and must still equal a cold run
     params = GenParams(64, 34, RANKED, DLimit.const(3))
     aut = random_automaton(params)
     memo = aut.compiled.compose_memo
     words = random_words(aut.input_alphabet, 10, 256, 512, 34)
     cold = [run_linear(random_automaton(params), w) for w in words]
-    cap = _memo_bytes(64, 8, 8)
-    monkeypatch.setattr(mapping_mod, "COMPOSE_MEMO_BYTES", cap)
-    evictions = _count_evictions(monkeypatch)
-    rows_ok = _row_check(monkeypatch, memo)
-    rng = SplitMix64(34)
+    monkeypatch.setattr(mapping_mod, "COMPOSE_MEMO_BYTES", _memo_bytes(64, 8, 8))
+    ends = _run_ends(monkeypatch)
     for i in range(30):
         assert run_linear(aut, words[i % 10]) == cold[i % 10]
-        assert len(evictions) == i + 1
-        assert 0 < _charge(memo, 64) <= cap
-        rows_ok()
-        spare = CompositionMemo()
-        for r in _entries(memo).values():
-            oh, od = oracle_compose(spare.canonical(r._ft), spare.canonical(r._gt))
-            assert r.h.table == oh
-            assert all(r.departure(p) == od[p] for p in _shuffled(rng, 128))
+        assert _assert_capped(memo, ends.pop())
 
 
 def test_associativity():

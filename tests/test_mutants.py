@@ -78,13 +78,17 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = [
-    # evict drops entries from its count but leaves them in the rows
+    # a memo past its cap drops its maps and entries but leaves their rows
     Mutant("evict-leaves-row-entries", mapping_mod,
-           "            del f.row[g]\n", "            pass\n",
+           "                m.row.clear()\n", "                pass\n",
            test_mapping.test_memo_evicting_every_run_stays_exact),
-    # evict keeps every map of the memo, whatever its entries
+    # a memo past its cap empties every row but keeps every map
     Mutant("untrimmed-intern-table", mapping_mod,
-           "if m not in keep]", "if False]",
+           "            self.maps = {m.table: m for m in self.cf.values()}\n", "",
+           test_mapping.test_compose_memo_stays_within_its_cap),
+    # end_run never empties the memo, whatever its charge
+    Mutant("end-run-never-empties", mapping_mod,
+           "> COMPOSE_MEMO_BYTES:", "> COMPOSE_MEMO_BYTES and False:",
            test_mapping.test_compose_memo_stays_within_its_cap),
     # canonical makes a second map for a table it already holds
     Mutant("canonical-makes-a-second-map", mapping_mod,
@@ -94,10 +98,6 @@ CATALOGUE = [
     Mutant("miss-leaves-entry-uncounted", mapping_mod,
            "        memo.entries += 1\n", "",
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
-    # evict keeps the least recently requested entries first
-    Mutant("evict-keeps-least-recent", mapping_mod,
-           "key=lambda e: e[2].run, reverse=True)", "key=lambda e: e[2].run)",
-           test_mapping.test_eviction_keeps_the_most_recently_requested_entries),
     # the walk keeps the left part's entries for every h entry
     Mutant("walk-keeps-left-entries", mapping_mod,
            "    h[1::2] = gt[1::2]\n", "",
