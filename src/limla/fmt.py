@@ -93,7 +93,7 @@ def parse_machine(text: str) -> Automaton:
 
     for key in _DIRECTIVES:
         if key not in seen:
-            raise FormatError(f"missing {key!r} line", no if lines else 1)
+            raise FormatError(f"missing {key!r} line", no)
 
     no, args = seen["mode"]
     if len(args) != 1 or args[0] not in (RANKED, COUNTED):

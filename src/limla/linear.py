@@ -70,7 +70,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     if f is not None:
         comp = compose_full(f, g)
         if (p & 1) != RIGHT:  # heading left, into the merged territory
-            p = comp.departure(p)
+            p = comp.dep[p]
             if p < 0:
                 return p
         g = comp.h
@@ -83,7 +83,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     if f is not None:
         comp = compose_full(g, f)
         if (p & 1) == RIGHT:
-            p = comp.departure(p)
+            p = comp.dep[p]
             if p < 0:
                 return p
         g = comp.h

@@ -15,16 +15,16 @@ seam between them, with no graph built.  Crossing 2p is the head crossing
 the seam rightward in state p, so it exits wherever the right part sends
 entry 2p; crossing 2p+1 crosses leftward and exits wherever the left part
 sends entry 2p+1.  The 2|Q| crossings are also the boundary departure
-table's indices.  One marked walk builds the composed map h, resolving
-only the crossings that h passes through; the rest of the departure table
-is resolved entry by entry when a deletion scan first asks for it.  Both
-share one list of resolutions, so a composition costs O(|Q|) however many
-departures are read.  A composition depends on the two tables alone, so
-a machine can memoize it: its CompositionMemo makes every map, one per
-distinct table, and each map composes in that memo and keeps its
-compositions in its own row, keyed on the right map, so a repeated request
-costs one dict lookup by identity at any |Q|.  The rows are the memo's one
-record of its compositions; it also keeps the monoid's generators and cap.
+table's indices.  One marked walk builds the composed map h and then
+resolves the crossings h did not pass through; both share one list of
+resolutions, so every crossing is walked once and a composition, its
+departure table included, costs O(|Q|).  A composition depends on the two
+tables alone, so a machine can memoize it: its CompositionMemo makes every
+map, one per distinct table, and each map composes in that memo and keeps
+its compositions in its own row, keyed on the right map, so a repeated
+request costs one dict lookup by identity at any |Q|.  The rows are the
+memo's one record of its compositions; it also keeps the monoid's
+generators and cap.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .model import RIGHT
 # (CompositionMemo.end_run).  A map is charged 16|Q| + 224: 8 bytes per
 # slot of its table, and 224 for the tuple header, the SegmentMap, its empty
 # row dict and its slot in the memo's maps.  An entry is charged
-# 16|Q| + 256: 8 bytes per slot of its departure list, and 256 for the list
+# 16|Q| + 256: 8 bytes per slot of its departure tuple, and 256 for the tuple
 # header, the result object and its row slot (a row's first allocates its
 # 160-byte key table).  A map is charged once however many entries share it.
 # A memo past the cap keeps its generators and nothing else, as a freshly
@@ -87,8 +87,8 @@ def cf_idx(c, s: int) -> SegmentMap:
     return m
 
 
-# Marks in a composition's departure list, which otherwise holds resolved
-# exits (-1 = LOOP): a crossing not yet walked, and one on the current walk.
+# Marks in a walk's departure list, which otherwise holds resolved exits
+# (-1 = LOOP): a crossing not yet walked, and one on the current walk.
 _UNSEEN, _ON_PATH = -3, -2
 
 
@@ -96,30 +96,20 @@ class CompositionResult:
     """A composition of adjacent maps f and g.
 
     h is the composed map, the memo's map of its table, and edges the h
-    walk's loop iterations, in [2|Q|, 4|Q|].  departure(p) is the boundary
-    departure table, resolved on first request per entry into a list that
-    the h walk started.  The tables the result reads are those of f and g,
-    so its own slots are the 2|Q| of that list.
-    run is the last run of the memo to request it; walks counts by it.
+    walk's loop iterations, in [2|Q|, 4|Q|].  dep is the boundary departure
+    table: dep[p] is where the head leaves the combined segment after
+    crossing the seam in directed state p (rightward into g, leftward into
+    f); -1 = LOOP.  run is the last run of the memo to request it; walks
+    counts by it.
     """
 
-    __slots__ = ("h", "edges", "run", "_ft", "_gt", "_dep")
+    __slots__ = ("h", "edges", "run", "dep")
 
-    def __init__(self, h: SegmentMap, edges: int, ft: tuple, gt: tuple, dep: list):
+    def __init__(self, h: SegmentMap, edges: int, dep: tuple):
         self.h = h
         self.edges = edges
         self.run = -1
-        self._ft = ft
-        self._gt = gt
-        self._dep = dep
-
-    def departure(self, p: int) -> int:
-        """Where the head leaves the combined segment after crossing the seam
-        in directed state p (rightward into g, leftward into f); -1 = LOOP."""
-        v = self._dep[p]
-        if v == _UNSEEN:
-            v = _cross(self._ft, self._gt, self._dep, p)[0]
-        return v
+        self.dep = dep
 
 
 class CompositionMemo:
@@ -169,7 +159,7 @@ class CompositionMemo:
 
 
 def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
-    """Compose adjacent segment maps; the result also answers departures.
+    """Compose adjacent segment maps; the result also holds the departures.
 
     The result depends on the two tables alone: maps over one machine form
     a finite monoid, and f and g are maps of one memo, f.memo, the
@@ -177,17 +167,16 @@ def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
     first request for a pair reaches the walk, which stores the result in
     f.row[g], its one record, with h the memo's map of its table.  Every
     later request, in this run or a later one, hits there without hashing
-    a table and returns the same CompositionResult, with every departure
-    an earlier request resolved.  The memo counts every request in
-    memo.calls, a miss in entries, and a pair's first request in this run
-    (memo.run, stamped on the result) in walks and edges_max.
+    a table and returns the same CompositionResult.  The memo counts every
+    request in memo.calls, a miss in entries, and a pair's first request in
+    this run (memo.run, stamped on the result) in walks and edges_max.
     """
     memo = f.memo
     memo.calls += 1
     r = f.row.get(g)
     if r is None:
         h, edges, dep = _walk_glued(f.table, g.table)
-        r = f.row[g] = CompositionResult(memo.canonical(h), edges, f.table, g.table, dep)
+        r = f.row[g] = CompositionResult(memo.canonical(h), edges, dep)
         memo.entries += 1
     if r.run != memo.run:
         r.run = memo.run
@@ -198,7 +187,7 @@ def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
 
 
 def _walk_glued(ft: tuple, gt: tuple) -> tuple:
-    """The composed table of ft and gt, edges and the departure list, by
+    """The composed table of ft and gt, edges and the departure table, by
     one marked walk.
 
     Entry 2q enters the left part and entry 2q+1 the right part; h takes
@@ -206,8 +195,9 @@ def _walk_glued(ft: tuple, gt: tuple) -> tuple:
     pointing right, a right-part exit pointing left), and then the
     resolution of that crossing.  Crossings resolve through _cross into one
     list that keeps every resolution, so a crossing is walked at most once
-    and edges (one per entry plus one per crossing walked) lies in
-    [2|Q|, 4|Q|].
+    and edges (one per entry plus one per crossing the h walk walked) lies
+    in [2|Q|, 4|Q|].  The crossings h did not reach are resolved after it,
+    uncounted, which completes the departure table.
     """
     n = len(ft)
     if n != len(gt):
@@ -224,7 +214,10 @@ def _walk_glued(ft: tuple, gt: tuple) -> tuple:
                 v, k = _cross(ft, gt, dep, out)
                 hops += k
             h[c] = v
-    return tuple(h), n + hops, dep
+    for c in range(n):
+        if dep[c] == _UNSEEN:
+            _cross(ft, gt, dep, c)
+    return tuple(h), n + hops, tuple(dep)
 
 
 def _cross(ft: tuple, gt: tuple, dep: list, c: int) -> tuple:

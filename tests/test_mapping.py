@@ -46,15 +46,6 @@ def _walked(f, g):
     return compose_full(m.canonical(f.table), m.canonical(g.table))
 
 
-def _shuffled(rng, n):
-    """range(n) in a seeded random order (Fisher-Yates)."""
-    order = list(range(n))
-    for k in range(n - 1, 0, -1):
-        j = rng.below(k + 1)
-        order[k], order[j] = order[j], order[k]
-    return order
-
-
 def all_q1_maps(memo):
     return [memo.canonical((a, b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
 
@@ -126,7 +117,7 @@ def test_two_cycle_composes_to_loop():
     assert r.h.table == (-1, -1)
     assert oracle_compose(f, g)[0] == (-1, -1)
     # the boundary departure is the same forced cycle
-    assert r.departure(2 * 0 + RIGHT) == -1
+    assert r.dep[2 * 0 + RIGHT] == -1
 
 
 def test_compose_matches_oracle_randomized():
@@ -138,7 +129,7 @@ def test_compose_matches_oracle_randomized():
         r = compose_full(f, g)
         oh, od = oracle_compose(f, g)
         assert r.h.table == oh
-        assert tuple(map(r.departure, range(2 * q))) == od
+        assert r.dep == od
         assert 2 * q <= r.edges <= 4 * q
 
 
@@ -153,7 +144,7 @@ def test_memo_returns_the_walked_result_once_per_pair():
         r = compose_full(f, g)
         plain = _walked(f, g)
         assert (r.h.table, r.edges) == (plain.h.table, plain.edges)
-        assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
+        assert (r.h.table, r.dep) == oracle_compose(f, g)
         assert r.h is memo.canonical(r.h.table) and r.h.memo is memo
         # equal tables that are distinct objects (tuple() of a tuple would
         # return the same one) have the same map, so a repeat request is a hit
@@ -335,8 +326,7 @@ def _runs_under_the_cap(params, words):
 
 def test_compose_memo_charge_covers_its_memory():
     # the bytes a memo, its rows and its maps free when all are
-    # emptied are at most what run_linear charges them; every departure is
-    # resolved first, so each entry holds all it ever will
+    # emptied are at most what run_linear charges them
     for params, lengths, passes in (
         (GenParams(1, 0, COUNTED, DLimit.const(2)), (64, 512), 1),
         (GenParams(8, 3, COUNTED, DLimit.const(2)), (64, 512), 1),
@@ -354,10 +344,6 @@ def test_compose_memo_charge_covers_its_memory():
             for word in _runs_under_the_cap(params, words):
                 run_linear(aut, word)
             assert set(memo.maps.values()) == _held_maps(c)
-            for r in _entries(memo).values():
-                for p in range(2 * q):
-                    r.departure(p)
-            r = None  # hold no entry past the clear
             entries, tables = memo.entries, len(memo.maps)
             own = tables - len(set(memo.cf.values()))
             gc.collect()
@@ -370,7 +356,7 @@ def test_compose_memo_charge_covers_its_memory():
         finally:
             tracemalloc.stop()
         assert entries >= 4
-        # each entry frees its departure list, each table that is not a
+        # each entry frees its departure tuple, each table that is not a
         # generator its slots
         assert 16 * q * (entries + own) < freed <= _memo_bytes(q, entries, tables)
 
@@ -441,9 +427,9 @@ def test_departure_through_transparent_part():
         gt = compose_full(g, t)
         for s in range(q):
             # crossing rightward into g behaves exactly like g
-            assert tg.departure(2 * s) == g.table[2 * s]
+            assert tg.dep[2 * s] == g.table[2 * s]
             # crossing leftward into g (right part is transparent)
-            assert gt.departure(2 * s + 1) == g.table[2 * s + 1]
+            assert gt.dep[2 * s + 1] == g.table[2 * s + 1]
 
 
 def test_size_mismatch():
@@ -475,7 +461,7 @@ def test_compose_steps_within_4q_and_matches_oracle(maps):
     # walk each crossing at most once
     q = f.q_count
     assert 2 * q <= r.edges <= 4 * q
-    assert (r.h.table, tuple(map(r.departure, range(2 * q)))) == oracle_compose(f, g)
+    assert (r.h.table, r.dep) == oracle_compose(f, g)
 
 
 def _loopy_map(rng, q, memo):
@@ -485,9 +471,10 @@ def _loopy_map(rng, q, memo):
 
 # Per |Q|: (sum of edges, digest of every h table and departure table).
 # The digests were recorded with the glued-graph walk that the fused kernel
-# replaced, and the crossing walk with lazy departures left them as they
-# were; the sums count h walk loop iterations, each checked against 2|Q|
-# plus an independent count of the crossings reachable from h's entries.
+# replaced, and the crossing walk, which completes the departure table
+# after h, left them as they were; the sums count h walk loop iterations,
+# each checked against 2|Q| plus an independent count of the crossings
+# reachable from h's entries.
 _KERNEL_GOLDEN = {
     1: (1106, "bee8ddd8fe6b4b2c"),
     2: (2158, "1c0632ff7bf36b87"),
@@ -512,7 +499,7 @@ def test_compose_kernel_golden(q):
         f, g = _loopy_map(rng, q, memo), _loopy_map(rng, q, memo)
         for a, b in ((f, g), (m, f)):
             r = _walked(a, b)
-            digest.update(repr((r.h.table, tuple(map(r.departure, range(2 * q))))).encode())
+            digest.update(repr((r.h.table, r.dep)).encode())
             edges += r.edges
         m = _walked(m, f).h
     assert (edges, digest.hexdigest()[:16]) == _KERNEL_GOLDEN[q]
@@ -526,10 +513,30 @@ def _bouncy_pair(rng, q, memo):
     return memo.canonical(table(0)), memo.canonical(table(1))
 
 
+def _h_crossings(f, g):
+    """How many crossings the h entries of f and g reach, each counted
+    once, by plain path following: the h walk's share of edges."""
+    ft, gt = f.table, g.table
+    seen = set()
+    for c in range(len(ft)):
+        out = (gt if c & 1 else ft)[c]
+        if out < 0 or (out ^ c) & 1:
+            continue  # h takes this exit as it is
+        while out not in seen:  # crossing out, which exits into v
+            seen.add(out)
+            v = (ft if out & 1 else gt)[out]
+            if v < 0 or not (v ^ out) & 1:
+                break
+            out = v
+    return len(seen)
+
+
 @pytest.mark.parametrize("q", [*range(1, 9), 32, 64])
-def test_departures_resolve_lazily_in_any_order(q):
-    # departures asked for in random order, some and then all, equal the
-    # oracle's, and asking changes neither h nor the edge count
+def test_walk_resolves_every_departure(q):
+    # right after the walk the departure table is complete, a tuple of
+    # exits and LOOP with no walk mark left in it, and equals the oracle's;
+    # completing it moves neither h nor edges, which counts the crossings
+    # that h reaches and no other
     rng = SplitMix64(0x1A2E + q)
     for i in range(60):
         memo = CompositionMemo()
@@ -539,12 +546,9 @@ def test_departures_resolve_lazily_in_any_order(q):
             f, g = (_loopy_map if i % 3 else _rand_map)(rng, q, memo), _loopy_map(rng, q, memo)
         want_h, want_dep = oracle_compose(f, g)
         r = compose_full(f, g)
-        edges = r.edges
-        order = _shuffled(rng, 2 * q)
-        for p in order[:rng.below(2 * q + 1)]:
-            assert r.departure(p) == want_dep[p]
-        assert [r.departure(p) for p in reversed(order)] == [want_dep[p] for p in reversed(order)]
-        assert (r.h.table, r.edges) == (want_h, edges)
+        assert type(r.dep) is tuple and min(r.dep) >= -1
+        assert r.dep == want_dep
+        assert (r.h.table, r.edges) == (want_h, 2 * q + _h_crossings(f, g))
 
 
 def test_edge_witness_catches_a_walk_that_forgets_resolutions(monkeypatch):

@@ -8,13 +8,13 @@ through monkeypatch, so every module that imported the function runs the
 mutant, and the original comes back when the test ends; no file is written.
 A change that moves a site updates its entry.
 
-A killer is a named tier-1 test, or the net slice: a slice of the
-differential net, with or without the shadow check, that the unmutated
-engines pass.
+A killer is a named tier-1 test, bound to one parameter if it takes one,
+or the net slice: a slice of the differential net, with or without the
+shadow check, that the unmutated engines pass.
 """
 import ast
 import inspect
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import pytest
@@ -108,6 +108,12 @@ CATALOGUE = [
     Mutant("cross-without-cycle-test", mapping_mod,
            "            if v == _ON_PATH:\n                v = -1\n", "",
            net_slice_with_shadow),
+    # the walk returns once h is built, leaving the crossings h did not
+    # reach marked unseen in the departure table
+    Mutant("walk-leaves-departures-unresolved", mapping_mod,
+           "    for c in range(n):\n        if dep[c] == _UNSEEN:\n"
+           "            _cross(ft, gt, dep, c)\n", "",
+           partial(test_mapping.test_walk_resolves_every_departure, 8)),
     # a left merge leaves the merged neighbour's left cell linked to it
     Mutant("scan-drops-left-relink", linear_mod,
            "        nxt[left] = i\n", "",
