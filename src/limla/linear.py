@@ -16,12 +16,13 @@ frozen letter would persist and no case could handle its next visit.
 
 A map lookup answers LOOP only for loops inside one frozen segment.
 Loops that bounce off the end markers never stay inside a segment, so the
-engine also keeps an exact stretch detector: a set of (position, state,
-arrival direction) triples, cleared on every letter visit (each such
-visit advances a bounded per-cell budget and changes what the engine will
-do there next).  Between letter visits the tape is completely static, so
-a repeated triple replays forever.  Arrival direction matters because map
-cells, unlike letters, react to it.
+engine also keeps an exact stretch detector: a set of (position, directed
+state) pairs, cleared on every letter visit (each such visit advances a
+bounded per-cell budget and changes what the engine will do there next).
+Between letter visits the tape is completely static, so a repeated pair
+replays forever.  The head is itself a directed state, 2 * state + dir,
+the encoding the maps read, so its arrival side, to which map cells react
+unlike letters, is in the key.
 """
 from __future__ import annotations
 
@@ -132,7 +133,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     descriptions are memoized per machine on the letters of the segment
     (SHADOW_MEMO_SLOTS), but the comparison runs after every scan.
     Verdicts always match run_naive; steps count letter moves, scans, map
-    jumps and marker moves.
+    jumps and marker moves.  The head is a directed state, the encoding the
+    maps read, and the stretch detector's key is 2 * pos * |Q| + head.
 
     Consecutive visits to letter cells make one letter run, an inner loop
     that hands back to the main loop only on a map cell, a marker, a
@@ -153,15 +155,14 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
 
     width = c.width
     nq = c.n_states
-    to_tab, wr_tab, mv_tab = c.to_tab, c.wr_tab, c.mv_tab
+    wr_tab, out_tab = c.wr_tab, c.out_tab
     accepting = c.accepting
     fixed = c.fixed
     cf = memo.cf
     limit = visit_limit(aut, n)
     budget = sys.maxsize if max_steps is None else max_steps
 
-    state = c.start_idx
-    dr = RIGHT
+    head = 2 * c.start_idx + RIGHT
     pos = 1
     steps = map_jumps = scans = marker_moves = 0
     stretch = set()
@@ -169,7 +170,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     verdict = reason = None
 
     while True:
-        if pos == n + 1 and accepting[state]:
+        if pos == n + 1 and accepting[head >> 1]:
             verdict = ACCEPT
             break
         if steps >= budget:
@@ -179,22 +180,22 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             stretch.clear()
             while True:  # the letter run: see the docstring
                 s = sym[pos]
-                k = state * width + s
+                k = (head >> 1) * width + s
                 v = visits[pos]
                 visits[pos] = v + 1
                 w = s if v >= limit else wr_tab[k]
-                mv = mv_tab[k]
+                out = out_tab[k]
                 steps += 1
                 if w != s:
                     sym[pos] = w
                 if v + 1 >= limit or fixed[w]:
                     g = cf.get(w) or cf_idx(c, w)
                     if tr is None:
-                        out = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
+                        out = deletion_scan(tape, pos, out, g)
                     else:
-                        left, right = prev[pos], nxt[pos]
-                        out = deletion_scan(tape, pos, 2 * to_tab[k] + mv, g)
-                        tr.append((steps, pos, state, s, w, mv, v >= limit, 1,
+                        left, right, mv = prev[pos], nxt[pos], out & 1
+                        out = deletion_scan(tape, pos, out, g)
+                        tr.append((steps, pos, head >> 1, s, w, mv, v >= limit, 1,
                                    prev[pos] != left, nxt[pos] != right,
                                    prev[pos] + 1, nxt[pos] - 1))
                     scans += 1
@@ -205,33 +206,28 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         _shadow_check(c, tape, pos)
                     else:
                         assert fmap[prev[pos]] is None and fmap[nxt[pos]] is None
-                    state = out >> 1
-                    dr = out & 1
-                else:
-                    if tr is not None:
-                        tr.append((steps, pos, state, s, w, mv, False,
-                                   0, False, False, -1, -1))
-                    state = to_tab[k]
-                    dr = mv
-                pos = prev[pos] if dr else nxt[pos]
+                elif tr is not None:
+                    tr.append((steps, pos, head >> 1, s, w, out & 1, False,
+                               0, False, False, -1, -1))
+                head = out
+                pos = prev[pos] if out & 1 else nxt[pos]
                 if fmap[pos] is not None or not 0 < pos <= n or steps >= budget:
                     break
             if verdict is not None:
                 break
             continue
-        key = ((pos * nq + state) << 1) | dr
+        key = 2 * pos * nq + head
         if key in stretch:
             verdict, reason = REJECT, LOOP_DETECTED
             break
         stretch.add(key)
         if f is not None:
-            out = f.table[2 * state + dr]
+            out = f.table[head]
             map_jumps += 1
             s = -2
-        else:  # marker: its move, encoded as a map entry would be
+        else:  # marker: its transition's exit, read as a map entry would be
             s = sym[pos]
-            k = state * width + s
-            out = 2 * to_tab[k] + mv_tab[k]
+            out = out_tab[(head >> 1) * width + s]
             marker_moves += 1
         steps += 1
         if out < 0:
@@ -239,11 +235,10 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             break
         if tr is not None:
             jump = f is not None
-            tr.append((steps, pos, state, s, s, out & 1, jump,
+            tr.append((steps, pos, head >> 1, s, s, out & 1, jump,
                        2 * jump, False, False, -1, -1))
-        state = out >> 1
-        dr = out & 1
-        pos = prev[pos] if dr else nxt[pos]
+        head = out
+        pos = prev[pos] if out & 1 else nxt[pos]
 
     memo.end_run(nq)
     if verdict is None:

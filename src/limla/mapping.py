@@ -71,18 +71,15 @@ class SegmentMap:
 
 def cf_idx(c, s: int) -> SegmentMap:
     """Single-cell map for the letter with symbol index s: a generator of the
-    machine's compose_memo, made by its canonical and kept in its cf."""
+    machine's compose_memo, made by its canonical and kept in its cf.  Its
+    entries are the column of out_tab for s, each state's exit on s."""
     memo = c.compose_memo
     m = memo.cf.get(s)
     if m is None:
-        w = c.width
-        tab = [0] * (2 * c.n_states)
-        to_tab, mv_tab = c.to_tab, c.mv_tab
-        for q in range(c.n_states):
-            k = q * w + s
-            out = 2 * to_tab[k] + mv_tab[k]
-            tab[2 * q] = out      # one step always leaves a one-cell segment,
-            tab[2 * q + 1] = out  # so the entry side is irrelevant
+        col = c.out_tab[s::c.width]
+        tab = [0] * (2 * len(col))
+        # one step always leaves a one-cell segment, so the entry side is irrelevant
+        tab[::2] = tab[1::2] = col
         m = memo.cf[s] = memo.canonical(tuple(tab))
     return m
 

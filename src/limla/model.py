@@ -143,7 +143,9 @@ class CompiledAutomaton:
 
     Symbols are indexed in tape declaration order; the two markers get the
     last two indices (left marker first).  Transition tables are flat lists
-    indexed by state * width + symbol.
+    indexed by state * width + symbol.  out_tab[k] = 2 * to_tab[k] + mv_tab[k]
+    is the exit as a directed state, the map entry encoding the linear engine
+    reads; the oracles run_naive and describe_indices read to_tab and mv_tab.
     """
 
     n_states: int
@@ -156,6 +158,7 @@ class CompiledAutomaton:
     to_tab: list
     wr_tab: list
     mv_tab: list
+    out_tab: list            # transition -> its exit as a directed state (linear)
     fixed: list              # symbol -> a cell holding it takes no more writes
     compose_memo: CompositionMemo    # maps, their compositions and generators (mapping)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
@@ -209,6 +212,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
         start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
+        out_tab=[2 * t + m for t, m in zip(to_tab, mv_tab)],
         fixed=fixed, compose_memo=CompositionMemo(), shadow_cache={},
     )
 

@@ -231,6 +231,32 @@ def test_engines_take_the_freeze_rule_from_the_model():
     assert found == {"naive.py": [], "linear.py": []}
 
 
+# Each transition's exit is compiled once, as a directed state, into
+# CompiledAutomaton.out_tab, which the linear engine and cf_idx read; of
+# the two modules only the oracle describe_indices reads the step tables.
+STEP_TABLES = frozenset({"to_tab", "mv_tab"})
+
+
+def step_table_reads(source: str) -> dict:
+    """For each top-level statement of a module that reads names of
+    STEP_TABLES, those names, keyed on its name or "<module>"."""
+    found = {}
+    for node in ast.parse(source).body:
+        names = sorted(read_names(node) & STEP_TABLES)
+        if names:
+            found[getattr(node, "name", "<module>")] = names
+    return found
+
+
+def test_the_engine_reads_exits_from_the_exit_table():
+    assert step_table_reads("to_tab = c.to_tab\ndef f(c, k):\n    return c.mv_tab[k]\n"
+                            "class C:\n    def g(self, c):\n        return c.out_tab\n") == {
+        "<module>": ["to_tab"], "f": ["mv_tab"]}
+    found = {name: step_table_reads((SRC / name).read_text(encoding="utf-8"))
+             for name in ("linear.py", "mapping.py")}
+    assert found == {"linear.py": {}, "mapping.py": {"describe_indices": ["mv_tab", "to_tab"]}}
+
+
 # The composition memo's store, its cap and its charges are facts of
 # mapping.py alone: the linear engine opens and ends a run on the memo and
 # reads its generators, cf, and nothing else of it.

@@ -132,7 +132,11 @@ CATALOGUE = [
            net_slice),
     # a map jump reads the entry of the other side
     Mutant("map-jump-reads-other-side", linear_mod,
-           "out = f.table[2 * state + dr]", "out = f.table[2 * state + 1 - dr]",
+           "out = f.table[head]", "out = f.table[head ^ 1]",
+           net_slice),
+    # a letter's single-cell map takes the exits of the next letter's column
+    Mutant("cf-reads-next-column", mapping_mod,
+           "c.out_tab[s::c.width]", "c.out_tab[s + 1::c.width]",
            net_slice),
     # a cell freezes one visit after its last write; that visit writes
     # nothing, so verdicts hold and only the scans tell
