@@ -2,6 +2,11 @@
 
 Exit codes are a stable contract: 0 accept/ok, 1 reject (or fuzz found
 divergences), 2 usage/format/validation error, 3 step budget exceeded.
+
+Usage errors have one channel: a command or helper raises UsageError with
+one message per argument, and main prints each as one `error: ...` line on
+stderr and exits 2.  The one exception is `check`, whose violations are its
+output, on stdout.
 """
 from __future__ import annotations
 
@@ -30,39 +35,30 @@ _EXHAUSTIVE_CAP = 10
 _EXTRA_FUZZ_WORDS = 16
 
 
+class UsageError(Exception):
+    """A bad invocation or input; main prints each argument as an error line."""
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            text = fp.read()
+            return parse_machine(fp.read())
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None
-    except UnicodeDecodeError as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        return None
-    try:
-        return parse_machine(text)
-    except FormatError as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        return None
+        raise UsageError(str(e))
+    except (UnicodeDecodeError, FormatError) as e:
+        raise UsageError(f"{path}: {e}")
 
 
 def _load_valid(path: str):
     aut = _load(path)
-    if aut is None:
-        return None
     report = validate_automaton(aut)
     if not report.ok:
-        for v in report.violations:
-            print(f"error: {path}: {v}", file=sys.stderr)
-        return None
+        raise UsageError(*(f"{path}: {v}" for v in report.violations))
     return aut
 
 
 def cmd_check(args) -> int:
     aut = _load(args.file)
-    if aut is None:
-        return EXIT_USAGE
     report = validate_automaton(aut)
     if report.ok:
         print("ok")
@@ -72,10 +68,9 @@ def cmd_check(args) -> int:
     return EXIT_USAGE
 
 
-def _parse_word(args, aut) -> tuple | None:
+def _parse_word(args, aut) -> tuple:
     if args.input is not None and args.input_tokens is not None:
-        print("error: give either --input or --input-tokens, not both", file=sys.stderr)
-        return None
+        raise UsageError("give either --input or --input-tokens, not both")
     if args.input_tokens is not None:
         toks = tuple(t for t in args.input_tokens.split(",") if t)
     elif args.input is not None:
@@ -88,8 +83,7 @@ def _parse_word(args, aut) -> tuple | None:
     try:
         word_indices(aut, toks)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None
+        raise UsageError(str(e))
     return toks
 
 
@@ -98,32 +92,21 @@ def _open_output(path: str, option: str, **kwargs):
     try:
         return open(path, "w", encoding="utf-8", **kwargs)
     except OSError as e:
-        print(f"error: {option}: {e}", file=sys.stderr)
-        return None
+        raise UsageError(f"{option}: {e}")
 
 
 def cmd_run(args) -> int:
     if args.max_steps is not None and args.max_steps < 0:
-        print("error: --max-steps must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--max-steps must be >= 0")
     if args.shadow and args.engine != "linear":
-        print("error: --shadow needs --engine linear", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--shadow needs --engine linear")
     aut = _load_valid(args.file)
-    if aut is None:
-        return EXIT_USAGE
     word = _parse_word(args, aut)
-    if word is None:
-        return EXIT_USAGE
     runner = run_naive if args.engine == "naive" else run_linear
     kwargs = {"trace": bool(args.trace), "max_steps": args.max_steps}
     if args.shadow:
         kwargs["shadow"] = True
-    trace_fp = None
-    if args.trace:
-        trace_fp = _open_output(args.trace, "--trace")
-        if trace_fp is None:
-            return EXIT_USAGE
+    trace_fp = _open_output(args.trace, "--trace") if args.trace else None
     try:
         with trace_fp or contextlib.nullcontext():
             try:
@@ -134,8 +117,7 @@ def cmd_run(args) -> int:
             if trace_fp:
                 write_trace(aut, out, args.engine, trace_fp)
     except OSError as e:  # the trace's write or close, not the engine
-        print(f"error: --trace: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--trace: {e}")
     print(out.verdict)
     print(f"steps {out.steps}")
     return EXIT_ACCEPT if out.accepted else EXIT_REJECT
@@ -143,47 +125,37 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     aut = _load_valid(args.file)
-    if aut is None:
-        return EXIT_USAGE
     gen = args.gen
     seed = 0
     if gen.startswith("random:"):
         try:
             seed = int(gen.split(":", 1)[1])
         except ValueError:
-            print(f"error: bad generator {gen!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"bad generator {gen!r}")
         gen = "random"
     if gen not in benchmod.GENERATORS:
-        print(f"error: unknown generator {args.gen!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown generator {args.gen!r}")
     try:
         lengths = [int(t) for t in args.lengths.split(",") if t]
     except ValueError:
-        print(f"error: bad lengths {args.lengths!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad lengths {args.lengths!r}")
     if any(n < 0 for n in lengths):
-        print(f"error: --lengths must be >= 0, got {args.lengths!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--lengths must be >= 0, got {args.lengths!r}")
+    if any(n > sys.maxsize for n in lengths):  # longer than any word can be indexed
+        raise UsageError(f"--lengths must be <= {sys.maxsize}, got {args.lengths!r}")
     engines = ("naive", "linear") if args.engine == "both" else (args.engine,)
     machine_id = os.path.splitext(os.path.basename(args.file))[0]
-    out_fp = None
-    if args.out:
-        out_fp = _open_output(args.out, "--out", newline="")
-        if out_fp is None:
-            return EXIT_USAGE
+    out_fp = _open_output(args.out, "--out", newline="") if args.out else None
     try:
         with out_fp or contextlib.nullcontext():
             try:
                 rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
             except ValueError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return EXIT_USAGE
+                raise UsageError(str(e))
             if out_fp is not None:
                 benchmod.write_csv(rows, out_fp)
     except OSError as e:  # the CSV's write or close
-        print(f"error: --out: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--out: {e}")
     if out_fp is None:
         benchmod.write_csv(rows, sys.stdout)
     return EXIT_ACCEPT
@@ -210,8 +182,8 @@ def _dump_reproducer(outdir: str, aut, div) -> None:
             fp.write(f"linear verdict: {div.linear.verdict} steps: {div.linear.steps}\n")
 
 
-def _out_dir_problem(path: str) -> str | None:
-    """Why reproducers could not be written under path, or None.
+def _check_out_dir(path: str) -> None:
+    """Raise UsageError if reproducers could not be written under path.
 
     Checks the nearest existing ancestor, creating nothing: a clean fuzz run
     leaves no directory behind.
@@ -220,36 +192,29 @@ def _out_dir_problem(path: str) -> str | None:
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
-        return f"{probe} is not a directory"
+        raise UsageError(f"--out-dir: {probe} is not a directory")
     if not os.access(probe, os.W_OK | os.X_OK):
-        return f"{probe} is not writable"
-    return None
+        raise UsageError(f"--out-dir: {probe} is not writable")
 
 
 def cmd_fuzz(args) -> int:
     if min(args.states, args.machines, args.alphabet_size) < 1 or args.maxlen < 0:
-        print("error: fuzz parameters must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("fuzz parameters must be positive")
+    if args.maxlen > sys.maxsize:  # longer than any word can be indexed
+        raise UsageError(f"--maxlen must be <= {sys.maxsize}")
     if args.alphabet_size > len(INPUT_LETTERS):
-        print(f"error: --alphabet-size: the generator has {len(INPUT_LETTERS)} input letters",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--alphabet-size: the generator has {len(INPUT_LETTERS)} input letters")
     mode = RANKED if args.mode == "ranked" else COUNTED
     try:
         dlimit = parse_dlimit(args.d, mode)
     except ValueError as e:
-        print(f"error: --d: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--d: {e}")
     symbols = symbol_count(GenParams(args.states, 0, mode, dlimit, args.alphabet_size))
     if args.states * symbols > MAX_TRANSITIONS:
         option = "--d" if symbols > MAX_TRANSITIONS else "--states"
-        print(f"error: {option}: {args.states} states x {symbols} symbols is over the "
-              f"generator's {MAX_TRANSITIONS} transitions", file=sys.stderr)
-        return EXIT_USAGE
-    problem = _out_dir_problem(args.out_dir)
-    if problem is not None:
-        print(f"error: --out-dir: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"{option}: {args.states} states x {symbols} symbols is over the "
+                         f"generator's {MAX_TRANSITIONS} transitions")
+    _check_out_dir(args.out_dir)
     master = SplitMix64(args.seed)
     stats = DiffStats()
     divergences = 0
@@ -273,8 +238,7 @@ def cmd_fuzz(args) -> int:
                 try:
                     _dump_reproducer(outdir, aut, div)
                 except OSError as e:
-                    print(f"error: --out-dir: {e}", file=sys.stderr)
-                    return EXIT_USAGE
+                    raise UsageError(f"--out-dir: {e}")
                 print(f"divergence: machine {idx} word {','.join(word) or '<empty>'} "
                       f"({div.kind}: {div.detail}) -> {outdir}")
                 break
@@ -347,7 +311,12 @@ def _silence_stdout() -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except UsageError as e:
+            for message in e.args:
+                print(f"error: {message}", file=sys.stderr)
+            code = EXIT_USAGE
         sys.stdout.flush()
     except OSError as e:  # the commands handle their own files: this is stdout
         print(f"error: stdout: {e}", file=sys.stderr)

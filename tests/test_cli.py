@@ -9,7 +9,7 @@ import pytest
 import limla
 from limla.cli import main
 from limla.fmt import parse_machine
-from limla.model import word_indices
+from limla.model import validate_automaton, word_indices
 
 MACHINES = pathlib.Path(__file__).resolve().parents[1] / "machines"
 ANBN = str(MACHINES / "anbn.limla")
@@ -167,6 +167,33 @@ def test_bench_negative_length_is_usage_error(capsys):
     assert captured.err.startswith("error: --lengths") and captured.out == ""
 
 
+def test_bench_unindexable_length_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("limla.bench.make_word", lambda *a, **k: pytest.fail("word made"))
+    assert main(["bench", ANBN, "--lengths", f"4,{sys.maxsize + 1}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --lengths") and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cmd", [["run", "--input", "ab"], ["bench", "--lengths", "4"]])
+def test_invalid_machine_reports_each_violation(tmp_path, capsys, cmd):
+    text = pathlib.Path(ANBN).read_text()
+    for old, new in (("delta trap <| -> trap <| L", "delta trap <| -> trap <| R"),
+                     ("delta start |> -> start |> R", "delta start |> -> start |> L"),
+                     ("delta verify a -> trap A L\n", ""),
+                     ("delta seek_b b -> match_a B L", "delta seek_b b -> match_a b L")):
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.limla"
+    bad.write_text(text)
+    violations = validate_automaton(parse_machine(text)).violations
+    assert len(violations) >= 2
+    assert main(cmd[:1] + [str(bad)] + cmd[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {bad}: {v}" for v in violations]
+
+
 def test_bench_csv_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["bench", ANBN, "--gen", "anbn", "--lengths", "8,16,32",
@@ -236,6 +263,15 @@ def test_fuzz_alphabet_beyond_generator_is_usage_error(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: --alphabet-size: ") and "Traceback" not in err
+
+
+def test_fuzz_unindexable_maxlen_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("limla.cli.random_automaton", lambda *a, **k: pytest.fail("machine built"))
+    code = main(["fuzz", "--machines", "1", "--maxlen", str(sys.maxsize + 1),
+                 "--out-dir", str(tmp_path / "f")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --maxlen") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("args, option", [

@@ -314,3 +314,25 @@ def test_maps_are_made_by_their_memo_alone():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {
         "mapping.py": ["CompositionMemo.canonical"]}
+
+
+# Usage errors have one channel: the CLI's commands and helpers raise
+# cli.UsageError, and main alone words its messages as "error: ..." lines.
+def error_line_scopes(source: str) -> list:
+    """The top-level functions and classes of a module that spell a string
+    beginning "error: " (an f-string's leading text counts), or "<module>"."""
+    found = set()
+    for node in ast.parse(source).body:
+        if any(isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+               and leaf.value.startswith("error: ") for leaf in ast.walk(node)):
+            found.add(getattr(node, "name", "<module>"))
+    return sorted(found)
+
+
+def test_only_main_writes_error_lines():
+    assert error_line_scopes("E = 'error: x'\ndef f(e):\n    print(f'error: {e}')\n"
+                             "def g(e):\n    raise UsageError(f'{e}: error: no')\n"
+                             "class C:\n    def h(self):\n        return 'error: h'\n") == [
+        "<module>", "C", "f"]
+    found = error_line_scopes((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert found == ["main"]
