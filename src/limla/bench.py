@@ -43,26 +43,32 @@ CSV_HEADER = ["machine", "engine", "n", "steps", "wall_ns", "verdict"]
 GENERATORS = ("anbn", "unary", "random")
 
 
-def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
-    """Deterministic benchmark word of the given total length."""
+def check_word(kind: str, aut, length: int) -> None:
+    """Raise ValueError if make_word cannot make this word; makes nothing."""
     alphabet = aut.input_alphabet
     if kind == "anbn":
         if "a" not in alphabet or "b" not in alphabet:
             raise ValueError("anbn generator needs 'a' and 'b' in the input alphabet")
         if length % 2:
             raise ValueError("anbn generator needs even lengths")
+    elif kind in ("unary", "random"):
+        if not alphabet:
+            raise ValueError(f"{kind} generator needs a non-empty input alphabet")
+    else:
+        raise ValueError(f"unknown generator {kind!r}")
+
+
+def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
+    """Deterministic benchmark word of the given total length."""
+    check_word(kind, aut, length)
+    alphabet = aut.input_alphabet
+    if kind == "anbn":
         half = length // 2
         return ("a",) * half + ("b",) * half
     if kind == "unary":
-        if not alphabet:
-            raise ValueError("unary generator needs a non-empty input alphabet")
         return (alphabet[0],) * length
-    if kind == "random":
-        if not alphabet:
-            raise ValueError("random generator needs a non-empty input alphabet")
-        k = len(alphabet)
-        return tuple([alphabet[v % k] for v in SplitMix64(seed + length).take(length)])
-    raise ValueError(f"unknown generator {kind!r}")
+    k = len(alphabet)
+    return tuple([alphabet[v % k] for v in SplitMix64(seed + length).take(length)])
 
 
 def run_bench(aut, machine_id: str, engines, lengths, gen: str, seed: int = 0) -> list:

@@ -143,15 +143,17 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--lengths must be >= 0, got {args.lengths!r}")
     if any(n > sys.maxsize for n in lengths):  # longer than any word can be indexed
         raise UsageError(f"--lengths must be <= {sys.maxsize}, got {args.lengths!r}")
+    try:  # before --out is opened, which would empty the file
+        for n in lengths:
+            benchmod.check_word(gen, aut, n)
+    except ValueError as e:
+        raise UsageError(str(e))
     engines = ("naive", "linear") if args.engine == "both" else (args.engine,)
     machine_id = os.path.splitext(os.path.basename(args.file))[0]
     out_fp = _open_output(args.out, "--out", newline="") if args.out else None
     try:
         with out_fp or contextlib.nullcontext():
-            try:
-                rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
-            except ValueError as e:
-                raise UsageError(str(e))
+            rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
             if out_fp is not None:
                 benchmod.write_csv(rows, out_fp)
     except OSError as e:  # the CSV's write or close

@@ -44,11 +44,12 @@ def words_upto(alphabet, maxlen: int):
 
 
 def random_words(alphabet, count: int, min_len: int, max_len: int, seed: int):
-    """count seeded words, each of min_len to max_len letters.
+    """Yield count seeded words, each of min_len to max_len letters.
 
-    Each word draws its length (when lengths can vary), then its letters,
-    from one stream taken a chunk at a time: a block, or the most the words
-    can need when that is less.  The rng is local, so draws taken and never
+    Each word is made when it is asked for; the generator keeps none.
+    Each draws its length (when lengths can vary), then its letters, from
+    one stream taken a chunk at a time: a block, or the most the words can
+    need when that is less.  The rng is local, so draws taken and never
     read change no word.
     """
     alphabet = tuple(alphabet)
@@ -56,13 +57,11 @@ def random_words(alphabet, count: int, min_len: int, max_len: int, seed: int):
     rng = SplitMix64(seed)
     chunk = max(1, min(count * (max_len + 1), BLOCK))
     draws = itertools.chain.from_iterable(iter(lambda: rng.take(chunk), None))
-    out = []
     for _ in range(count):
         length = min_len
         if max_len > min_len:
             length += next(draws) % (max_len - min_len + 1)
-        out.append(tuple([alphabet[v % k] for v in itertools.islice(draws, length)]))
-    return out
+        yield tuple([alphabet[v % k] for v in itertools.islice(draws, length)])
 
 
 def projections_agree(verdict: str, pn: list, pl: list) -> bool:

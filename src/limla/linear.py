@@ -4,8 +4,9 @@ Each engine step handles one cell.  Letters behave as in the reference
 engine until the visit that makes the cell permanently unwritable; that
 visit triggers a deletion scan, which replaces the cell with the map
 describing it and coalesces it with any adjacent map cells, so no two map
-cells are ever adjacent.  Arriving on a map cell costs a single table
-lookup that teleports the head across the whole frozen segment.
+cells are ever adjacent; the engine asserts this after every scan that
+completes, with or without shadow.  Arriving on a map cell costs a single
+table lookup that teleports the head across the whole frozen segment.
 
 Writes stick as in the reference engine, and a visit freezes its cell
 when it is the cell's model.visit_limit-th or writes a letter that
@@ -97,12 +98,9 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
 
 
 def _shadow_check(c, tape: ListTape, i: int) -> None:
-    fmap = tape.fmap
     lo = tape.prev[i] + 1
     hi = tape.nxt[i] - 1
-    if fmap[lo - 1] is not None or fmap[hi + 1] is not None:
-        raise ShadowMismatch(f"adjacent segment maps around cell {i}")
-    table = fmap[i].table
+    table = tape.fmap[i].table
     seg = tuple(tape.sym[lo:hi + 1])
     expected = c.shadow_cache.get(seg)
     if expected is None:
@@ -126,10 +124,12 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                max_steps: int | None = None) -> RunOutcome:
     """Run the deleting engine on a word; requires validate_automaton(aut).ok.
 
-    With shadow=True, after every deletion scan the stored map is compared
-    against the brute-force description of its segment, read from the
-    tape's own letters: sym keeps the letter each frozen cell last held, as
-    the reference tape would (ShadowMismatch on any disagreement).  The
+    After every scan that completes, an assert checks that neither of the
+    new map's neighbours is a map, in shadowed and unshadowed runs alike.
+    With shadow=True, the stored map is then compared against the
+    brute-force description of its segment, read from the tape's own
+    letters: sym keeps the letter each frozen cell last held, as the
+    reference tape would (ShadowMismatch on any disagreement).  The
     descriptions are memoized per machine on the letters of the segment
     (SHADOW_MEMO_SLOTS), but the comparison runs after every scan.
     Verdicts always match run_naive; steps count letter moves, scans, map
@@ -140,7 +140,10 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     that hands back to the main loop only on a map cell, a marker, a
     map-loop exit or max_steps.  Each scan is one call to deletion_scan and
     each merge one call to compose_full, both looked up by name at call
-    time, so wrappers installed on them see every call.
+    time, so wrappers installed on them see every call.  A traced scan's
+    record is read from the tape the scan leaves, so its merges and segment
+    are those the scan completed: a side whose neighbour is still a map
+    (a looping departure left that merge undone) ends the segment at pos.
     """
     c = aut.compiled
     tape = ListTape.from_word(aut, word)
@@ -189,23 +192,19 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                 if w != s:
                     sym[pos] = w
                 if v + 1 >= limit or fixed[w]:
-                    g = cf.get(w) or cf_idx(c, w)
-                    if tr is None:
-                        out = deletion_scan(tape, pos, out, g)
-                    else:
-                        left, right, mv = prev[pos], nxt[pos], out & 1
-                        out = deletion_scan(tape, pos, out, g)
-                        tr.append((steps, pos, head >> 1, s, w, mv, v >= limit, 1,
-                                   prev[pos] != left, nxt[pos] != right,
-                                   prev[pos] + 1, nxt[pos] - 1))
+                    out = deletion_scan(tape, pos, out, cf.get(w) or cf_idx(c, w))
                     scans += 1
+                    if tr is not None:  # a neighbour still a map was not merged
+                        lo = pos if fmap[prev[pos]] is not None else prev[pos] + 1
+                        hi = pos if fmap[nxt[pos]] is not None else nxt[pos] - 1
+                        tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit,
+                                   1, lo < pos, hi > pos, lo, hi))
                     if out < 0:
                         verdict, reason = REJECT, MAP_LOOP
                         break
+                    assert fmap[prev[pos]] is None and fmap[nxt[pos]] is None
                     if shadow:
                         _shadow_check(c, tape, pos)
-                    else:
-                        assert fmap[prev[pos]] is None and fmap[nxt[pos]] is None
                 elif tr is not None:
                     tr.append((steps, pos, head >> 1, s, w, out & 1, False,
                                0, False, False, -1, -1))

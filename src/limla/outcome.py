@@ -5,7 +5,10 @@ seven fields (step, pos, state, read, write, move, frozen), all symbol
 and state fields as indices into the compiled machine; the linear engine
 appends (case, merged_left, merged_right, seg_lo, seg_hi) where case is
 0 = plain move, 1 = deletion scan, 2 = map jump.  Map jumps use -2 as
-their read/write index.
+their read/write index.  On a scan record, merged_left and merged_right
+are the merges the scan completed and seg_lo..seg_hi the cells of the
+segment they made.  A merge whose departure loops is not completed: its
+flag is false and the segment ends at the scanned cell on that side.
 
 The trace is where a run's per-cell writes are recorded: a write that
 sticks is a record whose read and write differ, so an outcome keeps no

@@ -216,6 +216,27 @@ def test_bench_incompatible_generator(tmp_path, capsys):
                  "--out", str(tmp_path / "c.csv")]) == 0
 
 
+@pytest.mark.parametrize("machine, message", [
+    ("anbn", "anbn generator needs even lengths"),
+    ("bouncer", "anbn generator needs 'a' and 'b' in the input alphabet"),
+])
+def test_bench_generator_error_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
+                                                     machine, message):
+    # the words are checked before --out is opened, and none is made
+    made = []
+    real_make_word = limla.bench.make_word
+    monkeypatch.setattr(limla.bench, "make_word",
+                        lambda *a: made.append(a[2]) or real_make_word(*a))
+    out = tmp_path / "kept.csv"
+    out.write_text("keep me\n")
+    assert main(["bench", str(MACHINES / f"{machine}.limla"), "--gen", "anbn",
+                 "--lengths", "4,3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert out.read_text() == "keep me\n"
+    assert made == []
+
+
 def test_fuzz_defaults_small_clean(tmp_path, capsys):
     code = main(["fuzz", "--states", "3", "--d", "2", "--machines", "6",
                  "--maxlen", "4", "--seed", "1", "--out-dir", str(tmp_path / "f")])

@@ -267,28 +267,29 @@ def test_step_bound_on_zoo_runs():
 
 
 def test_no_adjacent_maps_assertion_active(monkeypatch):
-    # shadow mode re-checks the invariant after every scan; a full zoo sweep
+    # the engine asserts the invariant after every scan; a full sweep
     # exercising merges must never trip it
     aut = build_even_a_2dfa()
     for word in words_upto(aut.input_alphabet, 5):
         run_linear(aut, word, shadow=True)
 
-    # without shadow the engine asserts it itself: a scan that stores its
-    # map but merges no neighbour leaves two maps side by side
+    # shadowed or not, the engine's one assert catches it: a scan that
+    # stores its map but merges no neighbour leaves two maps side by side
     def unmerging_scan(tape, i, p, g):
         tape.fmap[i] = g
         return p
 
     monkeypatch.setattr(linear_mod, "deletion_scan", unmerging_scan)
-    with pytest.raises(AssertionError):
-        run_linear(aut, "aa")
+    for shadow in (False, True):
+        with pytest.raises(AssertionError):
+            run_linear(aut, "aa", shadow=shadow)
 
 
 def test_composition_memo_walks_each_pair_once():
     # even_a makes one scan and one composition per cell, but its maps form a
     # tiny monoid: the memo walks at most 8 distinct pairs on a 1024-letter word
     aut = build_even_a_2dfa()
-    word = random_words(aut.input_alphabet, 1, 1024, 1024, 0x5EED)[0]
+    word = next(random_words(aut.input_alphabet, 1, 1024, 1024, 0x5EED))
     out = run_linear(aut, word)
     assert out.compose_calls == 1023  # one per merge: hits count as calls
     assert out.compose_walks <= 8
@@ -359,6 +360,21 @@ def test_scan_record_values_golden():
                         "compose_walks": 5}
 
 
+@pytest.mark.parametrize("seed, d, word, segment", [
+    (183, 2, "bba", [3, 3]),  # cell 2 belongs to the unmerged map at cell 1
+    (117, 3, "baa", [1, 1]),  # cell 2 belongs to the unmerged map at cell 3
+])
+def test_map_loop_scan_record_gives_the_merges_it_completed(seed, d, word, segment):
+    # the last scan's departure loops before it relinks that side, so the
+    # unmerged neighbour map's cells are not in the segment
+    aut = random_automaton(GenParams(1, seed, COUNTED, DLimit.const(d)))
+    recs = _jsonl_trace(aut, word)
+    assert recs[-1]["reason"] == "map-loop"
+    last = [r for r in recs if r.get("case") == "scan"][-1]
+    assert (last["merged_left"], last["merged_right"], last["segment"]) == (
+        False, False, segment)
+
+
 def test_counted_zero_budget_cells_freeze_immediately():
     aut = _two_state_walker()
     zero = Automaton(mode=COUNTED, dlimit=DLimit.const(0), states=aut.states,
@@ -409,7 +425,7 @@ def test_compose_memo_is_invisible_in_outcomes(monkeypatch):
     # composition memo (and its shadow memo) report the same counters and
     # the same trace; only the walks are saved
     params = GenParams(5, 37, COUNTED, DLimit.const(2))
-    word = random_words(("a", "b"), 1, 40, 40, 37)[0]
+    word = next(random_words(("a", "b"), 1, 40, 40, 37))
     walks = []
 
     def counting_walk(ft, gt):
@@ -435,7 +451,7 @@ def test_compose_memo_is_invisible_in_outcomes(monkeypatch):
 
 def test_shadow_memo_does_not_weaken_the_check(monkeypatch):
     aut = random_automaton(GenParams(4, 31, COUNTED, DLimit.const(2)))
-    words = random_words(aut.input_alphabet, 40, 4, 16, 31)
+    words = list(random_words(aut.input_alphabet, 40, 4, 16, 31))
     for w in words:
         run_linear(aut, w, shadow=True)
     warmed = dict(aut.compiled.shadow_cache)
@@ -520,13 +536,13 @@ def test_every_scan_and_merge_goes_through_its_module_name(monkeypatch, case):
     # call per scan and one compose_full call per merge, memo hits included
     if case == "even_a":
         aut = build_even_a_2dfa()
-        word = random_words(aut.input_alphabet, 1, 1024, 1024, 0x5EED)[0]
+        word = next(random_words(aut.input_alphabet, 1, 1024, 1024, 0x5EED))
     elif case == "anbn":
         aut, word = build_anbn(), "a" * 128 + "b" * 128
     else:
         seed = {"log2": 2, "sqrt": 37, "id": 56}[case]
         aut = random_automaton(GenParams(4, seed, COUNTED, DLimit(case)))
-        word = random_words(aut.input_alphabet, 1, 64, 64, seed)[0]
+        word = next(random_words(aut.input_alphabet, 1, 64, 64, seed))
     out, calls, edges_max = _seam_calls(monkeypatch, aut, word)
     assert out.scans >= 20 and out.compose_calls >= 20
     assert calls == {"scan": out.scans, "compose": out.compose_calls}
@@ -544,8 +560,11 @@ _D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
 # the main loop went round once per step: the letter run, like the sweep,
 # left them as they were.  compose_edges_max was re-pinned when composition
 # began to walk only what h needs: with that field left out, the digests of
-# the full walk and of the crossing walk are the same.  Recompute only for a
-# change that means to alter them.
+# the full walk and of the crossing walk are the same.  ranked-3 was re-pinned
+# when a scan record began to give only the merges the scan completed: a
+# map-loop run's last scan record there had a segment reaching into the
+# neighbour it left unmerged.  Recompute only for a change that means to
+# alter them.
 _FINGERPRINTS = {
     "zoo-anbn": "b4af7b67632596977971b1fd1c5f1569ea3292d418d084728af7063636b8ad0c",
     "zoo-bouncer": "4023cc903c6916d30b525432abff05b1164d95600947dc94fc44669bb2d5e842",
@@ -554,7 +573,7 @@ _FINGERPRINTS = {
     "ranked-0": "f6ec5c74c87da28431fe7ddb40c017e035f18986aca962a7d132d779dee2c637",
     "ranked-1": "0af5de85af13f0aff6e389725599a255cbc18b8e9dbf3785e9b6d78c15b62ce4",
     "ranked-2": "e175a44d008a5eb0b954bdc1402060fef16c4f2b2244ea99d1a85997a2e6461d",
-    "ranked-3": "bda3d1f4db8cd952a960782a564cc3c7149c2bd6ddb5423a2b6080ade02aa810",
+    "ranked-3": "015476d4ca88c25b4387b95c8a564f339fac2d7f93132ea32f009905791d0a29",
     "counted-0": "17cb2f8f12f0a5065cbd5bb5255b4d23ca0ab8090a5629c0e3349de0e3bd50cb",
     "counted-1": "4a42d007be636d8fe368de6ee8a9ed359e47c0db7b0e9a06bcf9418b54337a69",
     "counted-2": "869a4591acf63cc319e7417c18ef47ba3438f4050be731208f37c0428d9d7e5c",

@@ -336,3 +336,30 @@ def test_only_main_writes_error_lines():
         "<module>", "C", "f"]
     found = error_line_scopes((SRC / "cli.py").read_text(encoding="utf-8"))
     assert found == ["main"]
+
+
+# A freezing visit is folded into its segment by one deletion_scan call in
+# run_linear, traced or not: the trace record is read from the tape the scan
+# leaves, so no second path makes the same scan.
+def scan_call_sites(source: str) -> dict:
+    """For each top-level function of a module that calls deletion_scan,
+    bare or as an attribute, the lines of those calls."""
+    found = {}
+    for node in ast.parse(source).body:
+        lines = [leaf.lineno for leaf in ast.walk(node) if isinstance(leaf, ast.Call)
+                 and "deletion_scan" in (getattr(leaf.func, "id", None),
+                                         getattr(leaf.func, "attr", None))]
+        if lines:
+            found[getattr(node, "name", "<module>")] = sorted(lines)
+    return found
+
+
+def test_the_letter_run_scans_at_one_site():
+    assert scan_call_sites("def f(t):\n    if t:\n        deletion_scan(t)\n    else:\n"
+                           "        linear.deletion_scan(t)\n"
+                           "def g(t):\n    return deletion_scan\n") == {"f": [3, 5]}
+    found = {path.name: scan_call_sites(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    sites = {name: where for name, where in found.items() if where}
+    assert list(sites) == ["linear.py"] and list(sites["linear.py"]) == ["run_linear"]
+    assert len(sites["linear.py"]["run_linear"]) == 1, sites

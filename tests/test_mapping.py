@@ -260,7 +260,7 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
     assert evicted > 0
     # a run cut short by its step budget ends all the same
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
-    word = random_words(("a", "b"), 1, 256, 256, 69)[0]
+    word = next(random_words(("a", "b"), 1, 256, 256, 69))
     full = run_linear(random_automaton(params), word)
     aut = random_automaton(params)
     with pytest.raises(BudgetExceeded):
@@ -274,7 +274,7 @@ def test_run_past_the_cap_frees_what_it_drops():
     # with the cyclic collector off; from its generators alone, this machine
     # walks every pair of its word again and passes the cap again
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
-    word = random_words(("a", "b"), 1, 256, 256, 69)[0]
+    word = next(random_words(("a", "b"), 1, 256, 256, 69))
     aut = random_automaton(params)
     memo = aut.compiled.compose_memo
     run_linear(aut, word)
@@ -300,7 +300,7 @@ def test_warm_large_machine_walks_no_pair_again(monkeypatch):
     # a |Q| = 64 machine keeps the pairs of a run under the cap, so running
     # the same word again walks nothing and reports the same counts
     aut = random_automaton(GenParams(64, 34, RANKED, DLimit.const(3)))
-    word = random_words(aut.input_alphabet, 1, 512, 512, 34)[0]
+    word = next(random_words(aut.input_alphabet, 1, 512, 512, 34))
     first = run_linear(aut, word)
     assert first.compose_walks > 4
     walks = []
@@ -340,7 +340,7 @@ def test_compose_memo_charge_covers_its_memory():
             aut = random_automaton(params)
             c = aut.compiled
             memo = c.compose_memo
-            words = random_words(aut.input_alphabet, 16, *lengths, params.seed) * passes
+            words = list(random_words(aut.input_alphabet, 16, *lengths, params.seed)) * passes
             for word in _runs_under_the_cap(params, words):
                 run_linear(aut, word)
             assert set(memo.maps.values()) == _held_maps(c)
@@ -391,7 +391,7 @@ def test_memo_evicting_every_run_stays_exact(monkeypatch):
     params = GenParams(64, 34, RANKED, DLimit.const(3))
     aut = random_automaton(params)
     memo = aut.compiled.compose_memo
-    words = random_words(aut.input_alphabet, 10, 256, 512, 34)
+    words = list(random_words(aut.input_alphabet, 10, 256, 512, 34))
     cold = [run_linear(random_automaton(params), w) for w in words]
     monkeypatch.setattr(mapping_mod, "COMPOSE_MEMO_BYTES", _memo_bytes(64, 8, 8))
     ends = _run_ends(monkeypatch)

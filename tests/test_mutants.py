@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+import limla.difftest as difftest_mod
 import limla.linear as linear_mod
 import limla.mapping as mapping_mod
 from limla.difftest import random_words, step_budget, words_upto
@@ -28,6 +29,7 @@ from limla.naive import run_naive
 from limla.outcome import BudgetExceeded
 from limla.rng import SplitMix64
 from limla.zoo import GenParams, random_automaton
+import test_difftest
 import test_linear
 import test_mapping
 
@@ -143,6 +145,35 @@ CATALOGUE = [
     Mutant("freeze-one-visit-late", linear_mod,
            "if v + 1 >= limit or fixed[w]:", "if v >= limit or fixed[w]:",
            test_linear.test_even_a_interior_collapses_to_one_map),
+    # a scan record takes its segment from the links alone, so a map-loop
+    # scan's segment reaches into the neighbour map it left unmerged
+    Mutant("scan-record-segment-from-links", linear_mod,
+           "                        lo = pos if fmap[prev[pos]] is not None else prev[pos] + 1\n"
+           "                        hi = pos if fmap[nxt[pos]] is not None else nxt[pos] - 1\n",
+           "                        lo, hi = prev[pos] + 1, nxt[pos] - 1\n",
+           partial(test_linear.test_map_loop_scan_record_gives_the_merges_it_completed,
+                   183, 2, "bba", [3, 3])),
+    # the harness lets the engines disagree on a verdict
+    Mutant("compare-skips-verdict", difftest_mod,
+           "    if no.verdict != lo.verdict:\n", "    if False:\n",
+           test_difftest.test_compare_run_reports_a_flipped_verdict),
+    # the harness lets the regular projections disagree
+    Mutant("compare-skips-projection", difftest_mod,
+           "    if not projections_agree(no.verdict, pn, pl):\n", "    if False:\n",
+           test_difftest.test_compare_run_reports_a_changed_regular_record),
+    # the harness counts no run over its step budget
+    Mutant("compare-skips-step-budget", difftest_mod,
+           "        if lo.steps > step_budget(aut, n):\n", "        if False:\n",
+           partial(test_difftest.test_compare_run_counts_each_bound_it_checks, field="steps")),
+    # the harness counts no run with more scans than cells
+    Mutant("compare-skips-scan-count", difftest_mod,
+           "        if lo.scans > n:\n", "        if False:\n",
+           partial(test_difftest.test_compare_run_counts_each_bound_it_checks, field="scans")),
+    # the harness counts no composition over its 8|Q| edges
+    Mutant("compare-skips-edge-bound", difftest_mod,
+           "        if lo.compose_edges_max > 8 * aut.compiled.n_states:\n", "        if False:\n",
+           partial(test_difftest.test_compare_run_counts_each_bound_it_checks,
+                   field="compose_edges_max")),
 ]
 
 

@@ -1,4 +1,7 @@
 import hashlib
+import itertools
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -95,6 +98,18 @@ def test_random_words_are_pinned(case, digest):
     assert _digest(random_words(*case)) == digest
 
 
+def test_random_words_holds_one_word_at_a_time():
+    # the first of 16 long words is made without the other 15
+    tracemalloc.start()
+    try:
+        first, = itertools.islice(random_words(("a", "b"), 16, 50_000, 50_000, 7), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 50_000
+    assert peak < 3 * sys.getsizeof(first), peak
+
+
 @pytest.mark.parametrize("mode", (RANKED, COUNTED))
 def test_random_automaton_is_pinned(mode):
     machines = (serialize_machine(random_automaton(p)) for p in _machine_grid(mode))
@@ -112,7 +127,7 @@ def test_generators_draw_a_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(SplitMix64, "next_u64", counting_next)
     assert len(make_word("random", SimpleNamespace(input_alphabet=("a", "b")), 4096, 3)) == 4096
-    assert len(random_words(("a", "b", "c"), 40, 0, 300, 11)) == 40
+    assert len(list(random_words(("a", "b", "c"), 40, 0, 300, 11))) == 40
     assert len(random_automaton(GenParams(64, 5, RANKED, DLimit.const(3))).states) == 64
     assert len(random_automaton(GenParams(64, 5, COUNTED, SQRT, 3, 2)).states) == 64
     assert draws == []
