@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import os
 import sys
@@ -211,7 +212,8 @@ def cmd_fuzz(args) -> int:
         dlimit = parse_dlimit(args.d, mode)
     except ValueError as e:
         raise UsageError(f"--d: {e}")
-    symbols = symbol_count(GenParams(args.states, 0, mode, dlimit, args.alphabet_size))
+    template = GenParams(args.states, 0, mode, dlimit, args.alphabet_size)
+    symbols = symbol_count(template)
     if args.states * symbols > MAX_TRANSITIONS:
         option = "--d" if symbols > MAX_TRANSITIONS else "--states"
         raise UsageError(f"{option}: {args.states} states x {symbols} symbols is over the "
@@ -220,15 +222,10 @@ def cmd_fuzz(args) -> int:
     master = SplitMix64(args.seed)
     stats = DiffStats()
     divergences = 0
+    cap = min(args.maxlen, _EXHAUSTIVE_CAP)
     for idx in range(args.machines):
         mseed = master.next_u64()
-        params = GenParams(
-            state_count=args.states, seed=mseed,
-            mode=mode, dlimit=dlimit,
-            input_alphabet_size=args.alphabet_size,
-        )
-        aut = random_automaton(params)
-        cap = min(args.maxlen, _EXHAUSTIVE_CAP)
+        aut = random_automaton(dataclasses.replace(template, seed=mseed))
         words = itertools.chain(words_upto(aut.input_alphabet, cap),
                                 random_words(aut.input_alphabet, _EXTRA_FUZZ_WORDS,
                                              cap + 1, max(args.maxlen, cap + 10), mseed))

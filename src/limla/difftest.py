@@ -33,7 +33,7 @@ class DiffStats:
     runs: int = 0
     bound_violations: list = field(default_factory=list)  # linear steps over budget
     scan_violations: list = field(default_factory=list)   # more scans than cells
-    edge_violations: list = field(default_factory=list)   # compose edges over 8*|Q|
+    edge_violations: list = field(default_factory=list)   # a walk of the run over 8*|Q| edges
 
 
 def words_upto(alphabet, maxlen: int):

@@ -4,9 +4,10 @@ Each engine step handles one cell.  Letters behave as in the reference
 engine until the visit that makes the cell permanently unwritable; that
 visit triggers a deletion scan, which replaces the cell with the map
 describing it and coalesces it with any adjacent map cells, so no two map
-cells are ever adjacent; the engine asserts this after every scan that
-completes, with or without shadow.  Arriving on a map cell costs a single
-table lookup that teleports the head across the whole frozen segment.
+cells are ever adjacent; the engine checks this after every scan that
+completes, with or without shadow, under python -O too.  Arriving on a map
+cell costs a single table lookup that teleports the head across the whole
+frozen segment.
 
 Writes stick as in the reference engine, and a visit freezes its cell
 when it is the cell's model.visit_limit-th or writes a letter that
@@ -124,8 +125,9 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                max_steps: int | None = None) -> RunOutcome:
     """Run the deleting engine on a word; requires validate_automaton(aut).ok.
 
-    After every scan that completes, an assert checks that neither of the
-    new map's neighbours is a map, in shadowed and unshadowed runs alike.
+    After every scan that completes, the engine checks that neither of the
+    new map's neighbours is a map, in shadowed and unshadowed runs alike and
+    under python -O, and raises AssertionError if one is.
     With shadow=True, the stored map is then compared against the
     brute-force description of its segment, read from the tape's own
     letters: sym keeps the letter each frozen cell last held, as the
@@ -202,7 +204,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     if out < 0:
                         verdict, reason = REJECT, MAP_LOOP
                         break
-                    assert fmap[prev[pos]] is None and fmap[nxt[pos]] is None
+                    if fmap[prev[pos]] is not None or fmap[nxt[pos]] is not None:
+                        raise AssertionError(f"adjacent maps at cell {pos}")
                     if shadow:
                         _shadow_check(c, tape, pos)
                 elif tr is not None:

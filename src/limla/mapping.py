@@ -96,16 +96,14 @@ class CompositionResult:
     walk's loop iterations, in [2|Q|, 4|Q|].  dep is the boundary departure
     table: dep[p] is where the head leaves the combined segment after
     crossing the seam in directed state p (rightward into g, leftward into
-    f); -1 = LOOP.  run is the last run of the memo to request it; walks
-    counts by it.
+    f); -1 = LOOP.
     """
 
-    __slots__ = ("h", "edges", "run", "dep")
+    __slots__ = ("h", "edges", "dep")
 
     def __init__(self, h: SegmentMap, edges: int, dep: tuple):
         self.h = h
         self.edges = edges
-        self.run = -1
         self.dep = dep
 
 
@@ -120,14 +118,15 @@ class CompositionMemo:
     memo's maps are the memo, and entries counts them.  A run is
     bracketed by start_run and end_run, which applies the cap: a memo past
     it drops every composition and every map but the generators.  A run
-    counts calls, every request; walks, the distinct pairs requested;
-    edges_max, the largest edges among them.
+    counts calls, every request; walks, the requests that missed and were
+    walked, so calls - walks are its hits; edges_max, the largest edges
+    among its walks (0 if none).
     """
 
-    __slots__ = ("run", "calls", "walks", "edges_max", "entries", "maps", "cf")
+    __slots__ = ("calls", "walks", "edges_max", "entries", "maps", "cf")
 
     def __init__(self):
-        self.run = self.calls = self.walks = self.edges_max = self.entries = 0
+        self.calls = self.walks = self.edges_max = self.entries = 0
         self.maps, self.cf = {}, {}
 
     def canonical(self, table: tuple) -> SegmentMap:
@@ -138,8 +137,7 @@ class CompositionMemo:
         return m
 
     def start_run(self) -> None:
-        """Number a new run and zero its counts."""
-        self.run += 1
+        """Zero the run's counts; a run that raises skips end_run."""
         self.calls = self.walks = self.edges_max = 0
 
     def end_run(self, nq: int) -> None:
@@ -165,8 +163,8 @@ def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
     f.row[g], its one record, with h the memo's map of its table.  Every
     later request, in this run or a later one, hits there without hashing
     a table and returns the same CompositionResult.  The memo counts every
-    request in memo.calls, a miss in entries, and a pair's first request in
-    this run (memo.run, stamped on the result) in walks and edges_max.
+    request in memo.calls; a miss, the walk, in entries and walks, with
+    its edges in edges_max.
     """
     memo = f.memo
     memo.calls += 1
@@ -175,11 +173,9 @@ def compose_full(f: SegmentMap, g: SegmentMap) -> CompositionResult:
         h, edges, dep = _walk_glued(f.table, g.table)
         r = f.row[g] = CompositionResult(memo.canonical(h), edges, dep)
         memo.entries += 1
-    if r.run != memo.run:
-        r.run = memo.run
         memo.walks += 1
-        if r.edges > memo.edges_max:
-            memo.edges_max = r.edges
+        if edges > memo.edges_max:
+            memo.edges_max = edges
     return r
 
 

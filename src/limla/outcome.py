@@ -37,8 +37,8 @@ class RunOutcome:
     trace: list | None = None
     scans: int = 0
     compose_calls: int = 0       # compositions requested, memo hits included
-    compose_walks: int = 0       # distinct (f, g) pairs this run requested, walked or not
-    compose_edges_max: int = 0
+    compose_walks: int = 0       # memo misses, walked in this run; the rest of the calls hit
+    compose_edges_max: int = 0   # largest edges among those walks, 0 if none
 
     @property
     def accepted(self) -> bool:

@@ -3,6 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +15,7 @@ from limla.difftest import compare_run, random_words, step_budget, words_upto
 import limla.linear as linear_mod
 from limla.linear import SHADOW_MEMO_SLOTS, ShadowMismatch, deletion_scan, run_linear
 import limla.mapping as mapping_mod
-from limla.mapping import cf_idx, compose_full
+from limla.mapping import COMPOSE_MEMO_BYTES, cf_idx, compose_full
 from limla.model import (
     ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, RANKED, REJECT, RIGHT,
     Automaton, Transition, LEFT_MARKER, RIGHT_MARKER, word_indices,
@@ -22,7 +26,7 @@ from limla.rng import SplitMix64
 from limla.tape import ListTape
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
-from test_mapping import _walked
+from test_mapping import _WalkLog, _walked
 from trace_writes import write_profile
 
 
@@ -102,7 +106,7 @@ def test_map_loop_reason():
 
 def _scan(t, i, p, g):
     """deletion_scan, with the compositions it requested and the largest edges
-    among those the run requested, both read from the memo of g, the machine's."""
+    among the memo's walks, both read from the memo of g, the machine's."""
     memo = g.memo
     calls = memo.calls
     out = deletion_scan(t, i, p, g)
@@ -285,6 +289,35 @@ def test_no_adjacent_maps_assertion_active(monkeypatch):
             run_linear(aut, "aa", shadow=shadow)
 
 
+_UNMERGED_UNDER_O = """
+import sys
+import limla.linear as linear_mod
+from limla.zoo import build_even_a_2dfa
+
+assert sys.flags.optimize, "asserts are on"
+def unmerging_scan(tape, i, p, g):
+    tape.fmap[i] = g
+    return p
+
+linear_mod.deletion_scan = unmerging_scan
+for shadow in (False, True):
+    try:
+        linear_mod.run_linear(build_even_a_2dfa(), "aa", shadow=shadow)
+    except AssertionError:
+        continue
+    sys.exit(f"shadow={shadow}: two maps side by side went unreported")
+"""
+
+
+def test_adjacency_check_survives_python_O():
+    # python -O drops assert statements; the engine's adjacency check is an
+    # explicit test, so the unmerging scan above is still caught
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(linear_mod.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", _UNMERGED_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_composition_memo_walks_each_pair_once():
     # even_a makes one scan and one composition per cell, but its maps form a
     # tiny monoid: the memo walks at most 8 distinct pairs on a 1024-letter word
@@ -420,33 +453,38 @@ def _outcome_fingerprint(aut, out) -> tuple:
             out.compose_walks, out.compose_edges_max, buf.getvalue())
 
 
-def test_compose_memo_is_invisible_in_outcomes(monkeypatch):
+def _walkless(out):
+    """out with its walk counts zeroed, and so its trace's final compose_walks."""
+    return dataclasses.replace(out, compose_walks=0, compose_edges_max=0)
+
+
+def test_compose_memo_shows_only_in_walks(monkeypatch):
     # a cold run and the same run after a sweep has warmed the machine's
     # composition memo (and its shadow memo) report the same counters and
-    # the same trace; only the walks are saved
+    # the same trace but for the walks, which each run reports as it made
+    # them; a run after an end_run that emptied the memo is a cold run again
     params = GenParams(5, 37, COUNTED, DLimit.const(2))
     word = next(random_words(("a", "b"), 1, 40, 40, 37))
-    walks = []
-
-    def counting_walk(ft, gt):
-        walks.append((ft, gt))
-        return real_walk(ft, gt)
-
-    real_walk = mapping_mod._walk_glued
-    monkeypatch.setattr(mapping_mod, "_walk_glued", counting_walk)
+    log = _WalkLog(monkeypatch)
     aut = random_automaton(params)
-    cold = run_linear(aut, word, trace=True, shadow=True)
+    cold = log.run(aut, word, trace=True, shadow=True)
     assert cold.accepted and 0 < cold.compose_walks < cold.compose_calls
-    assert len(walks) == cold.compose_walks
 
     warm_aut = random_automaton(params)
     for w in random_words(warm_aut.input_alphabet, 60, 1, 48, 5):
         run_linear(warm_aut, w, shadow=True)
     run_linear(warm_aut, word, shadow=True)
-    walks.clear()
-    warm = run_linear(warm_aut, word, trace=True, shadow=True)
-    assert walks == []  # every composition the run asked for came from the memo
-    assert _outcome_fingerprint(warm_aut, warm) == _outcome_fingerprint(aut, cold)
+    warm = log.run(warm_aut, word, trace=True, shadow=True)
+    assert warm.compose_walks == 0  # every composition the run asked for came from the memo
+    assert (_outcome_fingerprint(warm_aut, _walkless(warm))
+            == _outcome_fingerprint(aut, _walkless(cold)))
+
+    monkeypatch.setattr(mapping_mod, "COMPOSE_MEMO_BYTES", 0)
+    log.run(warm_aut, word, shadow=True)  # its end_run empties the memo
+    assert warm_aut.compiled.compose_memo.entries == 0
+    monkeypatch.setattr(mapping_mod, "COMPOSE_MEMO_BYTES", COMPOSE_MEMO_BYTES)
+    again = log.run(warm_aut, word, trace=True, shadow=True)
+    assert _outcome_fingerprint(warm_aut, again) == _outcome_fingerprint(aut, cold)
 
 
 def test_shadow_memo_does_not_weaken_the_check(monkeypatch):
@@ -563,41 +601,50 @@ _D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
 # the full walk and of the crossing walk are the same.  ranked-3 was re-pinned
 # when a scan record began to give only the merges the scan completed: a
 # map-loop run's last scan record there had a segment reaching into the
-# neighbour it left unmerged.  Recompute only for a change that means to
-# alter them.
+# neighbour it left unmerged.  All but zoo-bouncer, which composes nothing,
+# were re-pinned when compose_walks became the run's own walks, its memo
+# misses: the runs follow one another on one machine, so a warm run reports
+# fewer walks than the distinct pairs it requested.  Every other field and
+# trace record was compared equal with the engine before, and every run on
+# a cold twin machine gave the same compose_walks and compose_edges_max.
+# Recompute only for a change that means to alter them.
 _FINGERPRINTS = {
-    "zoo-anbn": "b4af7b67632596977971b1fd1c5f1569ea3292d418d084728af7063636b8ad0c",
+    "zoo-anbn": "54a15f2c97806421a9efd3bfe8f87790b739939387362b3ef95393262f52223d",
     "zoo-bouncer": "4023cc903c6916d30b525432abff05b1164d95600947dc94fc44669bb2d5e842",
-    "zoo-even_a": "0ee50b972a3e1d3c0d5ced236a349a076da98a8f13bc116322dc08c6ffa95514",
-    "zoo-sweeper": "2c2c5b39614c6ea5fff9ff38df3819334309e35ee9396be04e2dcb978b0a7649",
-    "ranked-0": "f6ec5c74c87da28431fe7ddb40c017e035f18986aca962a7d132d779dee2c637",
-    "ranked-1": "0af5de85af13f0aff6e389725599a255cbc18b8e9dbf3785e9b6d78c15b62ce4",
-    "ranked-2": "e175a44d008a5eb0b954bdc1402060fef16c4f2b2244ea99d1a85997a2e6461d",
-    "ranked-3": "015476d4ca88c25b4387b95c8a564f339fac2d7f93132ea32f009905791d0a29",
-    "counted-0": "17cb2f8f12f0a5065cbd5bb5255b4d23ca0ab8090a5629c0e3349de0e3bd50cb",
-    "counted-1": "4a42d007be636d8fe368de6ee8a9ed359e47c0db7b0e9a06bcf9418b54337a69",
-    "counted-2": "869a4591acf63cc319e7417c18ef47ba3438f4050be731208f37c0428d9d7e5c",
-    "counted-4": "f78baa5e51605bd3e295676a2d649dbc84202dfc80441cbfdfe33ca3dc7bcdc3",
-    "counted-log2": "346e302d3dd66ed63df3b3f4dde305747ad48e31403ff4475a081d3a4d4c60f2",
-    "counted-sqrt": "87228dbe35f7efbdc76394c2902343c572572eae9e86fa96cead19fd05991aea",
-    "counted-id": "1b12db46276129be6c266de39d67d83bb0d657970720da9e67c0dc8513121fd6",
+    "zoo-even_a": "476a98c2f5adc8434b15512681356551c19623a6d5a4fc01156d6d6839f5abc5",
+    "zoo-sweeper": "4c6016d059168224bbe3ce735e7bce2d6cb0556508bac4d9fbbe103cbaeef997",
+    "ranked-0": "c9a467f4e38ff861e0320deb46ef64ad86181daae53bd4956dee0f391b758203",
+    "ranked-1": "226452f67407e053286d5548b497c6b6278436ebaf93053f6866c773c8e8cd58",
+    "ranked-2": "42e6bc9993c79dd6a92d2da82bf83a0d5f5908fc80efdaa0555952c010d118d2",
+    "ranked-3": "74a5062a0ce5ef59e15dbc839a7a700e721d6de7764b042ea8941d204eafff43",
+    "counted-0": "e6de0e4f935cc8940fb1c2b7a951c32e0fd06f45c9ffc1fd3b07b4b2c7962143",
+    "counted-1": "0cadaa1910c9ca94362d0ca8282db6f416c9883a53ca843c402ecd6519d79989",
+    "counted-2": "216b5ee231fff12482b2f4db0633bf3fb6906bb34dd5848fa500d9e18dfd48a9",
+    "counted-4": "561794d95ded048b397505079f7495f68e651bd44ecf8ffaaf9c0c83cb0a0ec6",
+    "counted-log2": "bce5a01b9044ba1f06779f2948d93c1373d253706fdbbbcd1b8dc74780b2c314",
+    "counted-sqrt": "f74ed37f936fbed13fb3d27b094255221a89fba861768525d8fb52d90edd016a",
+    "counted-id": "aa43e07751e83492b26fcec5531e6d52e1af07d57f6489fa44efbad087e9e649",
 }
 
 
-def _fingerprint(aut, words, budget_words) -> str:
-    """Digest of every RunOutcome field, traces included, over the words;
-    checks on the way that tracing changes no outcome and that max_steps=k
-    raises BudgetExceeded(k) for each k short of a run's length."""
+def _fingerprint(log, aut, words, budget_words) -> str:
+    """Digest of every RunOutcome field, traces included, over the words,
+    run one after another on aut; checks on the way, through log, a
+    _WalkLog, that each run reports the walks it made, that tracing changes
+    no outcome but in its walks (the untraced repeat finds the traced run's
+    pairs in the memo), and that max_steps=k raises BudgetExceeded(k) for
+    each k short of a run's length."""
     h = hashlib.sha256()
     for word in words:
-        out = run_linear(aut, word, trace=True)
-        assert run_linear(aut, word) == dataclasses.replace(out, trace=None), word
+        out = log.run(aut, word, trace=True)
+        again = log.run(aut, word)
+        assert _walkless(again) == _walkless(dataclasses.replace(out, trace=None)), word
         h.update(repr(out).encode())
     for word in budget_words:
-        full = run_linear(aut, word)
+        full = _walkless(log.run(aut, word))
         for k in range(full.steps + 1):
             try:
-                got = run_linear(aut, word, max_steps=k)
+                got = _walkless(run_linear(aut, word, max_steps=k))
             except BudgetExceeded as e:
                 got = e.steps
             assert got == k or (k == full.steps and got == full), (word, k)
@@ -605,26 +652,27 @@ def _fingerprint(aut, words, budget_words) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_sweep_keeps_outcomes_on_zoo(name):
+def test_sweep_keeps_outcomes_on_zoo(monkeypatch, name):
     aut = ZOO[name]()
     words = list(words_upto(aut.input_alphabet, 6))
     words += random_words(aut.input_alphabet, 4, 200, 600, 17)
     budget_words = random_words(aut.input_alphabet, 3, 6, 24, 19)
-    digest = _fingerprint(aut, words, budget_words)
+    digest = _fingerprint(_WalkLog(monkeypatch), aut, words, budget_words)
     assert _FINGERPRINTS.get(f"zoo-{name}") == digest, digest
 
 
 @pytest.mark.parametrize("mode, dlimit", _D_LIMITS,
                          ids=[f"{m}-{d.token()}" for m, d in _D_LIMITS])
-def test_sweep_keeps_outcomes_on_random_machines(mode, dlimit):
+def test_sweep_keeps_outcomes_on_random_machines(monkeypatch, mode, dlimit):
     rng = SplitMix64(0x5EE9)
+    log = _WalkLog(monkeypatch)
     h = hashlib.sha256()
     for q in (1, 2, 3, 4, 6):
         aut = random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
         words = list(words_upto(aut.input_alphabet, 4))
         words += random_words(aut.input_alphabet, 6, 8, 96, rng.next_u64())
         budget_words = random_words(aut.input_alphabet, 3, 6, 20, rng.next_u64())
-        h.update(_fingerprint(aut, words, budget_words).encode())
+        h.update(_fingerprint(log, aut, words, budget_words).encode())
     digest = h.hexdigest()
     assert _FINGERPRINTS.get(f"{mode}-{dlimit.token()}") == digest, digest
 

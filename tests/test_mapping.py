@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import tracemalloc
@@ -44,6 +45,32 @@ def _walked(f, g):
     fresh memo, whatever the rows of f and g hold."""
     m = CompositionMemo()
     return compose_full(m.canonical(f.table), m.canonical(g.table))
+
+
+class _WalkLog:
+    """Records the edges of every composition walk, each call of
+    mapping._walk_glued, which compose_full looks up at call time."""
+
+    def __init__(self, monkeypatch):
+        self.edges = []
+        real = mapping_mod._walk_glued
+
+        def walk(ft, gt):
+            h, edges, dep = real(ft, gt)
+            self.edges.append(edges)
+            return h, edges, dep
+
+        monkeypatch.setattr(mapping_mod, "_walk_glued", walk)
+
+    def run(self, aut, word, **kw):
+        """run_linear(aut, word, **kw), checked to report as compose_walks the
+        walks made during it and as compose_edges_max the largest of their
+        edges, 0 if none."""
+        self.edges.clear()
+        out = run_linear(aut, word, **kw)
+        assert (out.compose_walks, out.compose_edges_max) == (
+            len(self.edges), max(self.edges, default=0)), word
+        return out
 
 
 def all_q1_maps(memo):
@@ -139,8 +166,8 @@ def test_memo_returns_the_walked_result_once_per_pair():
     for _ in range(500):
         q = 1 + rng.below(6)
         f, g = _rand_map(rng, q, memo), _rand_map(rng, q, memo)
-        memo.run += 1
-        memo.calls = memo.walks = 0
+        memo.start_run()
+        new = g not in f.row  # small maps repeat, so a pair may have been composed
         r = compose_full(f, g)
         plain = _walked(f, g)
         assert (r.h.table, r.edges) == (plain.h.table, plain.edges)
@@ -152,8 +179,7 @@ def test_memo_returns_the_walked_result_once_per_pair():
         assert f2 is f and g2 is g
         again = compose_full(f2, g2)
         assert again is r
-        assert (memo.calls, memo.walks) == (2, 1)  # one distinct pair requested in this run
-        assert r.run == memo.run
+        assert (memo.calls, memo.walks) == (2, new)  # a miss if new, then one hit
     _assert_rows_are_the_memo(memo)
 
 
@@ -298,7 +324,7 @@ def test_run_past_the_cap_frees_what_it_drops():
 
 def test_warm_large_machine_walks_no_pair_again(monkeypatch):
     # a |Q| = 64 machine keeps the pairs of a run under the cap, so running
-    # the same word again walks nothing and reports the same counts
+    # the same word again walks nothing, reports no walk and the same calls
     aut = random_automaton(GenParams(64, 34, RANKED, DLimit.const(3)))
     word = next(random_words(aut.input_alphabet, 1, 512, 512, 34))
     first = run_linear(aut, word)
@@ -309,7 +335,8 @@ def test_warm_large_machine_walks_no_pair_again(monkeypatch):
                         lambda ft, gt: walks.append(1) or real(ft, gt))
     second = run_linear(aut, word)
     assert walks == []
-    assert second == first  # verdict, steps, moves, scans and the three counts
+    # verdict, steps, moves, scans and calls; the walks are the ones observed
+    assert second == dataclasses.replace(first, compose_walks=0, compose_edges_max=0)
 
 
 def _runs_under_the_cap(params, words):
@@ -398,6 +425,30 @@ def test_memo_evicting_every_run_stays_exact(monkeypatch):
     for i in range(30):
         assert run_linear(aut, words[i % 10]) == cold[i % 10]
         assert _assert_capped(memo, ends.pop())
+
+
+@pytest.mark.parametrize("params, count, lengths", [
+    (GenParams(64, 34, RANKED, DLimit.const(3)), 20, (256, 512)),  # passes the cap
+    (GenParams(5, 37, COUNTED, DLimit.const(2)), 40, (1, 48)),  # stays under it
+])
+def test_walks_are_the_runs_misses(monkeypatch, params, count, lengths):
+    # over consecutive runs of one machine, cold, warm or right after the cap
+    # emptied the memo, a run reports the walks it made; a run that follows
+    # an emptying end_run starts from the generators, as a cold run does
+    log = _WalkLog(monkeypatch)
+    aut = random_automaton(params)
+    memo = aut.compiled.compose_memo
+    ends = _run_ends(monkeypatch)
+    emptied, hits = [False], 0
+    for word in random_words(aut.input_alphabet, count, *lengths, params.seed):
+        out = log.run(aut, word)
+        end = ends.pop()
+        hits += out.compose_calls - out.compose_walks
+        if emptied[-1]:
+            assert out == run_linear(random_automaton(params), word)
+        emptied.append(_assert_capped(memo, end))
+    assert hits > 0
+    assert any(emptied) == (params.state_count == 64), emptied
 
 
 def test_associativity():

@@ -100,6 +100,16 @@ CATALOGUE = [
     Mutant("miss-leaves-entry-uncounted", mapping_mod,
            "        memo.entries += 1\n", "",
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
+    # a hit counts a walk as a miss does, so a warm run reports walks it
+    # never made
+    Mutant("walk-counted-on-hit", mapping_mod,
+           "        memo.walks += 1\n        if edges > memo.edges_max:\n"
+           "            memo.edges_max = edges\n    return r\n",
+           "        if edges > memo.edges_max:\n            memo.edges_max = edges\n"
+           "    memo.walks += 1\n    return r\n",
+           partial(test_mapping.test_walks_are_the_runs_misses,
+                   params=GenParams(5, 37, COUNTED, DLimit.const(2)), count=40,
+                   lengths=(1, 48))),
     # the walk keeps the left part's entries for every h entry
     Mutant("walk-keeps-left-entries", mapping_mod,
            "    h[1::2] = gt[1::2]\n", "",
