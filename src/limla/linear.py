@@ -72,7 +72,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     f = fmap[left]
     if f is not None:
         comp = compose_full(f, g)
-        if (p & 1) != RIGHT:  # heading left, into the merged territory
+        if p & 1:  # heading left (RIGHT is 0), into the merged territory
             p = comp.dep[p]
             if p < 0:
                 return p
@@ -85,7 +85,7 @@ def deletion_scan(tape: ListTape, i: int, p: int, g) -> int:
     f = fmap[right]
     if f is not None:
         comp = compose_full(g, f)
-        if (p & 1) == RIGHT:
+        if not p & 1:
             p = comp.dep[p]
             if p < 0:
                 return p
@@ -142,10 +142,16 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     that hands back to the main loop only on a map cell, a marker, a
     map-loop exit or max_steps.  Each scan is one call to deletion_scan and
     each merge one call to compose_full, both looked up by name at call
-    time, so wrappers installed on them see every call.  A traced scan's
-    record is read from the tape the scan leaves, so its merges and segment
-    are those the scan completed: a side whose neighbour is still a map
-    (a looping departure left that merge undone) ends the segment at pos.
+    time, so wrappers installed on them see every call.  After a scan the
+    cell's links are read once, as left and right, for the adjacency check,
+    the record and the move; the check has just read both neighbours'
+    maps, so a scan visit ends on its own tail, which tests only the
+    markers and the budget, and a plain visit on one that also tests the
+    new cell for a map.  A traced scan's record is read from the tape the
+    scan leaves, so its merges and segment are those the scan completed:
+    left + 1 .. right - 1 after a completed scan, and after a map loop a
+    side whose neighbour is still a map (the looping departure left that
+    merge undone) ends the segment at pos.
     """
     c = aut.compiled
     tape = ListTape.from_word(aut, word)
@@ -196,19 +202,28 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                 if v + 1 >= limit or fixed[w]:
                     out = deletion_scan(tape, pos, out, cf.get(w) or cf_idx(c, w))
                     scans += 1
-                    if tr is not None:  # a neighbour still a map was not merged
-                        lo = pos if fmap[prev[pos]] is not None else prev[pos] + 1
-                        hi = pos if fmap[nxt[pos]] is not None else nxt[pos] - 1
-                        tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit,
-                                   1, lo < pos, hi > pos, lo, hi))
+                    left, right = prev[pos], nxt[pos]
                     if out < 0:
+                        if tr is not None:  # a neighbour still a map was not merged
+                            lo = pos if fmap[left] is not None else left + 1
+                            hi = pos if fmap[right] is not None else right - 1
+                            tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit,
+                                       1, lo < pos, hi > pos, lo, hi))
                         verdict, reason = REJECT, MAP_LOOP
                         break
-                    if fmap[prev[pos]] is not None or fmap[nxt[pos]] is not None:
+                    if fmap[left] is not None or fmap[right] is not None:
                         raise AssertionError(f"adjacent maps at cell {pos}")
+                    if tr is not None:
+                        tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit,
+                                   1, left + 1 < pos, right - 1 > pos, left + 1, right - 1))
                     if shadow:
                         _shadow_check(c, tape, pos)
-                elif tr is not None:
+                    head = out
+                    pos = left if out & 1 else right
+                    if not 0 < pos <= n or steps >= budget:  # pos is no map: just checked
+                        break
+                    continue
+                if tr is not None:
                     tr.append((steps, pos, head >> 1, s, w, out & 1, False,
                                0, False, False, -1, -1))
                 head = out
@@ -245,10 +260,9 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     memo.end_run(nq)
     if verdict is None:
         raise BudgetExceeded(steps)
-    return RunOutcome(
-        verdict=verdict, reason=reason, steps=steps,
-        moves={"letter": steps - scans - map_jumps - marker_moves,
-               "map": map_jumps, "marker": marker_moves},
-        trace=tr, scans=scans, compose_calls=memo.calls, compose_walks=memo.walks,
-        compose_edges_max=memo.edges_max,
+    return RunOutcome(  # positional, in field order: half the cost of keywords
+        verdict, reason, steps,
+        {"letter": steps - scans - map_jumps - marker_moves,
+         "map": map_jumps, "marker": marker_moves},
+        tr, scans, memo.calls, memo.walks, memo.edges_max,
     )

@@ -93,7 +93,4 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
             raise BudgetExceeded(len(budget))
 
     r_moves = (steps + pos - 1) // 2
-    return RunOutcome(
-        verdict=verdict, reason=reason, steps=steps,
-        moves={"R": r_moves, "L": steps - r_moves}, trace=tr,
-    )
+    return RunOutcome(verdict, reason, steps, {"R": r_moves, "L": steps - r_moves}, tr)

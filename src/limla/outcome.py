@@ -29,7 +29,7 @@ class BudgetExceeded(Exception):
 
 
 @dataclass
-class RunOutcome:
+class RunOutcome:  # both engines pass the fields by position, in this order
     verdict: str                 # "accept" | "reject"
     reason: str | None           # None | LOOP_DETECTED | MAP_LOOP
     steps: int

@@ -318,6 +318,35 @@ def test_adjacency_check_survives_python_O():
     assert done.returncode == 0, done.stderr
 
 
+_TAPE_RSS = """
+import gc, resource
+from limla.linear import run_linear
+from limla.zoo import build_even_a_2dfa
+
+n = 10 ** 6
+aut = build_even_a_2dfa()
+run_linear(aut, "ab")
+word = "ab" * (n // 2)  # n bytes, made with no larger transient to hide a peak
+gc.collect()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert run_linear(aut, word).accepted
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / n)
+"""
+
+
+def test_linear_run_peak_rss_per_letter():
+    # an even_a run keeps five lists of n + 2 slots, 8 bytes a slot each, and
+    # the links' ints, 32 bytes a cell when prev and nxt share them: 72 bytes
+    # a letter, against 112 with a private int per link and a copy of the
+    # word's indices, and 80 when prev is concatenated from a copied slice
+    # (ru_maxrss, CPython 3.11)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(linear_mod.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _TAPE_RSS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 80
+
+
 def test_composition_memo_walks_each_pair_once():
     # even_a makes one scan and one composition per cell, but its maps form a
     # tiny monoid: the memo walks at most 8 distinct pairs on a 1024-letter word

@@ -268,7 +268,7 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
     # passes it leaves the generators alone, and any other run leaves the
     # memo as it ended; large machines pass the cap after a few long words
     ends = _run_ends(monkeypatch)
-    evicted = 0
+    emptied = 0
     for seed in range(16):
         q = (2, 3, 5, 32, 64)[seed % 5]
         aut = random_automaton(GenParams(q, seed, COUNTED, DLimit.const(2)))
@@ -282,8 +282,8 @@ def test_compose_memo_stays_within_its_cap(monkeypatch):
         for word in words:
             run_linear(aut, word)
             assert _charge(memo, q) <= COMPOSE_MEMO_BYTES
-            evicted += _assert_capped(memo, ends.pop())
-    assert evicted > 0
+            emptied += _assert_capped(memo, ends.pop())
+    assert emptied > 0
     # a run cut short by its step budget ends all the same
     params = GenParams(64, 69, COUNTED, DLimit.const(2))
     word = next(random_words(("a", "b"), 1, 256, 256, 69))
@@ -412,7 +412,7 @@ def test_memo_hit_hashes_no_table(q):
     assert (memo.calls, memo.walks) == (101, 1)
 
 
-def test_memo_evicting_every_run_stays_exact(monkeypatch):
+def test_memo_emptied_after_every_run_stays_exact(monkeypatch):
     # with a cap so small that every run empties the memo, each run starts
     # from the generators and must still equal a cold run
     params = GenParams(64, 34, RANKED, DLimit.const(3))

@@ -81,11 +81,11 @@ class Mutant(NamedTuple):
 
 CATALOGUE = [
     # a memo past its cap drops its maps and entries but leaves their rows
-    Mutant("evict-leaves-row-entries", mapping_mod,
+    Mutant("capped-memo-keeps-rows", mapping_mod,
            "                m.row.clear()\n", "                pass\n",
-           test_mapping.test_memo_evicting_every_run_stays_exact),
+           test_mapping.test_memo_emptied_after_every_run_stays_exact),
     # a memo past its cap empties every row but keeps every map
-    Mutant("untrimmed-intern-table", mapping_mod,
+    Mutant("capped-memo-keeps-maps", mapping_mod,
            "            self.maps = {m.table: m for m in self.cf.values()}\n", "",
            test_mapping.test_compose_memo_stays_within_its_cap),
     # end_run never empties the memo, whatever its charge
@@ -98,15 +98,13 @@ CATALOGUE = [
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
     # a miss stores its entry without counting it
     Mutant("miss-leaves-entry-uncounted", mapping_mod,
-           "        memo.entries += 1\n", "",
+           "    memo.entries += 1\n", "",
            test_mapping.test_memo_returns_the_walked_result_once_per_pair),
     # a hit counts a walk as a miss does, so a warm run reports walks it
     # never made
     Mutant("walk-counted-on-hit", mapping_mod,
-           "        memo.walks += 1\n        if edges > memo.edges_max:\n"
-           "            memo.edges_max = edges\n    return r\n",
-           "        if edges > memo.edges_max:\n            memo.edges_max = edges\n"
-           "    memo.walks += 1\n    return r\n",
+           "        return f.row[g]\n",
+           "        r = f.row[g]\n        memo.walks += 1\n        return r\n",
            partial(test_mapping.test_walks_are_the_runs_misses,
                    params=GenParams(5, 37, COUNTED, DLimit.const(2)), count=40,
                    lengths=(1, 48))),
@@ -136,7 +134,7 @@ CATALOGUE = [
            test_linear.test_unlink_relinks_and_marks_dead),
     # the right merge reroutes an exit that points left, not right
     Mutant("scan-flips-right-departure-parity", linear_mod,
-           "        if (p & 1) == RIGHT:\n", "        if (p & 1) != RIGHT:\n",
+           "        if not p & 1:\n", "        if p & 1:\n",
            net_slice),
     # the stretch set survives letter visits, so a changed tape looks static
     Mutant("stretch-not-cleared", linear_mod,
@@ -158,11 +156,26 @@ CATALOGUE = [
     # a scan record takes its segment from the links alone, so a map-loop
     # scan's segment reaches into the neighbour map it left unmerged
     Mutant("scan-record-segment-from-links", linear_mod,
-           "                        lo = pos if fmap[prev[pos]] is not None else prev[pos] + 1\n"
-           "                        hi = pos if fmap[nxt[pos]] is not None else nxt[pos] - 1\n",
-           "                        lo, hi = prev[pos] + 1, nxt[pos] - 1\n",
+           "                            lo = pos if fmap[left] is not None else left + 1\n"
+           "                            hi = pos if fmap[right] is not None else right - 1\n",
+           "                            lo, hi = left + 1, right - 1\n",
            partial(test_linear.test_map_loop_scan_record_gives_the_merges_it_completed,
                    183, 2, "bba", [3, 3])),
+    # a scan reads its cell's neighbours before it merges them, so the head
+    # leaves for a cell the merge unlinked
+    Mutant("scan-reads-neighbours-before-scan", linear_mod,
+           "                    out = deletion_scan(tape, pos, out, cf.get(w) or cf_idx(c, w))\n"
+           "                    scans += 1\n"
+           "                    left, right = prev[pos], nxt[pos]\n",
+           "                    left, right = prev[pos], nxt[pos]\n"
+           "                    out = deletion_scan(tape, pos, out, cf.get(w) or cf_idx(c, w))\n"
+           "                    scans += 1\n",
+           net_slice),
+    # a completed scan sends the head out on the side its exit does not name
+    Mutant("scan-moves-to-the-other-side", linear_mod,
+           "                    pos = left if out & 1 else right\n",
+           "                    pos = right if out & 1 else left\n",
+           net_slice),
     # the harness lets the engines disagree on a verdict
     Mutant("compare-skips-verdict", difftest_mod,
            "    if no.verdict != lo.verdict:\n", "    if False:\n",
