@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .naive import run_naive
 from .linear import run_linear
-from .rng import SplitMix64
+from .rng import BLOCK, SplitMix64
 
 
 class Degenerate(ValueError):
@@ -59,7 +59,12 @@ def check_word(kind: str, aut, length: int) -> None:
 
 
 def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
-    """Deterministic benchmark word of the given total length."""
+    """Deterministic benchmark word of the given total length.
+
+    A random word maps one block of draws at a time to letters, so its
+    peak memory is about twice the tuple it returns: the list of letters
+    and the tuple, never a list of n 64-bit draws.
+    """
     check_word(kind, aut, length)
     alphabet = aut.input_alphabet
     if kind == "anbn":
@@ -68,7 +73,11 @@ def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
     if kind == "unary":
         return (alphabet[0],) * length
     k = len(alphabet)
-    return tuple([alphabet[v % k] for v in SplitMix64(seed + length).take(length)])
+    rng = SplitMix64(seed + length)
+    letters = []
+    for start in range(0, length, BLOCK):
+        letters += [alphabet[v % k] for v in rng.take(min(BLOCK, length - start))]
+    return tuple(letters)
 
 
 def run_bench(aut, machine_id: str, engines, lengths, gen: str, seed: int = 0) -> list:

@@ -2,6 +2,7 @@
 their documents in machines/, plus a seeded generator for differential fuzzing."""
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,10 +106,15 @@ def random_automaton(p: GenParams) -> Automaton:
     """Seed-deterministic machine, valid by construction.
 
     Every transition is drawn uniformly among the choices that are legal
-    for the symbol being read.  Draw order is pinned (accepting bits per
-    state, then per (state, symbol) in declaration order: target state,
-    then written symbol where the read is rewritable, then move), so a
-    seed reproduces the same machine everywhere.
+    for the symbol being read; each tape letter's write choices (the
+    letters of higher rank in ranked mode, every tape letter in counted
+    mode) are one table built once per machine.  Draw order is pinned
+    (accepting bits per state, then per state: for each tape letter in
+    declaration order the target state, the written letter where the table
+    gives a choice and the move, then the targets of the left and right
+    markers), so a seed reproduces the same machine everywhere.  The
+    generated names (q0, ..., x1_0, ..., y0, ...) are interned, so all
+    machines share one string per name.
     """
     if p.state_count < 1 or p.input_alphabet_size < 1 or p.tape_per_rank < 1:
         raise ValueError("all generator counts must be >= 1")
@@ -121,7 +127,7 @@ def random_automaton(p: GenParams) -> Automaton:
     if p.state_count * symbol_count(p) > MAX_TRANSITIONS:
         raise ValueError(f"the machine would have over {MAX_TRANSITIONS} transitions")
 
-    states = tuple(f"q{i}" for i in range(p.state_count))
+    states = tuple(sys.intern(f"q{i}") for i in range(p.state_count))
     input_syms = tuple(INPUT_LETTERS[:p.input_alphabet_size])
     ranks: dict = {}
     tape = list(input_syms)
@@ -131,43 +137,34 @@ def random_automaton(p: GenParams) -> Automaton:
             ranks[tok] = 0
         for r in range(1, d + 1):
             for j in range(p.tape_per_rank):
-                tok = f"x{r}_{j}"
+                tok = sys.intern(f"x{r}_{j}")
                 tape.append(tok)
                 ranks[tok] = r
     else:
         for j in range(p.tape_per_rank):
-            tape.append(f"y{j}")
+            tape.append(sys.intern(f"y{j}"))
     tape = tuple(tape)
+    # each letter's write choices; None for a rank-d letter, rewritten as itself
+    if p.mode == RANKED:
+        writes = [tuple(t for t in tape if ranks[t] > ranks[s]) if ranks[s] < d else None
+                  for s in tape]
+    else:
+        writes = [tape] * len(tape)
 
     # a bound on the draws: one per state, one per marker transition and at
     # most three per letter transition; the surplus is never read
     draw = iter(SplitMix64(p.seed).take(p.state_count * 3 * (1 + len(tape)))).__next__
     accepting = tuple(s for s in states if draw() % 2 == 1)
 
-    by_rank_above: dict = {}
-    if p.mode == RANKED:
-        d = p.dlimit.k
-        for r in range(d):
-            by_rank_above[r] = [t for t in tape if ranks[t] > r]
-
     delta = {}
     for q in states:
-        for s in tape + (LEFT_MARKER, RIGHT_MARKER):
+        for s, choices in zip(tape, writes):
             to = states[draw() % p.state_count]
-            if s == LEFT_MARKER:
-                wr, mv = s, "R"
-            elif s == RIGHT_MARKER:
-                wr, mv = s, "L"
-            else:
-                if p.mode == RANKED and ranks[s] < p.dlimit.k:
-                    cands = by_rank_above[ranks[s]]
-                    wr = cands[draw() % len(cands)]
-                elif p.mode == RANKED:
-                    wr = s
-                else:
-                    wr = tape[draw() % len(tape)]
-                mv = "R" if draw() % 2 == 0 else "L"
+            wr = s if choices is None else choices[draw() % len(choices)]
+            mv = "R" if draw() % 2 == 0 else "L"
             delta[(q, s)] = Transition(to, wr, mv)
+        delta[(q, LEFT_MARKER)] = Transition(states[draw() % p.state_count], LEFT_MARKER, "R")
+        delta[(q, RIGHT_MARKER)] = Transition(states[draw() % p.state_count], RIGHT_MARKER, "L")
 
     return Automaton(
         mode=p.mode, dlimit=p.dlimit, states=states,

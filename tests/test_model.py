@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -42,6 +43,17 @@ def test_visit_limit():
     assert visit_limit(machine(COUNTED, DLimit.const(0)), 9) == 0
     assert visit_limit(machine(COUNTED, ID), 9) == 9
     assert visit_limit(machine(COUNTED, SQRT), 9) == 3
+
+
+def test_transition_is_a_slotted_frozen_record():
+    t = Transition("p", "X", "R")
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.move = "L"
+    same = Transition("p", "X", "R")
+    assert t == same and hash(t) == hash(same)
+    assert t != Transition("p", "X", "L")
+    assert repr(t) == "Transition(to_state='p', write='X', move='R')"
 
 
 def _tiny(mode=RANKED, d=2, rows=None, ranks=None, tape=("a", "X"),

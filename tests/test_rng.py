@@ -110,6 +110,19 @@ def test_random_words_holds_one_word_at_a_time():
     assert peak < 3 * sys.getsizeof(first), peak
 
 
+def test_make_word_holds_no_list_of_draws():
+    # a long random word is drawn a block at a time, not as n 64-bit ints
+    aut = SimpleNamespace(input_alphabet=("a", "b"))
+    tracemalloc.start()
+    try:
+        word = make_word("random", aut, 200_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == 200_000
+    assert peak < 3 * sys.getsizeof(word), peak
+
+
 @pytest.mark.parametrize("mode", (RANKED, COUNTED))
 def test_random_automaton_is_pinned(mode):
     machines = (serialize_machine(random_automaton(p)) for p in _machine_grid(mode))

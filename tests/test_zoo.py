@@ -1,11 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
 from limla.difftest import compare_run, random_words, words_upto
 from limla.fmt import serialize_machine
 from limla.linear import run_linear
-from limla.model import ACCEPT, COUNTED, DLimit, REJECT, validate_automaton
+from limla.model import (
+    ACCEPT, COUNTED, ID, LOG2, RANKED, REJECT, SQRT, DLimit, validate_automaton,
+)
 from limla.naive import run_naive
 from limla.rng import SplitMix64
 from limla.zoo import (
@@ -112,6 +115,23 @@ def test_generated_machines_agree_between_engines():
                                          dlimit=DLimit.const(2)))
         assert [w for w in words_upto(aut.input_alphabet, 5)
                 if compare_run(aut, w) is not None] == []
+
+
+def test_generated_machines_bytes_per_transition():
+    # perfbench random's classes: slotted records and interned names keep a
+    # grid of 180 machines near 150 bytes a transition; the bound sits below
+    # the 199 of records with a dict and a copy of every name per machine
+    classes = ((RANKED, DLimit.const(1)), (RANKED, DLimit.const(3)),
+               (COUNTED, LOG2), (COUNTED, SQRT), (COUNTED, ID))
+    tracemalloc.start()
+    try:
+        machines = [random_automaton(GenParams(q, seed, mode, dlimit))
+                    for q in (8, 32, 64) for mode, dlimit in classes for seed in range(12)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    transitions = sum(len(aut.delta) for aut in machines)
+    assert held / transitions < 175, held / transitions
 
 
 def test_gen_params_validation():
