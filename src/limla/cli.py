@@ -21,7 +21,7 @@ from . import bench as benchmod
 from .difftest import DiffStats, compare_run, random_words, words_upto
 from .fmt import FormatError, parse_dlimit, parse_machine, serialize_machine
 from .linear import run_linear
-from .model import COUNTED, RANKED, validate_automaton, word_indices
+from .model import COUNTED, RANKED, tape_indices, validate_automaton
 from .naive import run_naive
 from .outcome import BudgetExceeded, write_trace
 from .rng import SplitMix64
@@ -72,17 +72,13 @@ def cmd_check(args) -> int:
 def _parse_word(args, aut) -> tuple:
     if args.input is not None and args.input_tokens is not None:
         raise UsageError("give either --input or --input-tokens, not both")
-    if args.input_tokens is not None:
-        toks = tuple(t for t in args.input_tokens.split(",") if t)
-    elif args.input is not None:
-        if "," in args.input:
-            toks = tuple(t for t in args.input.split(",") if t)
-        else:
-            toks = tuple(args.input)
+    text = (args.input if args.input_tokens is None else args.input_tokens) or ""
+    if args.input_tokens is not None or "," in text:
+        toks = tuple(t for t in text.split(",") if t)
     else:
-        toks = ()
+        toks = tuple(text)
     try:
-        word_indices(aut, toks)
+        tape_indices(aut, toks)
     except ValueError as e:
         raise UsageError(str(e))
     return toks

@@ -159,7 +159,7 @@ class CompiledAutomaton:
     n_letters: int
     width: int
     sym_names: tuple
-    input_index: dict        # input token -> symbol index (word_indices)
+    input_index: dict        # input token -> symbol index (tape_indices)
     start_idx: int
     accepting: list
     to_tab: list
@@ -224,17 +224,14 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
     )
 
 
-def word_indices(aut: Automaton, word) -> list:
-    """Symbol indices of a word (a str is one token per char); rejects
-    tokens outside the input alphabet.  Tokens are looked up as given and,
-    only if one misses, all again as str()."""
-    index = aut.compiled.input_index
-    word = word if isinstance(word, (str, tuple, list)) else tuple(word)
+def tape_indices(aut: Automaton, word) -> list:
+    """Symbol indices of the marked tape: the left marker, one index per
+    token of the word (a str is one token per char), the right marker.
+    Rejects tokens outside the input alphabet.  The list is fresh and
+    writable: each engine runs on it in place."""
+    c = aut.compiled
     try:
-        try:
-            return [index[t] for t in word]
-        except (KeyError, TypeError):
-            return [index[t] for t in map(str, word)]
+        return [c.n_letters, *map(c.input_index.__getitem__, word), c.n_letters + 1]
     except KeyError as e:
         raise ValueError(f"symbol {e.args[0]!r} is not in the input alphabet") from None
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from .model import ACCEPT, LOOP_DETECTED, REJECT, RIGHT, visit_limit, word_indices
+from .model import ACCEPT, LOOP_DETECTED, REJECT, RIGHT, tape_indices, visit_limit
 from .outcome import BudgetExceeded, RunOutcome
 
 
@@ -36,15 +36,14 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
     counts follow from the step count and the final position.
     """
     c = aut.compiled
-    syms = word_indices(aut, word)
-    n = len(syms)
+    tape = tape_indices(aut, word)
+    n = len(tape) - 2
     lo = c.n_letters
     width = c.width
     nq = c.n_states
     to_tab, wr_tab, mv_tab = c.to_tab, c.wr_tab, c.mv_tab
     accepting = c.accepting
 
-    tape = [lo] + syms + [lo + 1]
     visits = [0] * (n + 2)
 
     fixed = c.fixed

@@ -10,9 +10,9 @@ holds, or last held before it froze), visits, fmap, and the prev/nxt
 links.  A live interior cell is a letter while fmap[i] is None and a
 frozen segment described by fmap[i] otherwise; the markers never get a map.
 
-Memory: sym is the list word_indices returns, with the markers put in
-place, and prev a slice of nxt with its first two links put in place, so
-no list is made twice.  prev[i + 1] and nxt[i - 1] share one int object;
+Memory: sym is the marked list model.tape_indices returns, kept as it
+is, and prev a slice of nxt with its first two links put in place, so no
+list is made twice.  prev[i + 1] and nxt[i - 1] share one int object;
 above 256 each link would otherwise own one, 32 bytes a cell.  So a tape
 costs five 8-byte slots and one int a cell: an even_a linear run of 10^6
 letters grows peak RSS by 72 bytes a letter past the built word, against
@@ -26,7 +26,7 @@ so a merge of two neighbours finds its result in the left map's row.
 """
 from __future__ import annotations
 
-from .model import word_indices
+from .model import tape_indices
 
 
 class ListTape:
@@ -34,13 +34,9 @@ class ListTape:
 
     @classmethod
     def from_word(cls, aut, word) -> "ListTape":
-        c = aut.compiled
-        sym = word_indices(aut, word)  # a fresh list, so the markers go in place
         t = cls.__new__(cls)
-        t.n = n = len(sym)
-        sym.insert(0, c.n_letters)
-        sym.append(c.n_letters + 1)
-        t.sym = sym
+        t.sym = sym = tape_indices(aut, word)  # fresh, so the tape owns it
+        t.n = n = len(sym) - 2
         t.visits = [0] * (n + 2)
         t.fmap = [None] * (n + 2)
         t.nxt = nxt = list(range(1, n + 3))

@@ -9,7 +9,7 @@ import pytest
 import limla
 from limla.cli import main
 from limla.fmt import parse_machine
-from limla.model import validate_automaton, word_indices
+from limla.model import tape_indices, validate_automaton
 
 MACHINES = pathlib.Path(__file__).resolve().parents[1] / "machines"
 ANBN = str(MACHINES / "anbn.limla")
@@ -81,7 +81,7 @@ def test_run_rejects_what_word_indices_rejects(capsys, tokens, bad):
     # one rule and one message: a tape-only letter or a marker is no input token
     aut = parse_machine(pathlib.Path(ANBN).read_text())
     with pytest.raises(ValueError) as e:
-        word_indices(aut, tuple(tokens.split(",")))
+        tape_indices(aut, tuple(tokens.split(",")))
     assert str(e.value) == f"symbol {bad!r} is not in the input alphabet"
     assert main(["run", ANBN, "--input-tokens", tokens]) == 2
     assert capsys.readouterr().err == f"error: {e.value}\n"
@@ -91,6 +91,37 @@ def test_run_input_tokens_form(capsys):
     assert main(["run", ANBN, "--input-tokens", "a,a,b,b"]) == 0
     assert main(["run", ANBN, "--input-tokens", ""]) == 0  # empty word accepts
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("engine", ["naive", "linear"])
+def test_run_input_with_a_comma_reads_tokens(capsys, engine):
+    # a comma in --input makes it the --input-tokens form
+    for word in ("a,a,b,b", "a,b,b", "a,zz"):
+        results = []
+        for option in ("--input", "--input-tokens"):
+            code = main(["run", ANBN, "--engine", engine, option, word])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1], word
+
+
+@pytest.mark.parametrize("engine", ["naive", "linear"])
+def test_run_input_reads_one_character_per_symbol(capsys, monkeypatch, engine):
+    import limla.cli as cli
+    words = []
+    runner = getattr(cli, f"run_{engine}")
+    monkeypatch.setattr(cli, f"run_{engine}",
+                        lambda aut, word, **kw: words.append(tuple(word)) or runner(aut, word, **kw))
+    assert main(["run", ANBN, "--engine", engine, "--input", "aabb"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "accept"
+    assert words == [("a", "a", "b", "b")]
+
+
+def test_run_input_and_input_tokens_together_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("limla.cli.run_linear", lambda *a, **k: pytest.fail("engine ran"))
+    assert main(["run", ANBN, "--input", "ab", "--input-tokens", "a,b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: give either --input or --input-tokens, not both\n"
+    assert captured.out == ""
 
 
 def test_run_trace_file(tmp_path, capsys):
@@ -206,6 +237,38 @@ def test_bench_csv_deterministic(tmp_path, capsys):
     assert strip(out1) == strip(out2)
     header = out1.read_text().splitlines()[0]
     assert header == "machine,engine,n,steps,wall_ns,verdict"
+
+
+def _without_wall_ns(lines):
+    return [line.split(",")[:4] + line.split(",")[5:] for line in lines]
+
+
+def test_bench_random_generator_is_seeded(capsys):
+    args = ["bench", ANBN, "--gen", "random:7", "--lengths", "8,16,5"]
+    outs = []
+    for _ in range(2):
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(_without_wall_ns(captured.out.splitlines()))
+    assert outs[0] == outs[1]
+    aut = parse_machine(pathlib.Path(ANBN).read_text())
+    rows = limla.bench.run_bench(aut, "anbn", ("naive", "linear"), [8, 16, 5], "random", 7)
+    assert outs[0][1:] == [[r.machine, r.engine, str(r.n), str(r.steps), r.verdict]
+                           for r in rows]
+    assert len(rows) == 6
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--gen", "random:x"], "bad generator 'random:x'"),
+    (["--gen", "foo"], "unknown generator 'foo'"),
+    (["--lengths", "1,x"], "bad lengths '1,x'"),
+])
+def test_bench_bad_gen_or_lengths_is_usage_error(capsys, monkeypatch, args, message):
+    monkeypatch.setattr("limla.bench.make_word", lambda *a, **k: pytest.fail("word made"))
+    assert main(["bench", ANBN] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_bench_incompatible_generator(tmp_path, capsys):

@@ -18,7 +18,7 @@ import limla.mapping as mapping_mod
 from limla.mapping import COMPOSE_MEMO_BYTES, cf_idx, compose_full
 from limla.model import (
     ACCEPT, COUNTED, DLimit, LEFT, MAP_LOOP, RANKED, REJECT, RIGHT,
-    Automaton, Transition, LEFT_MARKER, RIGHT_MARKER, word_indices,
+    Automaton, Transition, LEFT_MARKER, RIGHT_MARKER, tape_indices,
 )
 from limla.naive import run_naive
 from limla.outcome import BudgetExceeded, regular_projection, write_trace
@@ -730,7 +730,7 @@ def test_tape_ends_with_the_oracles_letters(monkeypatch):
             tapes.clear()
             if not run_linear(aut, word).accepted:
                 continue
-            want = [None] + word_indices(aut, word) + [None]
+            want = tape_indices(aut, word)
             for rec in run_naive(aut, word, trace=True).trace:
                 want[rec[1]] = rec[4]  # replay the oracle's writes
             n = len(want) - 2

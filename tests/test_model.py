@@ -6,7 +6,7 @@ import pytest
 from limla.model import (
     Automaton, DLimit, ID, LOG2, SQRT, Transition,
     COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
-    d_of, validate_automaton, visit_limit, word_indices,
+    d_of, tape_indices, validate_automaton, visit_limit,
 )
 from limla.zoo import ZOO
 
@@ -173,13 +173,59 @@ def test_accepting_normalized_to_declaration_order():
     assert a1 == a2
 
 
-def test_word_indices_accepts_only_input_tokens():
+@pytest.mark.parametrize("kwargs, want", [
+    (dict(states=("q", "p#"), accept=("p#",)), [("BadToken", None, "p#")]),
+    (dict(inputs=("a", "a")), [("DuplicateToken", None, "a")]),
+    (dict(inputs=("a", ""), tape=("a", "X", "")),
+     [("BadToken", None, ""), ("BadToken", None, ""), ("BadRank", None, "")]),
+    (dict(rows=[("q", "zz", "q", "a", "R")]), [("UnknownSymbol", "q", "zz")]),
+    (dict(rows=[("p", "a", "p", "X", "S")]), [("BadMove", "p", "a")]),
+    (dict(rows=[("q", "a", "q", "Y", "R")]), [("UnknownSymbol", "q", "a")]),
+    # delta is reported in its own order: ("q", "a") was put in first
+    (dict(rows=[("p", "a", "p", "X", "S"), ("q", "zz", "q", "a", "R"),
+                ("q", "a", "q", "Y", "R")]),
+     [("UnknownSymbol", "q", "a"), ("BadMove", "p", "a"), ("UnknownSymbol", "q", "zz")]),
+])
+def test_rules_the_parser_reaches_first(kwargs, want):
+    # the parser rejects these machines before they are built, so each is
+    # built directly as an Automaton
+    violations = validate_automaton(_tiny(**kwargs)).violations
+    assert [(v.rule, v.state, v.symbol) for v in violations] == want
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(states=("q", "q"), accept=()), "duplicate state names"),
+    (dict(tape=("a", "a")), "duplicate tape symbols"),
+    (dict(drop=("p", "X")), "transition table is not total: missing ('p', 'X'); "
+                            "run validate_automaton for a full report"),
+    (dict(rows=[("q", "a", "q", "Y", "R")]), "transition ('q', 'a') references unknown token 'Y'"),
+    (dict(rows=[("q", "a", "s", "X", "R")]), "transition ('q', 'a') references unknown token 's'"),
+    (dict(start="s"), "start state 's' is not a state"),
+])
+def test_compile_refuses_what_validation_reports(kwargs, message):
+    drop = kwargs.pop("drop", None)
+    aut = _tiny(**kwargs)
+    if drop is not None:
+        delta = dict(aut.delta)
+        del delta[drop]
+        aut = dataclasses.replace(aut, delta=delta)
+    assert not validate_automaton(aut).ok
+    with pytest.raises(ValueError) as e:
+        aut.compiled
+    assert str(e.value) == message
+
+
+def test_tape_indices_accepts_only_input_tokens():
     aut = ZOO["anbn"]()
     c = aut.compiled
-    assert word_indices(aut, "abba") == [c.sym_names.index(t) for t in "abba"]
-    assert word_indices(aut, ("a", "b")) == word_indices(aut, "ab")
-    # tape letters and markers are symbols but not input
-    for word, bad in (("abc", "c"), (("a", "a1"), "a1"), (("|>",), "|>"), ((1,), "1")):
+    marked = [c.sym_names.index(t) for t in (LEFT_MARKER, *"abba", RIGHT_MARKER)]
+    assert tape_indices(aut, "abba") == marked
+    assert tape_indices(aut, ("a", "b")) == tape_indices(aut, "ab")
+    assert tape_indices(aut, iter("abba")) == marked
+    assert tape_indices(aut, "") == [c.n_letters, c.n_letters + 1]
+    # tape letters and markers are symbols but not input; tokens are looked
+    # up as given, so 1 is not the letter '1'
+    for word, bad in (("abc", "c"), (("a", "a1"), "a1"), (("|>",), "|>"), ((1,), 1)):
         with pytest.raises(ValueError) as e:
-            word_indices(aut, word)
+            tape_indices(aut, word)
         assert str(e.value) == f"symbol {bad!r} is not in the input alphabet"
