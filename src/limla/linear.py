@@ -143,15 +143,16 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     map-loop exit or max_steps.  Each scan is one call to deletion_scan and
     each merge one call to compose_full, both looked up by name at call
     time, so wrappers installed on them see every call.  After a scan the
-    cell's links are read once, as left and right, for the adjacency check,
-    the record and the move; the check has just read both neighbours'
+    cell's links are read once, as left and right, for the record, the
+    adjacency check and the move; the check has just read both neighbours'
     maps, so a scan visit ends on its own tail, which tests only the
     markers and the budget, and a plain visit on one that also tests the
-    new cell for a map.  A traced scan's record is read from the tape the
-    scan leaves, so its merges and segment are those the scan completed:
-    left + 1 .. right - 1 after a completed scan, and after a map loop a
-    side whose neighbour is still a map (the looping departure left that
-    merge undone) ends the segment at pos.
+    new cell for a map.  Every scan, completed or not, is recorded at one
+    site, from the tape the scan leaves, by one rule: on each side the
+    segment ends at pos if that neighbour is still a map (a looping
+    departure left that merge undone), else at left + 1 or right - 1.  A
+    completed scan leaves no neighbour a map, so it records left + 1 ..
+    right - 1.
     """
     c = aut.compiled
     tape = ListTape.from_word(aut, word)
@@ -203,19 +204,15 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                     out = deletion_scan(tape, pos, out, cf.get(w) or cf_idx(c, w))
                     scans += 1
                     left, right = prev[pos], nxt[pos]
+                    if tr is not None:  # a side still next to a map ends at pos
+                        tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit, 1,
+                                   pos if fmap[left] is not None else left + 1,
+                                   pos if fmap[right] is not None else right - 1))
                     if out < 0:
-                        if tr is not None:  # a neighbour still a map was not merged
-                            lo = pos if fmap[left] is not None else left + 1
-                            hi = pos if fmap[right] is not None else right - 1
-                            tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit,
-                                       1, lo < pos, hi > pos, lo, hi))
                         verdict, reason = REJECT, MAP_LOOP
                         break
                     if fmap[left] is not None or fmap[right] is not None:
                         raise AssertionError(f"adjacent maps at cell {pos}")
-                    if tr is not None:
-                        tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit,
-                                   1, left + 1 < pos, right - 1 > pos, left + 1, right - 1))
                     if shadow:
                         _shadow_check(c, tape, pos)
                     head = out
@@ -224,8 +221,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         break
                     continue
                 if tr is not None:
-                    tr.append((steps, pos, head >> 1, s, w, out & 1, False,
-                               0, False, False, -1, -1))
+                    tr.append((steps, pos, head >> 1, s, w, out & 1, False, 0))
                 head = out
                 pos = prev[pos] if out & 1 else nxt[pos]
                 if fmap[pos] is not None or not 0 < pos <= n or steps >= budget:
@@ -252,8 +248,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             break
         if tr is not None:
             jump = f is not None
-            tr.append((steps, pos, head >> 1, s, s, out & 1, jump,
-                       2 * jump, False, False, -1, -1))
+            tr.append((steps, pos, head >> 1, s, s, out & 1, jump, 2 * jump))
         head = out
         pos = prev[pos] if out & 1 else nxt[pos]
 

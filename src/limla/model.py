@@ -106,6 +106,8 @@ def token_error(tok: str) -> str | None:
         return "token contains whitespace"
     if "#" in tok or ":" in tok:
         return "token contains '#' or ':'"
+    if "," in tok:  # the separator of --input-tokens words
+        return "token contains ','"
     return None
 
 

@@ -1,14 +1,16 @@
 """Run results, trace records and the regular-move projection.
 
-In-memory traces are flat tuples for speed.  Both engines share the first
-seven fields (step, pos, state, read, write, move, frozen), all symbol
-and state fields as indices into the compiled machine; the linear engine
-appends (case, merged_left, merged_right, seg_lo, seg_hi) where case is
-0 = plain move, 1 = deletion scan, 2 = map jump.  Map jumps use -2 as
-their read/write index.  On a scan record, merged_left and merged_right
-are the merges the scan completed and seg_lo..seg_hi the cells of the
-segment they made.  A merge whose departure loops is not completed: its
-flag is false and the segment ends at the scanned cell on that side.
+In-memory traces are flat tuples for speed, one field per fact.  Both
+engines share the first seven fields (step, pos, state, read, write, move,
+frozen), all symbol and state fields as indices into the compiled machine,
+and the naive engine's records end there.  The linear engine appends case,
+0 = plain move or marker move, 1 = deletion scan, 2 = map jump; map jumps
+use -2 as their read/write index.  Only a scan record goes on, with
+(seg_lo, seg_hi), the cells of the segment the scan made: 10 fields where
+the others have 8.  A merge whose departure loops is not completed, so the
+segment ends at the scanned cell on that side, and the JSON flags of the
+merges completed are derived: merged_left as seg_lo < pos, merged_right
+as seg_hi > pos.
 
 The trace is where a run's per-cell writes are recorded: a write that
 sticks is a record whose read and write differ, so an outcome keeps no
@@ -82,9 +84,9 @@ def trace_records(aut, outcome: RunOutcome, engine: str):
         if engine == "linear":
             rec["case"] = _CASES[t[7]]
             if t[7] == 1:
-                rec["merged_left"] = bool(t[8])
-                rec["merged_right"] = bool(t[9])
-                rec["segment"] = [t[10], t[11]]
+                rec["merged_left"] = t[8] < t[1]
+                rec["merged_right"] = t[9] > t[1]
+                rec["segment"] = [t[8], t[9]]
         yield rec
     final = {
         "verdict": outcome.verdict,

@@ -30,6 +30,13 @@ def test_check_violation_file(tmp_path, capsys):
     assert "MarkerDirection" in capsys.readouterr().out
 
 
+def test_check_rejects_a_token_no_word_can_spell(tmp_path, capsys):
+    bad = tmp_path / "comma.limla"
+    bad.write_text(pathlib.Path(ANBN).read_text().replace("input a b", "input a b a,b", 1))
+    assert main(["check", str(bad)]) == 2
+    assert "token contains ','" in capsys.readouterr().err
+
+
 def test_check_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.limla"
     empty.write_text("")

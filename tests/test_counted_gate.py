@@ -32,7 +32,7 @@ def _gate(monkeypatch, kind, words_for):
         out = real_run_linear(aut, word, **kwargs)
         if out.scans:
             seen["scanned_d"] = max(seen["scanned_d"], d_of(aut.dlimit, len(word)))
-            seen["two_sided"] += sum(1 for r in out.trace if r[7] == 1 and r[8] and r[9])
+            seen["two_sided"] += sum(1 for r in out.trace if r[7] == 1 and r[8] < r[1] < r[9])
         return out
 
     monkeypatch.setattr(difftest_mod, "run_linear", run_linear)

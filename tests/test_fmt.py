@@ -93,6 +93,14 @@ def test_counted_mode_rejects_rank_suffix():
     assert aut.ranks == {}
 
 
+def test_comma_in_a_token_is_a_format_error():
+    # a word names its tokens with commas, so no word could spell "a,b"
+    text = MINIMAL.replace("input a", "input a a,b").replace("tape a X:1", "tape a a,b X:1")
+    with pytest.raises(FormatError, match="token contains ','") as e:
+        parse_machine(text)
+    assert e.value.line == 5
+
+
 def test_format_error_carries_line_number():
     with pytest.raises(FormatError) as e:
         parse_machine(MINIMAL + "bogus x\n")

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -206,7 +207,7 @@ def test_long_zoo_words_agree_with_naive(monkeypatch):
 
     def recording_run(aut, word, **kwargs):
         out = real_run_linear(aut, word, **kwargs)
-        merges.update(r[8:10] for r in out.trace if r[7] == 1)
+        merges.update((r[8] < r[1], r[9] > r[1]) for r in out.trace if r[7] == 1)
         return out
 
     monkeypatch.setattr(difftest_mod, "run_linear", recording_run)
@@ -241,7 +242,7 @@ def test_even_a_interior_collapses_to_one_map():
     assert out.verdict == ACCEPT
     scans = [t for t in out.trace if t[7] == 1]
     assert len(scans) == 4 == out.scans
-    assert (scans[-1][10], scans[-1][11]) == (1, 4)
+    assert (scans[-1][8], scans[-1][9]) == (1, 4)
     # odd parity: the run goes on bouncing; the collapse still happened during
     # the first letter run, before the head ever reached a marker twice
     out = run_linear(aut, "ab", trace=True, shadow=True)
@@ -435,6 +436,51 @@ def test_map_loop_scan_record_gives_the_merges_it_completed(seed, d, word, segme
     last = [r for r in recs if r.get("case") == "scan"][-1]
     assert (last["merged_left"], last["merged_right"], last["segment"]) == (
         False, False, segment)
+
+
+def _layout_cases():
+    for name in sorted(ZOO):
+        aut = ZOO[name]()
+        yield aut, words_upto(aut.input_alphabet, 6)
+    rng = SplitMix64(0x1A7)
+    for mode, dlimit in _D_LIMITS:
+        for q in (1, 2, 4):
+            aut = random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
+            yield aut, [*words_upto(aut.input_alphabet, 4),
+                        *random_words(aut.input_alphabet, 4, 8, 64, rng.next_u64())]
+
+
+def test_trace_records_hold_only_their_facts():
+    # a naive record has the 7 shared fields, a linear one adds its case,
+    # and only a scan record adds the segment, which holds the scanned cell
+    scans = 0
+    for aut, words in _layout_cases():
+        for word in words:
+            assert {len(t) for t in run_naive(aut, word, trace=True).trace} <= {7}
+            for t in run_linear(aut, word, trace=True).trace:
+                if t[7] == 1:
+                    assert len(t) == 10 and t[8] <= t[1] <= t[9], t
+                    scans += 1
+                else:
+                    assert len(t) == 8, t
+    assert scans > 0
+
+
+def test_trace_record_bytes_on_a_long_run():
+    # what a traced run holds per record: the list slot, the tuple and the
+    # ints it alone refers to; 141 bytes on CPython 3.11, and 172 with the
+    # two merge flags and four filler fields that the bound keeps out
+    aut = ZOO["sweeper"]()
+    word = ("a",) * 256
+    run_linear(aut, word, trace=True)
+    tracemalloc.start()
+    try:
+        out = run_linear(aut, word, trace=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(out.trace) == 65_795
+    assert held / len(out.trace) <= 150, held / len(out.trace)
 
 
 def test_counted_zero_budget_cells_freeze_immediately():
@@ -636,23 +682,27 @@ _D_LIMITS = ([(RANKED, DLimit.const(k)) for k in range(4)]
 # fewer walks than the distinct pairs it requested.  Every other field and
 # trace record was compared equal with the engine before, and every run on
 # a cold twin machine gave the same compose_walks and compose_edges_max.
+# All 15 were re-pinned when the in-memory records shrank to their facts
+# (no merge flags, no filler fields), which changes repr(out) alone: every
+# other RunOutcome field and the write_trace bytes of every run here were
+# compared equal with the engine before.
 # Recompute only for a change that means to alter them.
 _FINGERPRINTS = {
-    "zoo-anbn": "54a15f2c97806421a9efd3bfe8f87790b739939387362b3ef95393262f52223d",
-    "zoo-bouncer": "4023cc903c6916d30b525432abff05b1164d95600947dc94fc44669bb2d5e842",
-    "zoo-even_a": "476a98c2f5adc8434b15512681356551c19623a6d5a4fc01156d6d6839f5abc5",
-    "zoo-sweeper": "4c6016d059168224bbe3ce735e7bce2d6cb0556508bac4d9fbbe103cbaeef997",
-    "ranked-0": "c9a467f4e38ff861e0320deb46ef64ad86181daae53bd4956dee0f391b758203",
-    "ranked-1": "226452f67407e053286d5548b497c6b6278436ebaf93053f6866c773c8e8cd58",
-    "ranked-2": "42e6bc9993c79dd6a92d2da82bf83a0d5f5908fc80efdaa0555952c010d118d2",
-    "ranked-3": "74a5062a0ce5ef59e15dbc839a7a700e721d6de7764b042ea8941d204eafff43",
-    "counted-0": "e6de0e4f935cc8940fb1c2b7a951c32e0fd06f45c9ffc1fd3b07b4b2c7962143",
-    "counted-1": "0cadaa1910c9ca94362d0ca8282db6f416c9883a53ca843c402ecd6519d79989",
-    "counted-2": "216b5ee231fff12482b2f4db0633bf3fb6906bb34dd5848fa500d9e18dfd48a9",
-    "counted-4": "561794d95ded048b397505079f7495f68e651bd44ecf8ffaaf9c0c83cb0a0ec6",
-    "counted-log2": "bce5a01b9044ba1f06779f2948d93c1373d253706fdbbbcd1b8dc74780b2c314",
-    "counted-sqrt": "f74ed37f936fbed13fb3d27b094255221a89fba861768525d8fb52d90edd016a",
-    "counted-id": "aa43e07751e83492b26fcec5531e6d52e1af07d57f6489fa44efbad087e9e649",
+    "zoo-anbn": "2fefe05e2b2fe5bbb2fe7c5d42e8300319ebf645094c2f7f31e300354315724d",
+    "zoo-bouncer": "71555cedd3c1976c177f6c91dbe52682517f15733cdf30111a94269564c3be77",
+    "zoo-even_a": "274b7245aeb32f254d37fc2e3322e0075149155bc5f5ded5b8cc1559a40517e3",
+    "zoo-sweeper": "3de8fb6b2d1f767bb4ad7905a3cb6edee14474fa2a870a59d01c77b9cd0c8d3c",
+    "ranked-0": "cbb60d33cfd9bcf75a45c0b76bf25f2a1bf44a18fac4f4455e3e9fd0542ce176",
+    "ranked-1": "39864ff7ebf6fc2d7378761069bb3afa69d1d7de0c3bad7b10310a99572d8b1d",
+    "ranked-2": "619ebc3e2fe2b2f413a93f4f7eeb5de46f264c8f361edf8d29007e459f773c79",
+    "ranked-3": "a36916739b154858a76839e6251a9e3c225d3d13ffcc565e0039f15dc611043f",
+    "counted-0": "fb023fd11b5055f6cbf6fdcca6580cf6871962ef7f7bc89b06272932131f83df",
+    "counted-1": "32e170d927842ca80c0d1fe9638da2bad953de5b72ef360a93a09b7f928eb3b7",
+    "counted-2": "269bfbc98c516945f8c5ec11004183168b4c5ee4376018f388ee2c370a6d1862",
+    "counted-4": "c21a010eeea2884b560ea4a7451d34b30f50b7e6e83874a7001fd1345083e445",
+    "counted-log2": "484fad919c90430bcc9736239a9136221193cbd679866d3a5f842c11f4399d12",
+    "counted-sqrt": "f69b3e89ece3a5a771a9d44a04c2d667a4fd28bf19059af693a9ab90bd140b3f",
+    "counted-id": "c5fe0e0418f11a17856b49433eaa947c116ff2129570004d27f81927fb0c9b41",
 }
 
 

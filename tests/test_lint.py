@@ -341,17 +341,22 @@ def test_only_main_writes_error_lines():
 # A freezing visit is folded into its segment by one deletion_scan call in
 # run_linear, traced or not: the trace record is read from the tape the scan
 # leaves, so no second path makes the same scan.
-def scan_call_sites(source: str) -> dict:
-    """For each top-level function of a module that calls deletion_scan,
-    bare or as an attribute, the lines of those calls."""
+def call_sites(source: str, is_site) -> dict:
+    """For each top-level function of a module with calls whose callee
+    expression is_site accepts, the lines of those calls."""
     found = {}
     for node in ast.parse(source).body:
-        lines = [leaf.lineno for leaf in ast.walk(node) if isinstance(leaf, ast.Call)
-                 and "deletion_scan" in (getattr(leaf.func, "id", None),
-                                         getattr(leaf.func, "attr", None))]
+        lines = [leaf.lineno for leaf in ast.walk(node)
+                 if isinstance(leaf, ast.Call) and is_site(leaf.func)]
         if lines:
             found[getattr(node, "name", "<module>")] = sorted(lines)
     return found
+
+
+def scan_call_sites(source: str) -> dict:
+    """call_sites of deletion_scan, called bare or as an attribute."""
+    return call_sites(source, lambda f: "deletion_scan" in (getattr(f, "id", None),
+                                                            getattr(f, "attr", None)))
 
 
 def test_the_letter_run_scans_at_one_site():
@@ -363,3 +368,22 @@ def test_the_letter_run_scans_at_one_site():
     sites = {name: where for name, where in found.items() if where}
     assert list(sites) == ["linear.py"] and list(sites["linear.py"]) == ["run_linear"]
     assert len(sites["linear.py"]["run_linear"]) == 1, sites
+
+
+# run_linear records a plain visit, a scan (completed or not) and a map jump
+# or marker move at one site each: a scan's segment is read by one rule, so
+# no second site spells it another way.
+def trace_append_sites(source: str) -> dict:
+    """call_sites of appends to a trace list named tr."""
+    return call_sites(source, lambda f: getattr(f, "attr", None) == "append"
+                      and getattr(f.value, "id", None) == "tr")
+
+
+def test_run_linear_records_at_three_sites():
+    # a scan recorded on two branches makes a fourth site, which the check flags
+    sample = ("def run_linear(t, tr, xs):\n    tr.append(1)\n    if t < 0:\n"
+              "        tr.append(2)\n    else:\n        tr.append(3)\n"
+              "    tr.append(4)\n    xs.append(5)\n")
+    assert trace_append_sites(sample) == {"run_linear": [2, 4, 6, 7]}
+    found = trace_append_sites((SRC / "linear.py").read_text(encoding="utf-8"))
+    assert list(found) == ["run_linear"] and len(found["run_linear"]) == 3, found

@@ -185,6 +185,8 @@ def test_accepting_normalized_to_declaration_order():
     (dict(rows=[("p", "a", "p", "X", "S"), ("q", "zz", "q", "a", "R"),
                 ("q", "a", "q", "Y", "R")]),
      [("UnknownSymbol", "q", "a"), ("BadMove", "p", "a"), ("UnknownSymbol", "q", "zz")]),
+    (dict(inputs=("a", "a,b"), tape=("a", "X", "a,b"), ranks={"a": 0, "X": 2, "a,b": 0}),
+     [("BadToken", None, "a,b"), ("BadToken", None, "a,b")]),
 ])
 def test_rules_the_parser_reaches_first(kwargs, want):
     # the parser rejects these machines before they are built, so each is

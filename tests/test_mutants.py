@@ -22,6 +22,7 @@ import pytest
 import limla.difftest as difftest_mod
 import limla.linear as linear_mod
 import limla.mapping as mapping_mod
+import limla.outcome as outcome_mod
 from limla.difftest import random_words, step_budget, words_upto
 from limla.linear import ShadowMismatch, run_linear
 from limla.model import COUNTED, DLimit
@@ -156,11 +157,16 @@ CATALOGUE = [
     # a scan record takes its segment from the links alone, so a map-loop
     # scan's segment reaches into the neighbour map it left unmerged
     Mutant("scan-record-segment-from-links", linear_mod,
-           "                            lo = pos if fmap[left] is not None else left + 1\n"
-           "                            hi = pos if fmap[right] is not None else right - 1\n",
-           "                            lo, hi = left + 1, right - 1\n",
+           "                                   pos if fmap[left] is not None else left + 1,\n"
+           "                                   pos if fmap[right] is not None else right - 1))\n",
+           "                                   left + 1, right - 1))\n",
            partial(test_linear.test_map_loop_scan_record_gives_the_merges_it_completed,
                    183, 2, "bba", [3, 3])),
+    # the JSON merged_right flag counts a segment that ends at the scanned
+    # cell as a merge, so a scan with no right merge reports one
+    Mutant("merged-right-from-the-wrong-end", outcome_mod,
+           "t[9] > t[1]", "t[9] >= t[1]",
+           test_linear.test_scan_record_values_golden),
     # a scan reads its cell's neighbours before it merges them, so the head
     # leaves for a cell the merge unlinked
     Mutant("scan-reads-neighbours-before-scan", linear_mod,
