@@ -10,11 +10,11 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
+from .difftest import random_words
 from .naive import run_naive
 from .linear import run_linear
-from .rng import BLOCK, SplitMix64
 
 
 class Degenerate(ValueError):
@@ -38,8 +38,6 @@ class ScalingFit:
     points: int
 
 
-CSV_HEADER = ["machine", "engine", "n", "steps", "wall_ns", "verdict"]
-
 GENERATORS = ("anbn", "unary", "random")
 
 
@@ -61,9 +59,9 @@ def check_word(kind: str, aut, length: int) -> None:
 def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
     """Deterministic benchmark word of the given total length.
 
-    A random word maps one block of draws at a time to letters, so its
-    peak memory is about twice the tuple it returns: the list of letters
-    and the tuple, never a list of n 64-bit draws.
+    A random word is the one word of random_words with seed seed + length,
+    drawn a block at a time, so its peak memory is about twice the tuple
+    it returns.
     """
     check_word(kind, aut, length)
     alphabet = aut.input_alphabet
@@ -72,12 +70,7 @@ def make_word(kind: str, aut, length: int, seed: int = 0) -> tuple:
         return ("a",) * half + ("b",) * half
     if kind == "unary":
         return (alphabet[0],) * length
-    k = len(alphabet)
-    rng = SplitMix64(seed + length)
-    letters = []
-    for start in range(0, length, BLOCK):
-        letters += [alphabet[v % k] for v in rng.take(min(BLOCK, length - start))]
-    return tuple(letters)
+    return next(random_words(alphabet, 1, length, length, seed + length))
 
 
 def run_bench(aut, machine_id: str, engines, lengths, gen: str, seed: int = 0) -> list:
@@ -95,11 +88,11 @@ def run_bench(aut, machine_id: str, engines, lengths, gen: str, seed: int = 0) -
 
 
 def write_csv(rows, fp) -> None:
-    """Write the rows as CSV, header first, to an open text file."""
+    """Write the rows as CSV to an open text file: a header of BenchRow's
+    field names, then each row's values in that order."""
     w = csv.writer(fp)
-    w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow([r.machine, r.engine, r.n, r.steps, r.wall_ns, r.verdict])
+    w.writerow(f.name for f in fields(BenchRow))
+    w.writerows(astuple(r) for r in rows)
 
 
 def fit_scaling(rows) -> ScalingFit:

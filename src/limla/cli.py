@@ -7,6 +7,12 @@ Usage errors have one channel: a command or helper raises UsageError with
 one message per argument, and main prints each as one `error: ...` line on
 stderr and exits 2.  The one exception is `check`, whose violations are its
 output, on stdout.
+
+Output errors have one block: a command writes each output (the --trace
+file, the --out CSV, the --out-dir reproducers) inside _output's block,
+which turns any OSError there, an open's, a write's or a close's, into
+the usage error `OPTION: ...`.  Stdout is not such an output: main
+reports its errors as `stdout: ...`.
 """
 from __future__ import annotations
 
@@ -84,10 +90,18 @@ def _parse_word(args, aut) -> tuple:
     return toks
 
 
-def _open_output(path: str, option: str, **kwargs):
-    """Open an output file before any work is done, so a bad path costs no run."""
+@contextlib.contextmanager
+def _output(option: str, path: str | None = None, **kwargs):
+    """Report every OSError of the block as a usage error on option.
+
+    Given a path, opens the file for writing before the block runs, so a
+    bad path costs no run, and closes it after; the block gets the file, or
+    None without a path.  A failed open, write or close is reported alike.
+    """
     try:
-        return open(path, "w", encoding="utf-8", **kwargs)
+        fp = open(path, "w", encoding="utf-8", **kwargs) if path else None
+        with fp or contextlib.nullcontext():
+            yield fp
     except OSError as e:
         raise UsageError(f"{option}: {e}")
 
@@ -103,18 +117,14 @@ def cmd_run(args) -> int:
     kwargs = {"trace": bool(args.trace), "max_steps": args.max_steps}
     if args.shadow:
         kwargs["shadow"] = True
-    trace_fp = _open_output(args.trace, "--trace") if args.trace else None
-    try:
-        with trace_fp or contextlib.nullcontext():
-            try:
-                out = runner(aut, word, **kwargs)
-            except BudgetExceeded as e:
-                print(f"budget exceeded after {e.steps} steps", file=sys.stderr)
-                return EXIT_BUDGET
-            if trace_fp:
-                write_trace(aut, out, args.engine, trace_fp)
-    except OSError as e:  # the trace's write or close, not the engine
-        raise UsageError(f"--trace: {e}")
+    with _output("--trace", args.trace) as trace_fp:
+        try:
+            out = runner(aut, word, **kwargs)
+        except BudgetExceeded as e:
+            print(f"budget exceeded after {e.steps} steps", file=sys.stderr)
+            return EXIT_BUDGET
+        if trace_fp:
+            write_trace(aut, out, args.engine, trace_fp)
     print(out.verdict)
     print(f"steps {out.steps}")
     return EXIT_ACCEPT if out.accepted else EXIT_REJECT
@@ -147,15 +157,11 @@ def cmd_bench(args) -> int:
         raise UsageError(str(e))
     engines = ("naive", "linear") if args.engine == "both" else (args.engine,)
     machine_id = os.path.splitext(os.path.basename(args.file))[0]
-    out_fp = _open_output(args.out, "--out", newline="") if args.out else None
-    try:
-        with out_fp or contextlib.nullcontext():
-            rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
-            if out_fp is not None:
-                benchmod.write_csv(rows, out_fp)
-    except OSError as e:  # the CSV's write or close
-        raise UsageError(f"--out: {e}")
-    if out_fp is None:
+    with _output("--out", args.out, newline="") as out_fp:
+        rows = benchmod.run_bench(aut, machine_id, engines, lengths, gen, seed)
+        if out_fp is not None:
+            benchmod.write_csv(rows, out_fp)
+    if out_fp is None:  # stdout's errors are main's
         benchmod.write_csv(rows, sys.stdout)
     return EXIT_ACCEPT
 
@@ -230,10 +236,8 @@ def cmd_fuzz(args) -> int:
             if div is not None:
                 divergences += 1
                 outdir = os.path.join(args.out_dir, f"case_{idx:04d}")
-                try:
+                with _output("--out-dir"):
                     _dump_reproducer(outdir, aut, div)
-                except OSError as e:
-                    raise UsageError(f"--out-dir: {e}")
                 print(f"divergence: machine {idx} word {','.join(word) or '<empty>'} "
                       f"({div.kind}: {div.detail}) -> {outdir}")
                 break

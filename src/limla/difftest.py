@@ -47,21 +47,22 @@ def random_words(alphabet, count: int, min_len: int, max_len: int, seed: int):
     """Yield count seeded words, each of min_len to max_len letters.
 
     Each word is made when it is asked for; the generator keeps none.
-    Each draws its length (when lengths can vary), then its letters, from
-    one stream taken a chunk at a time: a block, or the most the words can
-    need when that is less.  The rng is local, so draws taken and never
-    read change no word.
+    Each draws its length (when lengths can vary), then its letters a
+    block at a time, from one stream, so it takes exactly the draws it
+    reads, and its peak memory is about twice the tuple it yields: the
+    list of letters and the tuple, never a list of its 64-bit draws.
     """
     alphabet = tuple(alphabet)
     k = len(alphabet)
     rng = SplitMix64(seed)
-    chunk = max(1, min(count * (max_len + 1), BLOCK))
-    draws = itertools.chain.from_iterable(iter(lambda: rng.take(chunk), None))
     for _ in range(count):
         length = min_len
         if max_len > min_len:
-            length += next(draws) % (max_len - min_len + 1)
-        yield tuple([alphabet[v % k] for v in itertools.islice(draws, length)])
+            length += rng.take(1)[0] % (max_len - min_len + 1)
+        letters = []
+        for start in range(0, length, BLOCK):
+            letters += [alphabet[v % k] for v in rng.take(min(BLOCK, length - start))]
+        yield tuple(letters)
 
 
 def projections_agree(verdict: str, pn: list, pl: list) -> bool:

@@ -1,4 +1,6 @@
+import csv
 import io
+from dataclasses import fields
 
 import pytest
 
@@ -69,6 +71,9 @@ def test_csv_layout():
     assert lines[0] == "machine,engine,n,steps,wall_ns,verdict"
     assert len(lines) == 4
     assert lines[1].startswith("anbn,naive,8,")
+    # every row holds BenchRow's fields, in the header's order
+    assert list(csv.reader(io.StringIO(buf.getvalue())))[1:] == [
+        [str(getattr(r, f.name)) for f in fields(BenchRow)] for r in rows]
 
 
 def test_anbn_profiles_small():

@@ -462,6 +462,25 @@ def test_fuzz_unwritable_out_dir_is_usage_error(tmp_path, capsys, monkeypatch):
         assert "divergence:" not in captured.out
 
 
+def test_fuzz_failed_reproducer_write_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the directory is made, but writing a trace into it fails
+    import limla.cli as cli
+    from limla.difftest import Divergence
+    from limla.naive import run_naive
+
+    def failing_write_trace(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "compare_run", lambda aut, word, **kw: Divergence(
+        "verdict", tuple(word), "stubbed", run_naive(aut, word, trace=True)))
+    monkeypatch.setattr(cli, "write_trace", failing_write_trace)
+    code = main(["fuzz", "--machines", "1", "--out-dir", str(tmp_path / "f")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --out-dir: [Errno 28] No space left on device\n"
+    assert "divergence:" not in captured.out
+
+
 @pytest.mark.parametrize("case", ["file", "under-file", "unwritable"])
 def test_fuzz_checks_out_dir_before_building_machines(tmp_path, capsys, monkeypatch, case):
     def unreachable(params):

@@ -283,18 +283,15 @@ def test_the_memo_is_mapping_facts_alone():
     assert defining == ["mapping.py"]
 
 
-# A map is made by its machine's memo, which keeps one map per table and
-# gives it the row its compositions go into: SegmentMap is called only in
-# CompositionMemo.canonical.
-def map_maker_calls(source: str) -> list:
-    """Where a module calls SegmentMap: for each call, the dotted names of the
+def maker_calls(source: str, maker: str) -> list:
+    """Where a module calls maker: for each call, the dotted names of the
     classes and functions around it, or "<module>" outside any."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        elif isinstance(node, ast.Call) and "SegmentMap" in (
+        elif isinstance(node, ast.Call) and maker in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None)):
             found.append(scope or "<module>")
         for child in ast.iter_child_nodes(node):
@@ -304,16 +301,34 @@ def map_maker_calls(source: str) -> list:
     return sorted(found)
 
 
-def test_maps_are_made_by_their_memo_alone():
-    assert map_maker_calls("m = SegmentMap(t, memo)\n"
-                           "class C:\n    def canonical(self, t):\n"
-                           "        return SegmentMap(t, self)\n"
-                           "def f(t):\n    return [mapping.SegmentMap(t) for _ in t]\n") == [
-        "<module>", "C.canonical", "f"]
-    found = {path.name: map_maker_calls(path.read_text(encoding="utf-8"))
+def package_maker_calls(maker: str) -> dict:
+    """maker_calls of maker in each package module that has any."""
+    found = {path.name: maker_calls(path.read_text(encoding="utf-8"), maker)
              for path in sorted(SRC.glob("*.py"))}
-    assert {name: where for name, where in found.items() if where} == {
-        "mapping.py": ["CompositionMemo.canonical"]}
+    return {name: where for name, where in found.items() if where}
+
+
+# A map is made by its machine's memo, which keeps one map per table and
+# gives it the row its compositions go into: SegmentMap is called only in
+# CompositionMemo.canonical.
+def test_maps_are_made_by_their_memo_alone():
+    assert maker_calls("m = SegmentMap(t, memo)\n"
+                       "class C:\n    def canonical(self, t):\n"
+                       "        return SegmentMap(t, self)\n"
+                       "def f(t):\n    return [mapping.SegmentMap(t) for _ in t]\n",
+                       "SegmentMap") == ["<module>", "C.canonical", "f"]
+    assert package_maker_calls("SegmentMap") == {"mapping.py": ["CompositionMemo.canonical"]}
+
+
+# Each seeded stream has one maker: a machine's in random_automaton, the
+# words' in random_words (make_word's words among them) and fuzz's master
+# seed in cmd_fuzz, so no second loop draws the same kind of thing.
+def test_one_maker_per_seeded_stream():
+    assert maker_calls("def make_word(n, s):\n    rng = rng_mod.SplitMix64(s + n)\n"
+                       "    return SplitMix64(s).take(n)\n", "SplitMix64") == [
+        "make_word", "make_word"]
+    assert package_maker_calls("SplitMix64") == {
+        "cli.py": ["cmd_fuzz"], "difftest.py": ["random_words"], "zoo.py": ["random_automaton"]}
 
 
 # Usage errors have one channel: the CLI's commands and helpers raise
@@ -336,6 +351,37 @@ def test_only_main_writes_error_lines():
         "<module>", "C", "f"]
     found = error_line_scopes((SRC / "cli.py").read_text(encoding="utf-8"))
     assert found == ["main"]
+
+
+# Output errors are reported at one site: a command writes its output files
+# inside cli._output's block, which turns their OSErrors into usage errors.
+# The other handlers are the machine file's (_load) and stdout's (main, and
+# _silence_stdout's probe of its descriptor).
+def oserror_handler_scopes(source: str) -> list:
+    """The top-level functions and classes of a module with an except clause
+    naming OSError, alone or in a tuple, or "<module>"."""
+    found = set()
+    for node in ast.parse(source).body:
+        if any(isinstance(leaf, ast.ExceptHandler) and leaf.type is not None
+               and any(isinstance(name, ast.Name) and name.id == "OSError"
+                       for name in ast.walk(leaf.type)) for leaf in ast.walk(node)):
+            found.add(getattr(node, "name", "<module>"))
+    return sorted(found)
+
+
+def test_output_errors_are_reported_at_one_site():
+    assert oserror_handler_scopes(
+        "try:\n    import x\nexcept ImportError:\n    x = None\n"
+        "def cmd_run(fp):\n    try:\n        fp.write('v')\n"
+        "    except OSError as e:\n        raise UsageError(str(e))\n"
+        "def g(fp):\n    try:\n        fp.close()\n    except (ValueError, OSError):\n"
+        "        pass\n"
+        "class C:\n    def h(self):\n        try:\n            pass\n"
+        "        except OSError:\n            pass\n"
+        "def k():\n    try:\n        pass\n    except:\n        pass\n") == [
+        "C", "cmd_run", "g"]
+    found = oserror_handler_scopes((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert found == ["_load", "_output", "_silence_stdout", "main"]
 
 
 # A freezing visit is folded into its segment by one deletion_scan call in

@@ -144,3 +144,24 @@ def test_generators_draw_a_block_at_a_time(monkeypatch):
     assert len(random_automaton(GenParams(64, 5, RANKED, DLimit.const(3))).states) == 64
     assert len(random_automaton(GenParams(64, 5, COUNTED, SQRT, 3, 2)).states) == 64
     assert draws == []
+
+
+def test_a_random_word_takes_exactly_the_draws_it_reads(monkeypatch):
+    # each word asks take() for its length draw and its letters, no more
+    real_take = SplitMix64.take
+    asked = []
+
+    def counting_take(self, count):
+        asked.append(count)
+        return real_take(self, count)
+
+    monkeypatch.setattr(SplitMix64, "take", counting_take)
+    assert len(next(random_words(("a", "b"), 1, 1500, 1500, 3))) == 1500
+    assert sum(asked) == 1500
+    asked.clear()
+    assert len(make_word("random", SimpleNamespace(input_alphabet=("a", "b")), 1500, 3)) == 1500
+    assert sum(asked) == 1500
+    asked.clear()
+    lengths = [len(w) for w in random_words(("a", "b"), 3, 5, 9, 4)]
+    assert sum(lengths) < 27  # so one chunk of 3 * 10 draws would be too many
+    assert sum(asked) == 3 + sum(lengths)
