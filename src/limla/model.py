@@ -88,7 +88,9 @@ class Transition:
 
     Slotted, so a record has no instance dict: it takes 56 bytes, against
     96 as a plain frozen dataclass (tracemalloc, CPython 3.11, 64-bit).
-    A generated machine of 64 states holds hundreds of them.
+    Frozen, so one record can serve many rows: the seeded generator
+    (zoo.random_automaton) shares one record per distinct transition
+    across all the machines it makes.
     """
 
     to_state: str
@@ -102,7 +104,7 @@ def token_error(tok: str) -> str | None:
         return "empty token"
     if tok in RESERVED_TOKENS:
         return f"reserved token {tok!r}"
-    if any(ch.isspace() for ch in tok):
+    if tok.split() != [tok]:  # splits exactly where str.isspace() holds
         return "token contains whitespace"
     if "#" in tok or ":" in tok:
         return "token contains '#' or ':'"
@@ -174,6 +176,22 @@ class CompiledAutomaton:
     shadow_slots: int = 0    # letters plus table entries held in shadow_cache
 
 
+_MOVE_DIRS = {"R": RIGHT, "L": LEFT}
+
+
+def _first_bad_row(rows: list, sym_names: tuple, state_index: dict, sym_index: dict) -> str:
+    """Why _compile refuses the first of a machine's rows (state by symbol,
+    in table order) that names an unknown token or a move other than L or R."""
+    keys = ((q, s) for q in state_index for s in sym_names)
+    for (q, s), t in zip(keys, rows):
+        for tok, known in ((t.to_state, state_index), (t.write, sym_index)):
+            if tok not in known:
+                return f"transition ({q!r}, {s!r}) references unknown token {tok!r}"
+        if t.move not in _MOVE_DIRS:
+            return f"transition ({q!r}, {s!r}) has move {t.move!r}, not 'L' or 'R'"
+    raise AssertionError("every row compiles")
+
+
 def _compile(aut: Automaton) -> CompiledAutomaton:
     states = aut.states
     letters = aut.tape_alphabet
@@ -186,23 +204,19 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
     if len(sym_index) != len(sym_names):
         raise ValueError("duplicate tape symbols")
     width = lo + 2
-    size = len(states) * width
-    to_tab = [0] * size
-    wr_tab = [0] * size
-    mv_tab = [0] * size
-    for q, qi in state_index.items():
-        base = qi * width
-        for s, si in sym_index.items():
-            t = aut.delta.get((q, s))
-            if t is None:
-                raise ValueError(f"transition table is not total: missing ({q!r}, {s!r}); "
-                                 "run validate_automaton for a full report")
-            try:
-                to_tab[base + si] = state_index[t.to_state]
-                wr_tab[base + si] = sym_index[t.write]
-            except KeyError as e:
-                raise ValueError(f"transition ({q!r}, {s!r}) references unknown token {e}") from None
-            mv_tab[base + si] = RIGHT if t.move == "R" else LEFT
+    delta = aut.delta
+    try:
+        rows = [delta[q, s] for q in states for s in sym_names]  # in table order
+    except KeyError as e:
+        q, s = e.args[0]
+        raise ValueError(f"transition table is not total: missing ({q!r}, {s!r}); "
+                         "run validate_automaton for a full report") from None
+    try:
+        to_tab = [state_index[t.to_state] for t in rows]
+        wr_tab = [sym_index[t.write] for t in rows]
+        mv_tab = [_MOVE_DIRS[t.move] for t in rows]
+    except KeyError:
+        raise ValueError(_first_bad_row(rows, sym_names, state_index, sym_index)) from None
     start = state_index.get(aut.start_state)
     if start is None:
         raise ValueError(f"start state {aut.start_state!r} is not a state")

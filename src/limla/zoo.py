@@ -95,11 +95,44 @@ INPUT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # mode adds a tape letter per rank, so d alone could exhaust memory.
 MAX_TRANSITIONS = 1 << 16
 
+# What generated machines repeat, shared by all of them (records and tuples
+# are immutable): one Transition per distinct (to_state, write, move), and
+# one tuple of (state, symbol) keys per machine shape (state count, tape), in
+# draw order.  The cap counts the records plus the keys of every tuple.  A
+# machine could add a record per transition and a tuple of its shape, so one
+# whose draw could pass the cap empties both tables first, as the shadow memo
+# does, and one that alone could pass it keeps tables of its own.  At the cap
+# the tables hold at most about 10 MB (tracemalloc, CPython 3.11: a record
+# with its triple and table slot takes 160 bytes, a key 64).
+SHARED_SLOTS = 1 << 16
+_RECORDS: dict = {}     # (to_state, write, move) -> its Transition
+_KEYS: dict = {}        # (state count, tape) -> the machine's delta keys
+
+_MOVES = ("R", "L")     # a move draw: even is right, odd is left
+
 
 def symbol_count(p: GenParams) -> int:
     """Tape letters plus the two markers of the machine p generates."""
     ranks = p.dlimit.k if p.mode == RANKED else 1
     return p.input_alphabet_size + ranks * p.tape_per_rank + 2
+
+
+def _shared_tables(states: tuple, tape: tuple) -> tuple:
+    """The record table a machine of these states and tape looks its
+    transitions up in, and its delta keys, both under SHARED_SLOTS."""
+    records, keys_of = _RECORDS, _KEYS
+    cost = 2 * len(states) * (len(tape) + 2)
+    if cost > SHARED_SLOTS:
+        records, keys_of = {}, {}
+    elif len(records) + sum(map(len, keys_of.values())) + cost > SHARED_SLOTS:
+        records.clear()
+        keys_of.clear()
+    shape = (len(states), tape)
+    keys = keys_of.get(shape)
+    if keys is None:
+        syms = tape + (LEFT_MARKER, RIGHT_MARKER)
+        keys = keys_of[shape] = tuple((q, s) for q in states for s in syms)
+    return records, keys
 
 
 def random_automaton(p: GenParams) -> Automaton:
@@ -113,8 +146,12 @@ def random_automaton(p: GenParams) -> Automaton:
     declaration order the target state, the written letter where the table
     gives a choice and the move, then the targets of the left and right
     markers), so a seed reproduces the same machine everywhere.  The
-    generated names (q0, ..., x1_0, ..., y0, ...) are interned, so all
-    machines share one string per name.
+    machine takes exactly the draws it reads, in one take(), and reduces
+    them by one state's list of moduli.  The generated names (q0, ...,
+    x1_0, ..., y0, ...) are interned, and the Transition records and delta
+    key tuples are shared across machines (SHARED_SLOTS), so all machines
+    hold one string per name, one record per distinct transition and one
+    key tuple per (state, symbol) of a shape.
     """
     if p.state_count < 1 or p.input_alphabet_size < 1 or p.tape_per_rank < 1:
         raise ValueError("all generator counts must be >= 1")
@@ -151,20 +188,27 @@ def random_automaton(p: GenParams) -> Automaton:
     else:
         writes = [tape] * len(tape)
 
-    # a bound on the draws: one per state, one per marker transition and at
-    # most three per letter transition; the surplus is never read
-    draw = iter(SplitMix64(p.seed).take(p.state_count * 3 * (1 + len(tape)))).__next__
-    accepting = tuple(s for s in states if draw() % 2 == 1)
+    # one state's moduli: per letter the target, the write where the table
+    # gives a choice and the move, then the two markers' targets
+    nq = p.state_count
+    mods = []
+    for choices in writes:
+        mods += (nq, 2) if choices is None else (nq, len(choices), 2)
+    mods += (nq, nq)
+    values = SplitMix64(p.seed).take(nq * (1 + len(mods)))
+    accepting = tuple(q for q, v in zip(states, values) if v & 1)
+    draw = iter([v % m for v, m in zip(values[nq:], mods * nq)]).__next__
 
-    delta = {}
-    for q in states:
+    records, keys = _shared_tables(states, tape)
+    triples = []
+    for _ in states:
         for s, choices in zip(tape, writes):
-            to = states[draw() % p.state_count]
-            wr = s if choices is None else choices[draw() % len(choices)]
-            mv = "R" if draw() % 2 == 0 else "L"
-            delta[(q, s)] = Transition(to, wr, mv)
-        delta[(q, LEFT_MARKER)] = Transition(states[draw() % p.state_count], LEFT_MARKER, "R")
-        delta[(q, RIGHT_MARKER)] = Transition(states[draw() % p.state_count], RIGHT_MARKER, "L")
+            triples.append((states[draw()], s if choices is None else choices[draw()],
+                            _MOVES[draw()]))
+        triples.append((states[draw()], LEFT_MARKER, "R"))
+        triples.append((states[draw()], RIGHT_MARKER, "L"))
+    get = records.get
+    delta = dict(zip(keys, [get(t) or records.setdefault(t, Transition(*t)) for t in triples]))
 
     return Automaton(
         mode=p.mode, dlimit=p.dlimit, states=states,

@@ -6,7 +6,7 @@ import pytest
 from limla.model import (
     Automaton, DLimit, ID, LOG2, SQRT, Transition,
     COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
-    d_of, tape_indices, validate_automaton, visit_limit,
+    d_of, tape_indices, token_error, validate_automaton, visit_limit,
 )
 from limla.zoo import ZOO
 
@@ -203,6 +203,7 @@ def test_rules_the_parser_reaches_first(kwargs, want):
     (dict(rows=[("q", "a", "q", "Y", "R")]), "transition ('q', 'a') references unknown token 'Y'"),
     (dict(rows=[("q", "a", "s", "X", "R")]), "transition ('q', 'a') references unknown token 's'"),
     (dict(start="s"), "start state 's' is not a state"),
+    (dict(rows=[("p", "a", "p", "X", "S")]), "transition ('p', 'a') has move 'S', not 'L' or 'R'"),
 ])
 def test_compile_refuses_what_validation_reports(kwargs, message):
     drop = kwargs.pop("drop", None)
@@ -231,3 +232,10 @@ def test_tape_indices_accepts_only_input_tokens():
         with pytest.raises(ValueError) as e:
             tape_indices(aut, word)
         assert str(e.value) == f"symbol {bad!r} is not in the input alphabet"
+
+
+def test_token_whitespace_is_what_isspace_says():
+    # U+3000 is the highest code point str.isspace() accepts
+    for cp in range(0x3001):
+        c = chr(cp)
+        assert (token_error("a" + c + "b") == "token contains whitespace") == c.isspace(), hex(cp)

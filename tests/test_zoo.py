@@ -11,6 +11,7 @@ from limla.model import (
 )
 from limla.naive import run_naive
 from limla.rng import SplitMix64
+from limla import zoo
 from limla.zoo import (
     MAX_TRANSITIONS, GenParams, ZOO, build_anbn, build_bouncer, build_even_a_2dfa, build_sweeper,
     random_automaton,
@@ -117,10 +118,22 @@ def test_generated_machines_agree_between_engines():
                 if compare_run(aut, w) is not None] == []
 
 
-def test_generated_machines_bytes_per_transition():
-    # perfbench random's classes: slotted records and interned names keep a
-    # grid of 180 machines near 150 bytes a transition; the bound sits below
-    # the 199 of records with a dict and a copy of every name per machine
+def _empty_tables(monkeypatch):
+    monkeypatch.setattr(zoo, "_RECORDS", {})
+    monkeypatch.setattr(zoo, "_KEYS", {})
+
+
+def _held() -> int:
+    return len(zoo._RECORDS) + sum(map(len, zoo._KEYS.values()))
+
+
+def test_generated_machines_bytes_per_transition(monkeypatch):
+    # perfbench random's classes: interned names, one shared record per
+    # distinct transition and one key tuple per (state, symbol) of a shape
+    # keep a grid of 180 machines near 45 bytes a transition, the tables
+    # counted; the bound sits below the 149 of a record and a key tuple per
+    # transition
+    _empty_tables(monkeypatch)
     classes = ((RANKED, DLimit.const(1)), (RANKED, DLimit.const(3)),
                (COUNTED, LOG2), (COUNTED, SQRT), (COUNTED, ID))
     tracemalloc.start()
@@ -131,7 +144,47 @@ def test_generated_machines_bytes_per_transition():
     finally:
         tracemalloc.stop()
     transitions = sum(len(aut.delta) for aut in machines)
-    assert held / transitions < 175, held / transitions
+    assert held / transitions < 90, held / transitions
+
+
+def test_generated_machines_share_records_and_keys(monkeypatch):
+    _empty_tables(monkeypatch)
+    a = random_automaton(GenParams(4, 11, RANKED, DLimit.const(1)))
+    b = random_automaton(GenParams(4, 12, RANKED, DLimit.const(1)))
+    assert list(a.delta) == list(b.delta)
+    assert all(ka is kb for ka, kb in zip(a.delta, b.delta))
+    shared = [key for key, t in a.delta.items() if b.delta[key] == t]
+    assert shared
+    assert all(a.delta[key] is b.delta[key] for key in shared)
+    # another shape has its own keys, but the same records
+    c = random_automaton(GenParams(2, 13, RANKED, DLimit.const(1)))
+    assert next(iter(c.delta)) is not next(iter(a.delta))
+    records = {id(t) for aut in (a, b) for t in aut.delta.values()}
+    assert {id(t) for t in c.delta.values()} & records
+
+
+def test_shared_tables_stay_within_their_cap(monkeypatch):
+    # ranked d=1 over a and b: 5 symbols, so a machine of q states could
+    # add 10q slots; at q = 32 it alone could pass the cap, and keeps its own
+    params = [GenParams(q, 100 * q + seed, mode, dlimit)
+              for q in (1, 3, 8, 16, 32) for seed in range(4)
+              for mode, dlimit in ((RANKED, DLimit.const(1)), (COUNTED, SQRT))]
+    _empty_tables(monkeypatch)
+    monkeypatch.setattr(zoo, "SHARED_SLOTS", 200)
+    capped, held = [], []
+    for p in params:
+        capped.append(serialize_machine(random_automaton(p)))
+        held.append(_held())
+    assert max(held) <= 200
+    # the tables only grow, except where a machine emptied them first
+    assert any(after < before for before, after in zip(held, held[1:]))
+    # the eight machines of 32 states leave them as they were
+    assert len(set(held[-9:])) == 1
+    fresh = []
+    for p in params:
+        _empty_tables(monkeypatch)
+        fresh.append(serialize_machine(random_automaton(p)))
+    assert capped == fresh
 
 
 def test_gen_params_validation():
