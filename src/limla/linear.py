@@ -140,14 +140,16 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
 
     Consecutive visits to letter cells make one letter run, an inner loop
     that hands back to the main loop only on a map cell, a marker, a
-    map-loop exit or max_steps.  Each scan is one call to deletion_scan and
-    each merge one call to compose_full, both looked up by name at call
-    time, so wrappers installed on them see every call.  After a scan the
-    cell's links are read once, as left and right, for the record, the
-    adjacency check and the move; the check has just read both neighbours'
-    maps, so a scan visit ends on its own tail, which tests only the
-    markers and the budget, and a plain visit on one that also tests the
-    new cell for a map.  Every scan, completed or not, is recorded at one
+    map-loop exit or max_steps.  It tells a marker by its symbol as soon as
+    it reads the cell, before it counts or writes, indexes the tables by
+    head_row[head] + symbol and counts each visit once.  Each scan is one
+    call to deletion_scan and each merge one call to compose_full, both
+    looked up by name at call time, so wrappers installed on them see every
+    call.  After a scan the cell's links are read once, as left and right,
+    for the record, the adjacency check and the move; the check has just
+    read both neighbours' maps, so a scan visit ends on its own tail, which
+    tests only the budget, and a plain visit on one that tests the new cell
+    for a map and the budget.  Every scan, completed or not, is recorded at one
     site, from the tape the scan leaves, by one rule: on each side the
     segment ends at pos if that neighbour is still a map (a looping
     departure left that merge undone), else at left + 1 or right - 1.  A
@@ -165,8 +167,8 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
     prev = tape.prev
     nxt = tape.nxt
 
-    width = c.width
     nq = c.n_states
+    n_letters, head_row = c.n_letters, c.head_row
     wr_tab, out_tab = c.wr_tab, c.out_tab
     accepting = c.accepting
     fixed = c.fixed
@@ -192,20 +194,22 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             stretch.clear()
             while True:  # the letter run: see the docstring
                 s = sym[pos]
-                k = (head >> 1) * width + s
-                v = visits[pos]
-                visits[pos] = v + 1
-                w = s if v >= limit else wr_tab[k]
+                if s >= n_letters:  # a marker: the main loop moves off it
+                    break
+                k = head_row[head] + s
+                v = visits[pos] + 1
+                visits[pos] = v
+                w = s if v > limit else wr_tab[k]
                 out = out_tab[k]
                 steps += 1
                 if w != s:
                     sym[pos] = w
-                if v + 1 >= limit or fixed[w]:
+                if v >= limit or fixed[w]:
                     out = deletion_scan(tape, pos, out, cf.get(w) or cf_idx(c, w))
                     scans += 1
                     left, right = prev[pos], nxt[pos]
                     if tr is not None:  # a side still next to a map ends at pos
-                        tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v >= limit, 1,
+                        tr.append((steps, pos, head >> 1, s, w, out_tab[k] & 1, v > limit, 1,
                                    pos if fmap[left] is not None else left + 1,
                                    pos if fmap[right] is not None else right - 1))
                     if out < 0:
@@ -217,14 +221,14 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
                         _shadow_check(c, tape, pos)
                     head = out
                     pos = left if out & 1 else right
-                    if not 0 < pos <= n or steps >= budget:  # pos is no map: just checked
+                    if steps >= budget:  # pos is no map (just checked); a marker ends the run above
                         break
                     continue
                 if tr is not None:
                     tr.append((steps, pos, head >> 1, s, w, out & 1, False, 0))
                 head = out
                 pos = prev[pos] if out & 1 else nxt[pos]
-                if fmap[pos] is not None or not 0 < pos <= n or steps >= budget:
+                if fmap[pos] is not None or steps >= budget:
                     break
             if verdict is not None:
                 break
@@ -240,7 +244,7 @@ def run_linear(aut, word, *, trace: bool = False, shadow: bool = False,
             s = -2
         else:  # marker: its transition's exit, read as a map entry would be
             s = sym[pos]
-            out = out_tab[(head >> 1) * width + s]
+            out = out_tab[head_row[head] + s]
             marker_moves += 1
         steps += 1
         if out < 0:

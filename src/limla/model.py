@@ -157,6 +157,9 @@ class CompiledAutomaton:
     indexed by state * width + symbol.  out_tab[k] = 2 * to_tab[k] + mv_tab[k]
     is the exit as a directed state, the map entry encoding the linear engine
     reads; the oracles run_naive and describe_indices read to_tab and mv_tab.
+    head_row maps a directed state h to its state's row, (h >> 1) * width,
+    one shared int for both directions, so the linear engine indexes the
+    tables by head_row[head] + symbol.
     """
 
     n_states: int
@@ -170,6 +173,7 @@ class CompiledAutomaton:
     wr_tab: list
     mv_tab: list
     out_tab: list            # transition -> its exit as a directed state (linear)
+    head_row: list           # directed state -> its state's row offset (linear)
     fixed: list              # symbol -> a cell holding it takes no more writes
     compose_memo: CompositionMemo    # maps, their compositions and generators (mapping)
     shadow_cache: dict       # shadow letters -> describe_indices table (linear._shadow_check)
@@ -236,6 +240,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
         out_tab=[2 * t + m for t, m in zip(to_tab, mv_tab)],
+        head_row=[row for row in range(0, len(rows), width) for _ in (RIGHT, LEFT)],
         fixed=fixed, compose_memo=CompositionMemo(), shadow_cache={},
     )
 

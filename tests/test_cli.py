@@ -84,7 +84,7 @@ def test_run_symbol_outside_alphabet(capsys):
 
 
 @pytest.mark.parametrize("tokens, bad", [("a,zz,b", "zz"), ("a,A", "A"), ("b,<|", "<|")])
-def test_run_rejects_what_word_indices_rejects(capsys, tokens, bad):
+def test_run_rejects_what_tape_indices_rejects(capsys, tokens, bad):
     # one rule and one message: a tape-only letter or a marker is no input token
     aut = parse_machine(pathlib.Path(ANBN).read_text())
     with pytest.raises(ValueError) as e:

@@ -756,10 +756,8 @@ def test_sweep_keeps_outcomes_on_random_machines(monkeypatch, mode, dlimit):
     assert _FINGERPRINTS.get(f"{mode}-{dlimit.token()}") == digest, digest
 
 
-def test_tape_ends_with_the_oracles_letters(monkeypatch):
-    # a frozen cell keeps the letter it last held, so on every accepting run
-    # the linear tape spells the reference engine's final tape: the letters
-    # the shadow check reads
+def _captured_tapes(monkeypatch) -> list:
+    """A list that collects every tape ListTape.from_word makes from now on."""
     tapes = []
     real_from_word = ListTape.from_word.__func__
 
@@ -768,6 +766,14 @@ def test_tape_ends_with_the_oracles_letters(monkeypatch):
         return tapes[-1]
 
     monkeypatch.setattr(ListTape, "from_word", classmethod(capture))
+    return tapes
+
+
+def test_tape_ends_with_the_oracles_letters(monkeypatch):
+    # a frozen cell keeps the letter it last held, so on every accepting run
+    # the linear tape spells the reference engine's final tape: the letters
+    # the shadow check reads
+    tapes = _captured_tapes(monkeypatch)
     rng = SplitMix64(0x7A9E)
     machines = [ZOO[name]() for name in sorted(ZOO)]
     machines += [random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
@@ -787,3 +793,26 @@ def test_tape_ends_with_the_oracles_letters(monkeypatch):
             assert tapes[0].sym[1:n + 1] == want[1:n + 1], word
             accepted += 1
     assert accepted >= 1000, accepted
+
+
+def test_markers_are_never_visited_as_letters(monkeypatch):
+    # the letter run hands a marker to the main loop before it counts or
+    # writes, so after every run both markers hold their own symbol and no
+    # visit; the marker moves show that the runs do reach them
+    tapes = _captured_tapes(monkeypatch)
+    rng = SplitMix64(0x3A7C)
+    cases = [(aut, words_upto(aut.input_alphabet, 6)) for aut in (ZOO[k]() for k in sorted(ZOO))]
+    for mode, dlimit in _D_LIMITS:
+        for q in (1, 2, 3, 4, 6):
+            aut = random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
+            cases.append((aut, random_words(aut.input_alphabet, 10, 1, 64, rng.next_u64())))
+    marker_moves = 0
+    for aut, words in cases:
+        lo = aut.compiled.n_letters
+        for word in words:
+            tapes.clear()
+            marker_moves += run_linear(aut, word).moves["marker"]
+            t, = tapes
+            assert (t.visits[0], t.visits[t.n + 1]) == (0, 0), word
+            assert (t.sym[0], t.sym[t.n + 1]) == (lo, lo + 1), word
+    assert marker_moves >= 1000, marker_moves

@@ -283,22 +283,27 @@ def test_the_memo_is_mapping_facts_alone():
     assert defining == ["mapping.py"]
 
 
-def maker_calls(source: str, maker: str) -> list:
-    """Where a module calls maker: for each call, the dotted names of the
+def node_scopes(source: str, hit) -> list:
+    """For each node of a module that hit accepts, the dotted names of the
     classes and functions around it, or "<module>" outside any."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        elif isinstance(node, ast.Call) and maker in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        elif hit(node):
             found.append(scope or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return sorted(found)
+
+
+def maker_calls(source: str, maker: str) -> list:
+    """Where a module calls maker: node_scopes of its calls."""
+    return node_scopes(source, lambda node: isinstance(node, ast.Call) and maker in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def package_maker_calls(maker: str) -> dict:
@@ -318,6 +323,29 @@ def test_maps_are_made_by_their_memo_alone():
                        "def f(t):\n    return [mapping.SegmentMap(t) for _ in t]\n",
                        "SegmentMap") == ["<module>", "C.canonical", "f"]
     assert package_maker_calls("SegmentMap") == {"mapping.py": ["CompositionMemo.canonical"]}
+
+
+# A state's row offset in the flat tables is compiled once, into
+# CompiledAutomaton.head_row, by model._compile alone; the linear engine
+# indexes the tables by head_row[head] + symbol and reads no width, so
+# (head >> 1) * width cannot come back as a second spelling of the row.
+def head_row_builders(source: str) -> list:
+    """node_scopes of the head_row= keywords and head_row attribute stores."""
+    return node_scopes(source, lambda node: (
+        isinstance(node, ast.keyword) and node.arg == "head_row"
+        or isinstance(node, ast.Attribute) and node.attr == "head_row"
+        and isinstance(node.ctx, ast.Store)))
+
+
+def test_rows_are_compiled_once_into_head_row():
+    assert head_row_builders("c = C(head_row=[0, 0])\ndef f(c):\n    c.head_row = []\n"
+                             "    return c.head_row\nclass K:\n    def g(self, c):\n"
+                             "        head_row = c.head_row\n") == ["<module>", "f"]
+    found = {path.name: head_row_builders(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {"model.py": ["_compile"]}
+    assert "width" in read_names(ast.parse("k = (head >> 1) * width + s\n"))
+    assert "width" not in read_names(ast.parse((SRC / "linear.py").read_text(encoding="utf-8")))
 
 
 # Each seeded stream has one maker: a machine's in random_automaton, the

@@ -8,7 +8,7 @@ from limla.model import (
     COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
     d_of, tape_indices, token_error, validate_automaton, visit_limit,
 )
-from limla.zoo import ZOO
+from limla.zoo import ZOO, GenParams, random_automaton
 
 
 def test_d_of_trivial_values():
@@ -232,6 +232,15 @@ def test_tape_indices_accepts_only_input_tokens():
         with pytest.raises(ValueError) as e:
             tape_indices(aut, word)
         assert str(e.value) == f"symbol {bad!r} is not in the input alphabet"
+
+
+def test_head_row_gives_each_directed_state_its_row():
+    # both directions of a state share one int, even for rows past the
+    # interpreter's small-int cache
+    c = random_automaton(GenParams(64, 5)).compiled
+    assert c.head_row == [(h >> 1) * c.width for h in range(2 * c.n_states)]
+    assert c.head_row[-1] > 256
+    assert all(c.head_row[h] is c.head_row[h + 1] for h in range(0, 2 * c.n_states, 2))
 
 
 def test_token_whitespace_is_what_isspace_says():

@@ -152,8 +152,26 @@ CATALOGUE = [
     # a cell freezes one visit after its last write; that visit writes
     # nothing, so verdicts hold and only the scans tell
     Mutant("freeze-one-visit-late", linear_mod,
-           "if v + 1 >= limit or fixed[w]:", "if v >= limit or fixed[w]:",
+           "if v >= limit or fixed[w]:", "if v > limit or fixed[w]:",
            test_linear.test_even_a_interior_collapses_to_one_map),
+    # the letter run counts a visit to a marker before it hands the marker
+    # to the main loop; verdicts hold and only the markers' counts tell
+    Mutant("marker-visit-counted", linear_mod,
+           "                if s >= n_letters:  # a marker: the main loop moves off it\n"
+           "                    break\n"
+           "                k = head_row[head] + s\n"
+           "                v = visits[pos] + 1\n"
+           "                visits[pos] = v\n",
+           "                k = head_row[head] + s\n"
+           "                v = visits[pos] + 1\n"
+           "                visits[pos] = v\n"
+           "                if s >= n_letters:  # a marker: the main loop moves off it\n"
+           "                    break\n",
+           test_linear.test_markers_are_never_visited_as_letters),
+    # the letter run reads the row of state head >> 1, not of the head's state
+    Mutant("row-of-the-halved-state", linear_mod,
+           "k = head_row[head] + s", "k = head_row[head >> 1] + s",
+           test_linear.test_verdicts_and_projections_match_naive_on_zoo),
     # a scan record takes its segment from the links alone, so a map-loop
     # scan's segment reaches into the neighbour map it left unmerged
     Mutant("scan-record-segment-from-links", linear_mod,
