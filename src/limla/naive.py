@@ -5,18 +5,26 @@ tested against it.  One rule freezes a cell for every mode: a visit
 applies the written letter unless the cell's visit count has reached
 ``limit`` or the letter read is ``fixed`` (``CompiledAutomaton.fixed``:
 the markers, and rank-d letters in ranked mode with d > 0).  ``limit``
-is ``model.visit_limit``, which run_linear reads too.  Trace records
-report markers as not frozen.
+is ``model.visit_limit``, which run_linear reads too.  A visit is counted
+only while the cell is writable: once it is frozen nothing reads its count
+again, since either its letter is fixed and never rewritten or the count
+has reached ``limit``.  Trace records report markers as not frozen.
 
-Loop detection is exact: a set of (position, state) pairs is cleared
-whenever a cell's content actually changes.  Between content changes the
-tape as seen by the transition function is constant, so a repeated pair
-replays forever.  Visit counters still advance on no-change visits, but
-they only gate whether writes stick, and every write in such a cycle
-rewrites the letter that is already there, so the cycle is genuinely
-infinite.  Termination without a budget follows: content changes are
-bounded by the rewrite budget, and each change-free stretch is bounded by
-(n + 2) * |Q| pairs.
+Loop detection is exact: the stretch since the last content change is a
+generation number, bumped by every write that sticks, and a stamp per
+(position, state) pair holding the generation in which the pair was last
+seen; a pair whose stamp equals the current generation is a repeat.
+Between content changes the tape as seen by the transition function is
+constant, so a repeated pair replays forever.  Visit counters still
+advance on no-change visits to writable cells, but they only gate whether
+writes stick, and every write in such a cycle rewrites the letter that is
+already there, so the cycle is genuinely infinite.  Termination without a
+budget follows: content changes are bounded by the rewrite budget, and
+each change-free stretch is bounded by (n + 2) * |Q| pairs.
+
+A run holds three lists: the tape and the visit counts, n + 2 slots each,
+and the stamps, (n + 2) * |Q| slots allocated up front; 8 bytes a slot, so
+(16 + 8 * |Q|) bytes a cell on a 64-bit build.
 """
 from __future__ import annotations
 
@@ -52,7 +60,8 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
     pos = 1
     state = c.start_idx
     steps = 0
-    stretch = set()
+    seen = [0] * ((n + 2) * nq)
+    gen = 1
     tr = [] if trace else None
     verdict = REJECT
     reason = None
@@ -65,20 +74,23 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
             s = tape[pos]
             k = state * width + s
             v = visits[pos]
-            frozen = v >= limit or fixed[s]
-            w = s if frozen else wr_tab[k]
+            if v < limit and not fixed[s]:
+                visits[pos] = v + 1
+                w = wr_tab[k]
+            else:
+                w = s
             if w != s:  # a write that sticks ends the stretch
                 tape[pos] = w
-                stretch.clear()
+                gen += 1
             else:
                 key = pos * nq + state
-                if key in stretch:
+                if seen[key] == gen:
                     reason = LOOP_DETECTED
                     break
-                stretch.add(key)
-            visits[pos] = v + 1
+                seen[key] = gen
             if tr is not None:
-                tr.append((steps + 1, pos, state, s, w, mv_tab[k], frozen and s < lo))
+                tr.append((steps + 1, pos, state, s, w, mv_tab[k],
+                           (v >= limit or fixed[s]) and s < lo))
             state = to_tab[k]
             if mv_tab[k] == RIGHT:
                 pos += 1

@@ -22,6 +22,7 @@ import pytest
 import limla.difftest as difftest_mod
 import limla.linear as linear_mod
 import limla.mapping as mapping_mod
+import limla.naive as naive_mod
 import limla.outcome as outcome_mod
 from limla.difftest import random_words, step_budget, words_upto
 from limla.linear import ShadowMismatch, run_linear
@@ -33,6 +34,7 @@ from limla.zoo import GenParams, random_automaton
 import test_difftest
 import test_linear
 import test_mapping
+import test_naive
 
 
 def _net_slice(shadow: bool) -> None:
@@ -200,6 +202,22 @@ CATALOGUE = [
            "                    pos = left if out & 1 else right\n",
            "                    pos = right if out & 1 else left\n",
            net_slice),
+    # a write that sticks leaves the stamps current, so the stretch of the
+    # old content survives the change and a pair seen before it reads as a
+    # repeat
+    Mutant("stamp-kept-across-a-write", naive_mod,
+           "                gen += 1\n", "",
+           test_naive.test_detector_fires_on_the_first_repeated_pair),
+    # a cell takes one write more than its visit limit allows
+    Mutant("writable-one-visit-late", naive_mod,
+           "if v < limit and not fixed[s]:", "if v <= limit and not fixed[s]:",
+           partial(test_naive.test_outcomes_pinned_on_random_machines,
+                   mode=COUNTED, dlimit=DLimit.const(1))),
+    # the stamp is keyed by the position alone, so a cell revisited in
+    # another state reads as a repeat
+    Mutant("stamp-key-drops-the-state", naive_mod,
+           "key = pos * nq + state", "key = pos * nq",
+           test_naive.test_detector_fires_on_the_first_repeated_pair),
     # the harness lets the engines disagree on a verdict
     Mutant("compare-skips-verdict", difftest_mod,
            "    if no.verdict != lo.verdict:\n", "    if False:\n",

@@ -2,9 +2,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import limla.naive as naive_mod
 from limla.linear import run_linear
 from limla.model import ACCEPT, COUNTED, DLimit, LEFT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of
 from limla.naive import run_naive
@@ -253,3 +258,74 @@ def test_outcomes_pinned_on_random_machines(mode, dlimit):
         h.update(_fingerprint(aut, words, budget_words).encode())
     digest = h.hexdigest()
     assert _FINGERPRINTS.get(f"{mode}-{dlimit.token()}") == digest, digest
+
+
+def _check_first_repeated_pair(aut, word) -> bool:
+    """On a rejecting run, rebuild the stretch from the trace alone: the
+    (pos, state) pairs of the records since the last one whose read differs
+    from its write.  No recorded step repeats a pair of its stretch, and the
+    refused step, the one delta gives after the last record, does.  Returns
+    whether the run rejected."""
+    out = run_naive(aut, word, trace=True)
+    if out.verdict != REJECT:
+        return False
+    assert out.reason == LOOP_DETECTED
+    stretch = set()
+    for rec in out.trace:
+        _, pos, state, rd, wr, _, _ = rec
+        if rd != wr:
+            stretch = set()
+            continue
+        assert (pos, state) not in stretch, (word, rec)
+        stretch.add((pos, state))
+    _, pos, state, rd, _, mv, _ = out.trace[-1]
+    t = aut.delta[aut.states[state], aut.compiled.sym_names[rd]]
+    refused = (pos + 1 if mv == RIGHT else pos - 1, aut.states.index(t.to_state))
+    assert refused in stretch, (word, refused)
+    return True
+
+
+def test_detector_fires_on_the_first_repeated_pair():
+    rejected = 0
+    for build in ZOO.values():
+        aut = build()
+        for word in words_upto(aut.input_alphabet, 6):
+            rejected += _check_first_repeated_pair(aut, word)
+    rng = SplitMix64(0xF125)
+    for mode, dlimit in _D_LIMITS:
+        for q in (1, 2, 3, 4, 6):
+            aut = random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
+            words = list(words_upto(aut.input_alphabet, 4))
+            words += random_words(aut.input_alphabet, 4, 8, 48, rng.next_u64())
+            for word in words:
+                rejected += _check_first_repeated_pair(aut, word)
+    assert rejected >= 1000, rejected
+
+
+_NAIVE_RSS = """
+import gc, resource
+from limla.naive import run_naive
+from limla.zoo import build_even_a_2dfa
+
+n = 10 ** 6
+aut = build_even_a_2dfa()
+run_naive(aut, "ab")
+word = "ab" * (n // 2)  # n bytes, made with no larger transient to hide a peak
+gc.collect()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert run_naive(aut, word).accepted
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / n)
+"""
+
+
+def test_naive_run_peak_rss_per_letter():
+    # an even_a run keeps the tape and the visit counts, 8 bytes a slot each
+    # (their ints are cached small ones), and the stamps, |Q| = 3 slots of 8
+    # bytes a cell holding one shared int: 8 + 8 + 3 * 8 = 40 bytes a letter,
+    # against 87 with a set of (position, state) keys, each a fresh int
+    # (ru_maxrss, CPython 3.11)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(naive_mod.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _NAIVE_RSS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 56
