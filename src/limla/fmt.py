@@ -24,7 +24,8 @@ import re
 
 from .model import (
     Automaton, DLimit, Transition,
-    COUNTED, LEFT_MARKER, RANKED, RESERVED_TOKENS, RIGHT_MARKER, token_error,
+    COUNTED, GROWING, LEFT_MARKER, RANKED, RESERVED_TOKENS, RIGHT_MARKER,
+    dlimit_error, token_error,
 )
 
 _DIRECTIVES = ("mode", "d", "states", "input", "tape", "start", "accept")
@@ -54,15 +55,17 @@ def _check_sym_token(tok: str, line: int, what: str) -> None:
 
 def parse_dlimit(tok: str, mode: str) -> DLimit:
     """The d-limit a `d` token names in the given mode; ValueError otherwise."""
-    if tok in ("log2", "sqrt", "id"):
-        if mode == RANKED:
-            raise ValueError("ranked mode requires a constant d")
-        return DLimit(tok)
-    if tok.startswith("-") and _NUMBER.fullmatch(tok[1:]):
-        raise ValueError("d must be >= 0")
-    if not _NUMBER.fullmatch(tok):
+    if tok in GROWING:
+        dlimit = DLimit(tok)
+    elif _NUMBER.fullmatch(tok.removeprefix("-")):
+        # the grammar has no signs, so a leading "-" makes d negative, "-0" too
+        dlimit = DLimit.const(-1 if tok.startswith("-") else int(tok))
+    else:
         raise ValueError(f"bad d value {tok!r}")
-    return DLimit.const(int(tok))
+    err = dlimit_error(mode, dlimit)
+    if err:
+        raise ValueError(err)
+    return dlimit
 
 
 def parse_machine(text: str) -> Automaton:

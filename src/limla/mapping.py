@@ -37,9 +37,9 @@ from .model import RIGHT
 # 16|Q| + 256: 8 bytes per slot of its departure tuple, and 256 for the tuple
 # header, the result object and its row slot (a row's first allocates its
 # 160-byte key table).  A map is charged once however many entries share it.
-# A memo past the cap keeps its generators and nothing else, as a freshly
-# compiled machine does; emptying the rows and the memo's maps freed 60-96%
-# of the charge (tracemalloc, CPython 3.11).
+# A memo past the cap keeps the generators it has made and nothing else (a
+# fresh memo is empty: cf_idx makes generators on demand); emptying the rows
+# and the memo's maps freed 60-96% of the charge (tracemalloc, CPython 3.11).
 COMPOSE_MEMO_BYTES = 1 << 17
 
 

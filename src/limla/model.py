@@ -55,19 +55,33 @@ SQRT = DLimit("sqrt")
 ID = DLimit("id")
 
 
+# The growing d-limits by name: each maps the input length n >= 0 to d(n).
+GROWING = {
+    "log2": lambda n: max(n.bit_length() - 1, 0),
+    "sqrt": math.isqrt,
+    "id": lambda n: n,
+}
+
+
 def d_of(spec: DLimit, n: int) -> int:
     """Evaluate the rewrite budget for an input of length n."""
     if n < 0:
         raise ValueError("input length must be >= 0")
     if spec.kind == "const":
         return spec.k
-    if spec.kind == "log2":
-        return n.bit_length() - 1 if n >= 1 else 0
-    if spec.kind == "sqrt":
-        return math.isqrt(n)
-    if spec.kind == "id":
-        return n
-    raise ValueError(f"unknown d-limit kind {spec.kind!r}")
+    try:
+        return GROWING[spec.kind](n)
+    except KeyError:
+        raise ValueError(dlimit_error(COUNTED, spec)) from None
+
+
+def dlimit_error(mode: str, dlimit: DLimit) -> str | None:
+    """Reason a machine of this mode cannot take this d-limit, or None if fine."""
+    if dlimit.kind == "const":
+        return "d must be >= 0" if dlimit.k < 0 else None
+    if dlimit.kind not in GROWING:
+        return f"unknown d-limit kind {dlimit.kind!r}"
+    return "ranked mode requires a constant d" if mode == RANKED else None
 
 
 def visit_limit(aut: Automaton, n: int) -> int:
@@ -183,51 +197,32 @@ class CompiledAutomaton:
 _MOVE_DIRS = {"R": RIGHT, "L": LEFT}
 
 
-def _first_bad_row(rows: list, sym_names: tuple, state_index: dict, sym_index: dict) -> str:
-    """Why _compile refuses the first of a machine's rows (state by symbol,
-    in table order) that names an unknown token or a move other than L or R."""
-    keys = ((q, s) for q in state_index for s in sym_names)
-    for (q, s), t in zip(keys, rows):
-        for tok, known in ((t.to_state, state_index), (t.write, sym_index)):
-            if tok not in known:
-                return f"transition ({q!r}, {s!r}) references unknown token {tok!r}"
-        if t.move not in _MOVE_DIRS:
-            return f"transition ({q!r}, {s!r}) has move {t.move!r}, not 'L' or 'R'"
-    raise AssertionError("every row compiles")
-
-
 def _compile(aut: Automaton) -> CompiledAutomaton:
+    """The dense form of a machine.  The rules live in validate_automaton
+    alone: every name is looked up, and a failed lookup refuses the machine
+    with a ValueError naming the validator's first violation."""
     states = aut.states
     letters = aut.tape_alphabet
-    state_index = {s: i for i, s in enumerate(states)}
-    if len(state_index) != len(states):
-        raise ValueError("duplicate state names")
     lo = len(letters)
     sym_names = letters + (LEFT_MARKER, RIGHT_MARKER)
+    state_index = {s: i for i, s in enumerate(states)}
     sym_index = {s: i for i, s in enumerate(sym_names)}
-    if len(sym_index) != len(sym_names):
-        raise ValueError("duplicate tape symbols")
     width = lo + 2
     delta = aut.delta
     try:
+        # a name listed twice leaves its index shorter than its list
+        {(len(states), width): None}[len(state_index), len(sym_index)]
         rows = [delta[q, s] for q in states for s in sym_names]  # in table order
-    except KeyError as e:
-        q, s = e.args[0]
-        raise ValueError(f"transition table is not total: missing ({q!r}, {s!r}); "
-                         "run validate_automaton for a full report") from None
-    try:
         to_tab = [state_index[t.to_state] for t in rows]
         wr_tab = [sym_index[t.write] for t in rows]
         mv_tab = [_MOVE_DIRS[t.move] for t in rows]
-    except KeyError:
-        raise ValueError(_first_bad_row(rows, sym_names, state_index, sym_index)) from None
-    start = state_index.get(aut.start_state)
-    if start is None:
-        raise ValueError(f"start state {aut.start_state!r} is not a state")
-    accepting = [False] * len(states)
-    for s in aut.accepting:
-        if s in state_index:
+        start = state_index[aut.start_state]
+        accepting = [False] * len(states)
+        for s in aut.accepting:
             accepting[state_index[s]] = True
+        input_index = {t: sym_index[t] for t in aut.input_alphabet}
+    except KeyError:
+        raise ValueError(f"invalid machine: {validate_automaton(aut).violations[0]}") from None
     # the markers, and rank-d letters in ranked mode with d > 0; counted mode
     # and ranked mode with d = 0 freeze by visit count alone (visit_limit)
     d = aut.dlimit.k if aut.mode == RANKED else 0
@@ -236,7 +231,7 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
     return CompiledAutomaton(
         n_states=len(states), n_letters=lo, width=width,
         sym_names=sym_names,
-        input_index={t: sym_index[t] for t in aut.input_alphabet if t in sym_index},
+        input_index=input_index,
         start_idx=start, accepting=accepting,
         to_tab=to_tab, wr_tab=wr_tab, mv_tab=mv_tab,
         out_tab=[2 * t + m for t, m in zip(to_tab, mv_tab)],
@@ -291,11 +286,9 @@ def validate_automaton(aut: Automaton) -> ValidationReport:
     ranked = aut.mode == RANKED
     if aut.mode not in (RANKED, COUNTED):
         bad("Mode", detail=f"unknown mode {aut.mode!r}")
-        ranked = False
-    if ranked and aut.dlimit.kind != "const":
-        bad("ModeDLimit", detail="ranked mode requires a constant d")
-    if aut.dlimit.kind == "const" and aut.dlimit.k < 0:
-        bad("ModeDLimit", detail="d must be >= 0")
+    err = dlimit_error(aut.mode, aut.dlimit)
+    if err:
+        bad("ModeDLimit", detail=err)
 
     for group, toks in (("state", aut.states), ("input", aut.input_alphabet),
                         ("tape", aut.tape_alphabet)):

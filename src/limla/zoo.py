@@ -9,7 +9,7 @@ from pathlib import Path
 from . import fmt
 from .model import (
     Automaton, DLimit, Transition,
-    COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
+    COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER, dlimit_error,
 )
 from .rng import SplitMix64
 
@@ -157,8 +157,9 @@ def random_automaton(p: GenParams) -> Automaton:
         raise ValueError("all generator counts must be >= 1")
     if p.input_alphabet_size > len(INPUT_LETTERS):
         raise ValueError("input alphabet too large")
-    if p.mode == RANKED and p.dlimit.kind != "const":
-        raise ValueError("ranked mode requires a constant d")
+    err = dlimit_error(p.mode, p.dlimit)
+    if err:
+        raise ValueError(err)
     if p.mode not in (RANKED, COUNTED):
         raise ValueError(f"unknown mode {p.mode!r}")
     if p.state_count * symbol_count(p) > MAX_TRANSITIONS:

@@ -461,3 +461,49 @@ def test_run_linear_records_at_three_sites():
     assert trace_append_sites(sample) == {"run_linear": [2, 4, 6, 7]}
     found = trace_append_sites((SRC / "linear.py").read_text(encoding="utf-8"))
     assert list(found) == ["run_linear"] and len(found["run_linear"]) == 3, found
+
+
+# A machine's rules are stated by model.validate_automaton alone:
+# model._compile looks every name up and refuses a failed lookup at one
+# raise, whose message is the validator's first violation.
+def raise_calls(source: str, function: str) -> list:
+    """For each raise in a module's top-level function, the sorted names
+    that its exception expression calls, bare or as an attribute."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [sorted(getattr(leaf.func, "id", None) or leaf.func.attr
+                   for leaf in ast.walk(r.exc) if isinstance(leaf, ast.Call))
+            for r in ast.walk(fn) if isinstance(r, ast.Raise)]
+
+
+def test_compile_refuses_through_the_validator():
+    assert raise_calls("def f(a):\n    if a:\n        raise ValueError('a')\n"
+                       "    try:\n        g[a]\n    except KeyError:\n"
+                       "        raise ValueError(f'{m.check(a).v[0]}') from None\n"
+                       "def g(a):\n    raise KeyError\n", "f") == [
+        ["ValueError"], ["ValueError", "check"]]
+    source = (SRC / "model.py").read_text(encoding="utf-8")
+    assert raise_calls(source, "_compile") == [["ValueError", "validate_automaton"]]
+    assert "_first_bad_row" not in defined_names(ast.parse(source))
+
+
+# The d-limit rule is stated once, by model.dlimit_error, which the
+# validator, the parser and the generator call.
+DLIMIT_RULES = ("ranked mode requires a constant d", "d must be >= 0")
+
+
+def literal_scopes(source: str, literal: str) -> list:
+    """node_scopes of the string constants equal to literal."""
+    return node_scopes(source, lambda node: isinstance(node, ast.Constant)
+                       and node.value == literal)
+
+
+def test_the_dlimit_rule_is_stated_once():
+    assert literal_scopes("E = 'd must be >= 0'\ndef f(k):\n"
+                          "    return f'{k}: d must be >= 0' if k < 0 else 'd must be >= 0'\n",
+                          "d must be >= 0") == ["<module>", "f"]
+    for literal in DLIMIT_RULES:
+        found = {path.name: literal_scopes(path.read_text(encoding="utf-8"), literal)
+                 for path in sorted(SRC.glob("*.py"))}
+        assert {name: where for name, where in found.items() if where} == {
+            "model.py": ["dlimit_error"]}, literal

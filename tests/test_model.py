@@ -2,13 +2,14 @@ import dataclasses
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limla.model import (
-    Automaton, DLimit, ID, LOG2, SQRT, Transition,
+    Automaton, DLimit, GROWING, ID, LOG2, SQRT, Transition,
     COUNTED, LEFT_MARKER, RANKED, RIGHT_MARKER,
     d_of, tape_indices, token_error, validate_automaton, visit_limit,
 )
-from limla.zoo import ZOO, GenParams, random_automaton
+from limla.zoo import ZOO, GenParams, build_anbn, build_sweeper, random_automaton
 
 
 def test_d_of_trivial_values():
@@ -195,27 +196,92 @@ def test_rules_the_parser_reaches_first(kwargs, want):
     assert [(v.rule, v.state, v.symbol) for v in violations] == want
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    (dict(states=("q", "q"), accept=()), "duplicate state names"),
-    (dict(tape=("a", "a")), "duplicate tape symbols"),
-    (dict(drop=("p", "X")), "transition table is not total: missing ('p', 'X'); "
-                            "run validate_automaton for a full report"),
-    (dict(rows=[("q", "a", "q", "Y", "R")]), "transition ('q', 'a') references unknown token 'Y'"),
-    (dict(rows=[("q", "a", "s", "X", "R")]), "transition ('q', 'a') references unknown token 's'"),
-    (dict(start="s"), "start state 's' is not a state"),
-    (dict(rows=[("p", "a", "p", "X", "S")]), "transition ('p', 'a') has move 'S', not 'L' or 'R'"),
-])
-def test_compile_refuses_what_validation_reports(kwargs, message):
+def test_unknown_dlimit_kind_is_a_violation():
+    # one machine of each mode: anbn is ranked, the sweeper counted
+    for aut in (build_anbn(), build_sweeper()):
+        bad = dataclasses.replace(aut, dlimit=DLimit("foo"))
+        assert [str(v) for v in validate_automaton(bad).violations] == [
+            "ModeDLimit: unknown d-limit kind 'foo'"], aut.mode
+
+
+def _refusal(aut):
+    """The message of the ValueError that compiling aut raises, or None."""
+    try:
+        aut.compiled
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("kwargs, first", [
+    (dict(states=("q", "q"), accept=()), "DuplicateToken at (None, q): duplicate in state list"),
+    (dict(tape=("a", "a")), "DuplicateToken at (None, a): duplicate in tape list"),
+    (dict(drop=("p", "X")), "Totality at (p, X): missing transition"),
+    (dict(rows=[("q", "a", "q", "Y", "R")]), "UnknownSymbol at (q, a): write 'Y'"),
+    (dict(rows=[("q", "a", "s", "X", "R")]), "UnknownState at (q, a): target 's'"),
+    (dict(start="s"), "UnknownState at (s, None): start state"),
+    (dict(rows=[("p", "a", "p", "X", "S")]), "BadMove at (p, a): move 'S'"),
+    (dict(accept=("p", "s")), "UnknownState at (s, None): accepting state"),
+    (dict(inputs=("a", "b")), "InputNotInTape at (None, b)"),
+], ids=["duplicate-state", "duplicate-letter", "drop-row", "unknown-write", "unknown-target",
+        "unknown-start", "bad-move", "unknown-accepting", "input-not-on-tape"])
+def test_compile_refuses_what_validation_reports(kwargs, first):
+    # each machine breaks one rule, which the validator reports first and
+    # compilation names in its refusal
+    kwargs = dict(kwargs)
     drop = kwargs.pop("drop", None)
     aut = _tiny(**kwargs)
     if drop is not None:
         delta = dict(aut.delta)
         del delta[drop]
         aut = dataclasses.replace(aut, delta=delta)
-    assert not validate_automaton(aut).ok
-    with pytest.raises(ValueError) as e:
-        aut.compiled
-    assert str(e.value) == message
+    assert str(validate_automaton(aut).violations[0]) == first
+    assert _refusal(aut) == f"invalid machine: {first}"
+
+
+_MUTATIONS = ("none", "drop-row", "unknown-target", "bad-move", "unknown-write",
+              "duplicate-state", "duplicate-letter", "unknown-start")
+
+
+def _mutated(aut, op, pick):
+    """aut with one mutation op applied at the pick-th delta key, state or
+    tape letter (taken modulo their count); "none" leaves it as it is."""
+    key = list(aut.delta)[pick % len(aut.delta)]
+    t = aut.delta[key]
+    rows = {"unknown-target": Transition("ghost", t.write, t.move),
+            "bad-move": Transition(t.to_state, t.write, "S"),
+            "unknown-write": Transition(t.to_state, "ghost", t.move)}
+    if op in rows:
+        return dataclasses.replace(aut, delta={**aut.delta, key: rows[op]})
+    if op == "drop-row":
+        return dataclasses.replace(aut, delta={k: v for k, v in aut.delta.items() if k != key})
+    if op == "duplicate-state":
+        return dataclasses.replace(aut, states=aut.states + (aut.states[pick % len(aut.states)],))
+    if op == "duplicate-letter":
+        tape = aut.tape_alphabet
+        return dataclasses.replace(aut, tape_alphabet=tape + (tape[pick % len(tape)],))
+    if op == "unknown-start":
+        return dataclasses.replace(aut, start_state="ghost")
+    return aut
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(limit=st.one_of(
+           st.tuples(st.sampled_from((RANKED, COUNTED)), st.integers(0, 3).map(DLimit.const)),
+           st.tuples(st.just(COUNTED), st.sampled_from(tuple(GROWING)).map(DLimit))),
+       states=st.integers(1, 5), seed=st.integers(0, 2**64 - 1), inputs=st.integers(1, 3),
+       per_rank=st.integers(1, 2), op=st.sampled_from(_MUTATIONS), pick=st.integers(0, 10**6))
+def test_compile_refuses_exactly_what_validation_reports(limit, states, seed, inputs,
+                                                         per_rank, op, pick):
+    mode, dlimit = limit
+    aut = _mutated(random_automaton(GenParams(states, seed, mode, dlimit, inputs, per_rank)),
+                   op, pick)
+    report = validate_automaton(aut)
+    message = _refusal(aut)
+    # a machine that validates compiles, and every mutation breaks a lookup
+    assert report.ok == (message is None) == (op == "none")
+    if message is not None:
+        assert message == f"invalid machine: {report.violations[0]}"
 
 
 def test_tape_indices_accepts_only_input_tokens():

@@ -22,6 +22,7 @@ import pytest
 import limla.difftest as difftest_mod
 import limla.linear as linear_mod
 import limla.mapping as mapping_mod
+import limla.model as model_mod
 import limla.naive as naive_mod
 import limla.outcome as outcome_mod
 from limla.difftest import random_words, step_budget, words_upto
@@ -34,6 +35,7 @@ from limla.zoo import GenParams, random_automaton
 import test_difftest
 import test_linear
 import test_mapping
+import test_model
 import test_naive
 
 
@@ -218,6 +220,17 @@ CATALOGUE = [
     Mutant("stamp-key-drops-the-state", naive_mod,
            "key = pos * nq + state", "key = pos * nq",
            test_naive.test_detector_fires_on_the_first_repeated_pair),
+    # compilation takes a state listed twice as one state and compiles the
+    # machine
+    Mutant("compile-lets-duplicate-states-through", model_mod,
+           "{(len(states), width): None}", "{(len(state_index), width): None}",
+           partial(test_model.test_compile_refuses_what_validation_reports,
+                   dict(states=("q", "q"), accept=()),
+                   "DuplicateToken at (None, q): duplicate in state list")),
+    # the d-limit rule lets a kind through that no engine can evaluate
+    Mutant("unknown-dlimit-kind-allowed", model_mod,
+           'return f"unknown d-limit kind {dlimit.kind!r}"', "return None",
+           test_model.test_unknown_dlimit_kind_is_a_violation),
     # the harness lets the engines disagree on a verdict
     Mutant("compare-skips-verdict", difftest_mod,
            "    if no.verdict != lo.verdict:\n", "    if False:\n",

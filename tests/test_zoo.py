@@ -7,7 +7,7 @@ from limla.difftest import compare_run, random_words, words_upto
 from limla.fmt import serialize_machine
 from limla.linear import run_linear
 from limla.model import (
-    ACCEPT, COUNTED, ID, LOG2, RANKED, REJECT, SQRT, DLimit, validate_automaton,
+    ACCEPT, COUNTED, ID, LOG2, RANKED, REJECT, SQRT, DLimit, dlimit_error, validate_automaton,
 )
 from limla.naive import run_naive
 from limla.rng import SplitMix64
@@ -199,6 +199,14 @@ def test_gen_params_validation():
         random_automaton(GenParams(state_count=2, seed=1, dlimit=DLimit.const(10 ** 11)))
     with pytest.raises(ValueError, match="transitions"):
         random_automaton(GenParams(state_count=MAX_TRANSITIONS, seed=1, mode=COUNTED))
+
+
+def test_generator_refuses_the_dlimits_the_validator_refuses():
+    for mode, dlimit in ((COUNTED, DLimit("foo")), (RANKED, DLimit("foo")), (RANKED, LOG2),
+                         (COUNTED, DLimit.const(-1)), (RANKED, DLimit.const(-1))):
+        with pytest.raises(ValueError) as e:
+            random_automaton(GenParams(2, 1, mode, dlimit))
+        assert str(e.value) == dlimit_error(mode, dlimit), (mode, dlimit)
 
 
 def test_splitmix64_reference_sequence():
