@@ -221,11 +221,13 @@ def _compile(aut: Automaton) -> CompiledAutomaton:
         for s in aut.accepting:
             accepting[state_index[s]] = True
         input_index = {t: sym_index[t] for t in aut.input_alphabet}
+        # the rank that fixes a letter, none in counted mode; an unknown
+        # mode fails the lookup, as an unknown move does
+        d = {RANKED: aut.dlimit.k, COUNTED: 0}[aut.mode]
     except KeyError:
         raise ValueError(f"invalid machine: {validate_automaton(aut).violations[0]}") from None
     # the markers, and rank-d letters in ranked mode with d > 0; counted mode
     # and ranked mode with d = 0 freeze by visit count alone (visit_limit)
-    d = aut.dlimit.k if aut.mode == RANKED else 0
     fixed = [d > 0 and aut.ranks.get(tok, 0) == d for tok in letters] + [True, True]
     from .mapping import CompositionMemo
     return CompiledAutomaton(

@@ -2,13 +2,18 @@
 
 Exists to be obviously correct; the linear engine is differentially
 tested against it.  One rule freezes a cell for every mode: a visit
-applies the written letter unless the cell's visit count has reached
-``limit`` or the letter read is ``fixed`` (``CompiledAutomaton.fixed``:
-the markers, and rank-d letters in ranked mode with d > 0).  ``limit``
-is ``model.visit_limit``, which run_linear reads too.  A visit is counted
-only while the cell is writable: once it is frozen nothing reads its count
-again, since either its letter is fixed and never rewritten or the count
-has reached ``limit``.  Trace records report markers as not frozen.
+applies the written letter unless the letter read is ``fixed``
+(``CompiledAutomaton.fixed``: the markers, and rank-d letters in ranked
+mode with d > 0) or the cell's visit count has reached ``limit``.  The
+step tests them in that order, so a visit to a fixed letter or a marker
+reads no count; in ranked mode with d > 0, where ``limit`` is never
+reached, ``fixed`` alone decides.  ``limit`` is ``model.visit_limit``,
+which run_linear reads too.  A visit is counted only while the cell is
+writable: once it is frozen nothing reads its count again, since either
+its letter is fixed and never rewritten or the count has reached
+``limit``.  Trace records report markers as not frozen.  The move is
+tested as a truth value, which relies on the direction encoding pinned in
+``model`` (RIGHT = 0, LEFT = 1).
 
 Loop detection is exact: the stretch since the last content change is a
 generation number, bumped by every write that sticks, and a stamp per
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import sys
 
-from .model import ACCEPT, LOOP_DETECTED, REJECT, RIGHT, tape_indices, visit_limit
+from .model import ACCEPT, LOOP_DETECTED, REJECT, tape_indices, visit_limit
 from .outcome import BudgetExceeded, RunOutcome
 
 
@@ -73,12 +78,15 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
         for steps in budget:
             s = tape[pos]
             k = state * width + s
-            v = visits[pos]
-            if v < limit and not fixed[s]:
-                visits[pos] = v + 1
-                w = wr_tab[k]
-            else:
+            if fixed[s]:
                 w = s
+            else:
+                v = visits[pos]
+                if v < limit:
+                    visits[pos] = v + 1
+                    w = wr_tab[k]
+                else:
+                    w = s
             if w != s:  # a write that sticks ends the stretch
                 tape[pos] = w
                 gen += 1
@@ -90,16 +98,16 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
                 seen[key] = gen
             if tr is not None:
                 tr.append((steps + 1, pos, state, s, w, mv_tab[k],
-                           (v >= limit or fixed[s]) and s < lo))
+                           s < lo if fixed[s] else v >= limit))
             state = to_tab[k]
-            if mv_tab[k] == RIGHT:
+            if mv_tab[k]:  # LEFT
+                pos -= 1
+            else:
                 pos += 1
                 if pos > n and accepting[state]:
                     verdict = ACCEPT
                     steps += 1
                     break
-            else:
-                pos -= 1
         else:
             raise BudgetExceeded(len(budget))
 

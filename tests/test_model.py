@@ -223,8 +223,9 @@ def _refusal(aut):
     (dict(rows=[("p", "a", "p", "X", "S")]), "BadMove at (p, a): move 'S'"),
     (dict(accept=("p", "s")), "UnknownState at (s, None): accepting state"),
     (dict(inputs=("a", "b")), "InputNotInTape at (None, b)"),
+    (dict(mode="foo"), "Mode: unknown mode 'foo'"),
 ], ids=["duplicate-state", "duplicate-letter", "drop-row", "unknown-write", "unknown-target",
-        "unknown-start", "bad-move", "unknown-accepting", "input-not-on-tape"])
+        "unknown-start", "bad-move", "unknown-accepting", "input-not-on-tape", "unknown-mode"])
 def test_compile_refuses_what_validation_reports(kwargs, first):
     # each machine breaks one rule, which the validator reports first and
     # compilation names in its refusal

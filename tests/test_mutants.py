@@ -212,9 +212,13 @@ CATALOGUE = [
            test_naive.test_detector_fires_on_the_first_repeated_pair),
     # a cell takes one write more than its visit limit allows
     Mutant("writable-one-visit-late", naive_mod,
-           "if v < limit and not fixed[s]:", "if v <= limit and not fixed[s]:",
+           "if v < limit:", "if v <= limit:",
            partial(test_naive.test_outcomes_pinned_on_random_machines,
                    mode=COUNTED, dlimit=DLimit.const(1))),
+    # a step on a marker is flagged frozen like one on a fixed letter
+    Mutant("marker-step-flagged-frozen", naive_mod,
+           "s < lo if fixed[s]", "True if fixed[s]",
+           test_naive.test_frozen_flag_recounted_from_the_trace),
     # the stamp is keyed by the position alone, so a cell revisited in
     # another state reads as a repeat
     Mutant("stamp-key-drops-the-state", naive_mod,

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import io
@@ -11,7 +12,8 @@ import pytest
 
 import limla.naive as naive_mod
 from limla.linear import run_linear
-from limla.model import ACCEPT, COUNTED, DLimit, LEFT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of
+from limla.model import (ACCEPT, COUNTED, DLimit, LEFT, LOOP_DETECTED, RANKED, REJECT, RIGHT, d_of,
+                         visit_limit)
 from limla.naive import run_naive
 from limla.outcome import BudgetExceeded, regular_projection, write_trace
 from limla.rng import SplitMix64
@@ -300,6 +302,33 @@ def test_detector_fires_on_the_first_repeated_pair():
             for word in words:
                 rejected += _check_first_repeated_pair(aut, word)
     assert rejected >= 1000, rejected
+
+
+def test_frozen_flag_recounted_from_the_trace():
+    # a record is frozen exactly when it reads a letter that is fixed, or one
+    # whose cell has already had visit_limit counted visits: the earlier
+    # records at its pos that are not frozen; a marker step never is
+    rng = SplitMix64(0xF202)
+    machines = [build() for build in ZOO.values()]
+    machines += [random_automaton(GenParams(q, rng.next_u64(), mode, dlimit))
+                 for mode, dlimit in _D_LIMITS for q in (1, 2, 3, 4, 6)]
+    frozen_steps = marker_steps = 0
+    for aut in machines:
+        c = aut.compiled
+        words = list(words_upto(aut.input_alphabet, 4))
+        words += random_words(aut.input_alphabet, 4, 8, 48, rng.next_u64())
+        for word in words:
+            limit = visit_limit(aut, len(word))
+            counted = collections.Counter()
+            for rec in run_naive(aut, word, trace=True).trace:
+                _, pos, _, rd, _, _, frozen = rec
+                marker = rd >= c.n_letters
+                assert frozen == (not marker and (c.fixed[rd] or counted[pos] >= limit)), \
+                    (word, rec)
+                counted[pos] += not frozen
+                frozen_steps += frozen
+                marker_steps += marker
+    assert frozen_steps >= 3000 and marker_steps >= 3000, (frozen_steps, marker_steps)
 
 
 _NAIVE_RSS = """
