@@ -17,7 +17,7 @@ tested as a truth value, which relies on the direction encoding pinned in
 
 Loop detection is exact: the stretch since the last content change is a
 generation number, bumped by every write that sticks, and a stamp per
-(position, state) pair holding the generation in which the pair was last
+(state, position) pair holding the generation in which the pair was last
 seen; a pair whose stamp equals the current generation is a repeat.
 Between content changes the tape as seen by the transition function is
 constant, so a repeated pair replays forever.  Visit counters still
@@ -27,9 +27,22 @@ already there, so the cycle is genuinely infinite.  Termination without a
 budget follows: content changes are bounded by the rewrite budget, and
 each change-free stretch is bounded by (n + 2) * |Q| pairs.
 
-A run holds three lists: the tape and the visit counts, n + 2 slots each,
-and the stamps, (n + 2) * |Q| slots allocated up front; 8 bytes a slot, so
-(16 + 8 * |Q|) bytes a cell on a 64-bit build.
+The stamps are one row per state, ``seen[state][pos]``, each row made on
+its state's first stamp, so a no-change step does two subscripts and no
+arithmetic.  One table of rows is kept between runs: a run takes it from
+``_spare`` and hands it back when it ends, exception or not, so a
+concurrent or re-entrant run finds none and makes its own.  Generations
+keep counting across runs: a run starts one past the last generation its
+table handed out, so a stamp left by an earlier run never equals the
+current generation and nothing is cleared.  A run makes a fresh table
+when its word needs longer rows or the generation has passed 2**30 (so a
+generation stays a one-digit int), and the table is kept only while its
+rows hold at most ``STAMP_SLOTS`` slots.
+
+A run holds the tape and the visit counts, n + 2 slots each, and a row of
+at least n + 2 slots for each state it stamps, besides the rows the kept
+table held already; 8 bytes a slot, so (16 + 8 * r) bytes a cell on a
+64-bit build for r rows made, at most |Q| of them.
 """
 from __future__ import annotations
 
@@ -37,6 +50,24 @@ import sys
 
 from .model import ACCEPT, LOOP_DETECTED, REJECT, tape_indices, visit_limit
 from .outcome import BudgetExceeded, RunOutcome
+
+STAMP_SLOTS = 1 << 14  # the most stamp slots a table may hold to be kept
+
+
+class _Stamps:
+    """A stamp table: ``rows[state]`` is None until the state's first stamp,
+    then a row of ``length`` stamps, ``slots`` in all; ``gen`` is the last
+    generation handed out."""
+    __slots__ = ("gen", "length", "rows", "slots")
+
+    def __init__(self, length: int):
+        self.gen = 0
+        self.length = length
+        self.rows = []
+        self.slots = 0
+
+
+_spare: list[_Stamps] = []  # the kept table: a run pops it and appends it back
 
 
 def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -> RunOutcome:
@@ -65,8 +96,6 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
     pos = 1
     state = c.start_idx
     steps = 0
-    seen = [0] * ((n + 2) * nq)
-    gen = 1
     tr = [] if trace else None
     verdict = REJECT
     reason = None
@@ -74,42 +103,60 @@ def run_naive(aut, word, *, trace: bool = False, max_steps: int | None = None) -
     if n == 0 and accepting[state]:
         verdict = ACCEPT
     else:
+        try:
+            stamps = _spare.pop()
+        except IndexError:
+            stamps = None
+        if stamps is None or stamps.length < n + 2 or stamps.gen > 2 ** 30:
+            stamps = _Stamps(n + 2)
+        seen = stamps.rows
+        if len(seen) < nq:
+            seen += [None] * (nq - len(seen))
+        gen = stamps.gen + 1
         budget = range(sys.maxsize if max_steps is None else max_steps)
-        for steps in budget:
-            s = tape[pos]
-            k = state * width + s
-            if fixed[s]:
-                w = s
-            else:
-                v = visits[pos]
-                if v < limit:
-                    visits[pos] = v + 1
-                    w = wr_tab[k]
-                else:
+        try:
+            for steps in budget:
+                s = tape[pos]
+                k = state * width + s
+                if fixed[s]:
                     w = s
-            if w != s:  # a write that sticks ends the stretch
-                tape[pos] = w
-                gen += 1
+                else:
+                    v = visits[pos]
+                    if v < limit:
+                        visits[pos] = v + 1
+                        w = wr_tab[k]
+                    else:
+                        w = s
+                if w != s:  # a write that sticks ends the stretch
+                    tape[pos] = w
+                    gen += 1
+                else:
+                    row = seen[state]
+                    if row is None:
+                        row = seen[state] = [0] * stamps.length
+                        stamps.slots += stamps.length
+                    if row[pos] == gen:
+                        reason = LOOP_DETECTED
+                        break
+                    row[pos] = gen
+                if tr is not None:
+                    tr.append((steps + 1, pos, state, s, w, mv_tab[k],
+                               s < lo if fixed[s] else v >= limit))
+                state = to_tab[k]
+                if mv_tab[k]:  # LEFT
+                    pos -= 1
+                else:
+                    pos += 1
+                    if pos > n and accepting[state]:
+                        verdict = ACCEPT
+                        steps += 1
+                        break
             else:
-                key = pos * nq + state
-                if seen[key] == gen:
-                    reason = LOOP_DETECTED
-                    break
-                seen[key] = gen
-            if tr is not None:
-                tr.append((steps + 1, pos, state, s, w, mv_tab[k],
-                           s < lo if fixed[s] else v >= limit))
-            state = to_tab[k]
-            if mv_tab[k]:  # LEFT
-                pos -= 1
-            else:
-                pos += 1
-                if pos > n and accepting[state]:
-                    verdict = ACCEPT
-                    steps += 1
-                    break
-        else:
-            raise BudgetExceeded(len(budget))
+                raise BudgetExceeded(len(budget))
+        finally:
+            stamps.gen = gen
+            if stamps.slots <= STAMP_SLOTS:
+                _spare.append(stamps)
 
     r_moves = (steps + pos - 1) // 2
     return RunOutcome(verdict, reason, steps, {"R": r_moves, "L": steps - r_moves}, tr)

@@ -28,6 +28,7 @@ from limla.tape import ListTape
 from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 
 from test_mapping import _WalkLog, _walked
+from peak_rss import bytes_per_letter
 from trace_writes import write_profile
 
 
@@ -320,7 +321,7 @@ def test_adjacency_check_survives_python_O():
 
 
 _TAPE_RSS = """
-import gc, resource
+import gc
 from limla.linear import run_linear
 from limla.zoo import build_even_a_2dfa
 
@@ -329,9 +330,9 @@ aut = build_even_a_2dfa()
 run_linear(aut, "ab")
 word = "ab" * (n // 2)  # n bytes, made with no larger transient to hide a peak
 gc.collect()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 assert run_linear(aut, word).accepted
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / n)
+print((peak_kb() - before) * 1024 / n)
 """
 
 
@@ -340,12 +341,7 @@ def test_linear_run_peak_rss_per_letter():
     # the links' ints, 32 bytes a cell when prev and nxt share them: 72 bytes
     # a letter, against 112 with a private int per link and a copy of the
     # word's indices, and 80 when prev is concatenated from a copied slice
-    # (ru_maxrss, CPython 3.11)
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(linear_mod.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _TAPE_RSS], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 80
+    assert bytes_per_letter(_TAPE_RSS) <= 80
 
 
 def test_composition_memo_walks_each_pair_once():

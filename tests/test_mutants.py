@@ -208,7 +208,7 @@ CATALOGUE = [
     # old content survives the change and a pair seen before it reads as a
     # repeat
     Mutant("stamp-kept-across-a-write", naive_mod,
-           "                gen += 1\n", "",
+           "                    gen += 1\n", "",
            test_naive.test_detector_fires_on_the_first_repeated_pair),
     # a cell takes one write more than its visit limit allows
     Mutant("writable-one-visit-late", naive_mod,
@@ -219,11 +219,26 @@ CATALOGUE = [
     Mutant("marker-step-flagged-frozen", naive_mod,
            "s < lo if fixed[s]", "True if fixed[s]",
            test_naive.test_frozen_flag_recounted_from_the_trace),
-    # the stamp is keyed by the position alone, so a cell revisited in
-    # another state reads as a repeat
+    # every state stamps into the row of state 0, so the stamp is keyed by
+    # the position alone and a cell revisited in another state reads as a
+    # repeat
     Mutant("stamp-key-drops-the-state", naive_mod,
-           "key = pos * nq + state", "key = pos * nq",
+           "row = seen[state]\n                    if row is None:\n"
+           "                        row = seen[state] =",
+           "row = seen[0]\n                    if row is None:\n"
+           "                        row = seen[0] =",
            test_naive.test_detector_fires_on_the_first_repeated_pair),
+    # a run does not write its last generation back to the table it hands
+    # on, so the next run counts again from a generation whose stamps are
+    # still in the rows
+    Mutant("generation-not-written-back", naive_mod,
+           "            stamps.gen = gen\n", "",
+           test_naive.test_reused_stamp_table_is_invisible),
+    # a run on a kept table starts at generation 1, so a stamp left by an
+    # earlier run can equal the current generation
+    Mutant("reused-table-restarts-at-generation-1", naive_mod,
+           "gen = stamps.gen + 1", "gen = 1",
+           test_naive.test_reused_stamp_table_is_invisible),
     # compilation takes a state listed twice as one state and compiles the
     # machine
     Mutant("compile-lets-duplicate-states-through", model_mod,

@@ -3,10 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
-import pathlib
-import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -17,9 +15,10 @@ from limla.model import (ACCEPT, COUNTED, DLimit, LEFT, LOOP_DETECTED, RANKED, R
 from limla.naive import run_naive
 from limla.outcome import BudgetExceeded, regular_projection, write_trace
 from limla.rng import SplitMix64
-from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, random_automaton
+from limla.zoo import ZOO, GenParams, build_anbn, build_bouncer, build_even_a_2dfa, random_automaton
 from limla.difftest import random_words, words_upto
 
+from peak_rss import bytes_per_letter
 from trace_writes import write_profile
 
 
@@ -331,8 +330,108 @@ def test_frozen_flag_recounted_from_the_trace():
     assert frozen_steps >= 3000 and marker_steps >= 3000, (frozen_steps, marker_steps)
 
 
+def _kept_table():
+    """The stamp table kept between runs, or None."""
+    return naive_mod._spare[-1] if naive_mod._spare else None
+
+
+def _slots(table) -> int:
+    """The slots in a table's rows, counted from the rows themselves."""
+    return sum(len(row) for row in table.rows if row is not None)
+
+
+def _outcome(aut, word, max_steps):
+    try:
+        return run_naive(aut, word, trace=True, max_steps=max_steps)
+    except BudgetExceeded as e:
+        return e.steps
+
+
+def test_reused_stamp_table_is_invisible(monkeypatch):
+    # one sequence of runs on the kept stamp table, in which the table gains
+    # rows as |Q| grows, is made afresh with longer rows as the words grow,
+    # is dropped after a run above STAMP_SLOTS, and is made afresh once its
+    # generation has passed 2**30; every outcome, trace included, and every
+    # BudgetExceeded equals the same run on a fresh table
+    rng = SplitMix64(0x57A3)
+    short = [build() for build in ZOO.values()]
+    short += [random_automaton(GenParams(q, rng.next_u64(), *_D_LIMITS[q % len(_D_LIMITS)]))
+              for q in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)]
+    again = [(aut, word, None) for aut in short for word in words_upto(aut.input_alphabet, 2)]
+    cases = []
+    for aut in short:  # more rows, with a max_steps cut at every step
+        for word in random_words(aut.input_alphabet, 3, 4, 8, rng.next_u64()):
+            full = run_naive(aut, word)
+            cases += [(aut, word, k) for k in range(full.steps + 1)]
+        cases += [(aut, word, None) for word in words_upto(aut.input_alphabet, 3)]
+    for aut in short[:len(ZOO)]:  # longer rows
+        cases += [(aut, word, None) for word in random_words(aut.input_alphabet, 2, 120, 120, 23)]
+    for n in (200, 300, 400, 500, 600):
+        aut = random_automaton(GenParams(1 + rng.below(16), rng.next_u64(), RANKED, DLimit.const(1)))
+        cases += [(aut, word, None) for word in random_words(aut.input_alphabet, 2, n, n, n)]
+    cases += again
+    for q in (32, 64):  # above STAMP_SLOTS
+        aut = random_automaton(GenParams(q, 7, RANKED, DLimit.const(0)))
+        cases += [(aut, word, None) for word in random_words(aut.input_alphabet, 4, 600, 700, 3)]
+    cases += again + [None] + again  # None: the kept table's generation passes 2**30
+
+    fresh = []
+    for case in filter(None, cases):
+        monkeypatch.setattr(naive_mod, "_spare", [])
+        fresh.append(_outcome(*case))
+    monkeypatch.setattr(naive_mod, "_spare", [])
+    want = iter(fresh)
+    seen = set()
+    for case in cases:
+        before = _kept_table()
+        if case is None:
+            before.gen = 2 ** 30 + 1
+            continue
+        slots = before and _slots(before)
+        assert _outcome(*case) == next(want), case
+        after = _kept_table()
+        assert after is None or _slots(after) <= naive_mod.STAMP_SLOTS
+        if before is None or after is None:
+            seen.add("dropped" if after is None else "made")
+        elif after is before:
+            if _slots(after) > slots:
+                seen.add("more rows")
+        elif after.length > before.length:
+            seen.add("longer rows")
+        elif before.gen > 2 ** 30:
+            seen.add("generation reset")
+    assert seen == {"made", "more rows", "longer rows", "dropped", "generation reset"}, seen
+
+
+def test_concurrent_runs_each_take_their_own_table():
+    # runs on four threads, switching every microsecond, each take the kept
+    # table or make their own, so none reads another run's stamps
+    even_a = build_even_a_2dfa()  # writes nothing, so a run keeps one generation
+    cases = [(even_a, word) for word in random_words(even_a.input_alphabet, 200, 100, 300, 0x7EAD)]
+    cases += [(build_anbn(), "a" * k + "b" * k) for k in range(10, 20)]
+    want = [run_naive(aut, word, trace=True) for aut, word in cases]
+    got = {}
+
+    def rotated(i):
+        got[i] = [run_naive(aut, word, trace=True) for aut, word in cases[i:] + cases[:i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=rotated, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(4):
+        assert got[i] == want[i:] + want[:i], i
+
+
 _NAIVE_RSS = """
-import gc, resource
+import gc
 from limla.naive import run_naive
 from limla.zoo import build_even_a_2dfa
 
@@ -341,20 +440,42 @@ aut = build_even_a_2dfa()
 run_naive(aut, "ab")
 word = "ab" * (n // 2)  # n bytes, made with no larger transient to hide a peak
 gc.collect()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 assert run_naive(aut, word).accepted
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / n)
+print((peak_kb() - before) * 1024 / n)
 """
 
 
 def test_naive_run_peak_rss_per_letter():
     # an even_a run keeps the tape and the visit counts, 8 bytes a slot each
-    # (their ints are cached small ones), and the stamps, |Q| = 3 slots of 8
-    # bytes a cell holding one shared int: 8 + 8 + 3 * 8 = 40 bytes a letter,
-    # against 87 with a set of (position, state) keys, each a fresh int
-    # (ru_maxrss, CPython 3.11)
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(naive_mod.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _NAIVE_RSS], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 56
+    # (their ints are cached small ones), and a stamp row of 8-byte slots for
+    # each state that stamps, here 2 of |Q| = 3: 8 + 8 + 2 * 8 = 32 bytes a
+    # letter, against 40 with a stamp for every state allocated up front and
+    # 87 with a set of (position, state) keys, each a fresh int
+    assert bytes_per_letter(_NAIVE_RSS) <= 36
+
+
+_NAIVE_RSS_64 = """
+import gc
+from limla.difftest import random_words
+from limla.model import RANKED, DLimit
+from limla.naive import run_naive
+from limla.zoo import GenParams, random_automaton
+
+n = 10 ** 5
+aut = random_automaton(GenParams(64, 7, RANKED, DLimit.const(0)))
+run_naive(aut, "ab")
+word = next(random_words(aut.input_alphabet, 1, n, n, 7))
+gc.collect()
+before = peak_kb()
+run_naive(aut, word)
+print((peak_kb() - before) * 1024 / n)
+"""
+
+
+def test_naive_run_peak_rss_per_letter_at_64_states():
+    # this run stamps in 33 of its 64 states before the detector fires:
+    # 8 + 8 + 33 * 8 = 280 bytes a letter, read as about 270 since the run
+    # reuses memory that the word's maker freed, against 16 + 64 * 8 = 528
+    # with a stamp for every state allocated up front
+    assert bytes_per_letter(_NAIVE_RSS_64) <= 320
